@@ -1,17 +1,15 @@
 """Drive the benchmark command over a small sweep and read its CSV.
 
 The command line is `transport-nare bench ...`; this calls the same entry
-point in-process.  The default iteration cap of 8 matters: near-critical
-cells at large n need around 25 doublings to converge, and each doubling
-doubles the depth of the implicit operator recursion, so an uncapped sweep
-runs for hours.  A capped sweep still measures what the benchmark is for
-(per-iteration cost and the flop ratio between the two solvers); capped
-cells are recorded with termination=max_iter rather than dropped.
+point in-process.  With the default iteration cap of 8 the sweep is a
+per-iteration cost profile, not a convergence study: cells at large n need
+25 to 30 doublings to converge.  It measures the per-iteration cost and the
+flop ratio between the two solvers; capped cells are recorded with
+termination=max_iter rather than dropped.
 
-The two sizes are chosen to straddle the dense-mirror threshold of 512.
-Below it the implicit operator is shadowed by one dense squaring per level;
-that work is identical in both solvers and dilutes the ratio.  Above it the
-real recursion is measured and the ratio lands near 0.5.
+Both solvers keep the outer iterates as a diagonal plus low rank at every
+size, the balanced one in a one-factor symmetric form, so the ratio column
+reads about 0.5 at both sizes.
 """
 
 import csv
@@ -48,6 +46,5 @@ for row in rows:
 
 print()
 print("the ratio column compares counted flops of the balanced variant "
-      "against the general one per cell: diluted at n=256 (dense mirror), "
-      "near 0.5 at n=1024 (real recursion).")
+      "against the general one per cell.")
 print("artifacts in", outdir)

@@ -6,9 +6,8 @@ product per operator instead of two.  The flop counters make that visible:
 the per-iteration ratio settles near 0.5 once ranks stabilize, and the
 implicit-apply event counter reads 2 against 4 every iteration.
 
-The run disables the small-n dense mirror so the counted work is the real
-implicit recursion, and also prints the symmetry audit that justifies the
-shared-factor shortcut.
+The run also prints the symmetry audit that justifies the shared-factor
+shortcut.
 """
 
 from transport_nare.modified_sda_ls import audit_symmetry, msda_solve
@@ -16,12 +15,12 @@ from transport_nare.sda_ls import SolverConfig, sda_ls_solve
 from transport_nare.transport_problem import make_instance
 
 inst = make_instance(1024, 0.9, 0.1)
-cfg = SolverConfig(max_iter=6, implicit_dense_threshold=0)
+cfg = SolverConfig(max_iter=6)
 
 _, rep_ls = sda_ls_solve(inst, config=cfg)
 _, rep_m = msda_solve(inst, config=cfg)
 
-print("n=1024 c=0.9 a=0.1, first %d iterations, dense mirror off" % cfg.max_iter)
+print("n=1024 c=0.9 a=0.1, first %d iterations" % cfg.max_iter)
 print("k   general flops   balanced flops   ratio   applies")
 for k in range(1, cfg.max_iter + 1):
     ls = rep_ls.flops.iteration_total(k, exclude=("residual",))

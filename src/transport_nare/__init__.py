@@ -31,7 +31,6 @@ from .structured_linalg import (
     RankOverflowError,
     ShiftedSolver,
     gamma_select,
-    make_base_operators,
     orthonormalize_against,
     residual_norm,
     truncated_svd,
@@ -75,7 +74,6 @@ __all__ = [
     "RankOverflowError",
     "ShiftedSolver",
     "gamma_select",
-    "make_base_operators",
     "orthonormalize_against",
     "residual_norm",
     "truncated_svd",

@@ -17,10 +17,8 @@ modified_over_original is filled on modified-sda-ls rows with the flop ratio
 against the sda-ls run of the same cell.  Failures of individual cells are
 recorded in the termination column and the sweep continues.
 
-A note on budgets: the implicit large-scale operators cost 2^k base passes at
-doubling level k, so iteration counts much past 12 are impractical for
-n > 512 (where the dense internal image is off).  The default bench sweep
-therefore caps iterations at 8; it is a cost-profiling sweep, not a
+The default bench sweep caps iterations at 8: it is a per-iteration cost
+profile (per-iteration flops and the ratio between the two solvers), not a
 convergence study.  Cells run serially; records appear in sweep order.
 """
 

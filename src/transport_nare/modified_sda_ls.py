@@ -2,10 +2,13 @@
 
 After diagonal balancing the two quadratic coefficients coincide and the flow
 map becomes symmetric, so the G-side factors are redundant: G_k = H_k^T with
-Gam = Sig, P1 = Q2, P2 = Q1, and F = E^T.  Exploiting that halves the large
-implicit products per step from four to two and drops one of the two core
-SVDs.  The solver works entirely on the balanced instance and rescales the
-solution back at the end, confirming the residual on the original scale.
+Gam = Sig, P1 = Q2 and P2 = Q1.  The outer iterates stay distinct (E_0 comes
+from V, built on d, and F_0 from W, built on delta), but each is a symmetric
+matrix, kept as diag(d) + U diag(s) U^T.  Exploiting that halves the large
+implicit products per step from four to two, drops one of the two core SVDs
+and one of the two QRs in each outer-iterate update.  The solver works
+entirely on the balanced instance and rescales the solution back at the end,
+confirming the residual on the original scale.
 
 ``audit_symmetry`` runs the general solver from the symmetric initial split on
 a balanced instance and measures how well the claimed pairings hold, both as
@@ -21,21 +24,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .structured_linalg import (
+    BaseOperators,
     FlopModel,
     ImplicitIterate,
     LowRankBilinear,
     RankOverflowError,
     ShiftedSolver,
     gamma_select,
-    make_base_operators,
     orthonormalize_against,
     residual_norm,
     truncated_svd,
 )
-from .transport_problem import balance, unbalance_solution
+from .transport_problem import NareInstance, balance, unbalance_solution
 from .sda_ls import (
     SolverConfig,
     SolveReport,
+    qr_svd,
     sda_ls_init,
     sda_ls_step,
     stagnated,
@@ -101,22 +105,15 @@ def msda_init(inst, config=None, flops=None, gamma=None):
     if gamma is None:
         gamma = gamma_select(inst)
     solver = ShiftedSolver(inst, gamma)
-    base = make_base_operators(solver)
-    Eimp = ImplicitIterate(base, "E", flops=flops,
-                           mirror_threshold=config.implicit_dense_threshold)
-    Fimp = ImplicitIterate(base, "F", flops=flops,
-                           mirror_threshold=config.implicit_dense_threshold)
+    base = BaseOperators(solver)
+    Eimp = ImplicitIterate(base, "E", flops=flops, trunc_rel=config.trunc_rel)
+    Fimp = ImplicitIterate(base, "F", flops=flops, trunc_rel=config.trunc_rel)
     ph = inst.phi[:, None]
     sq = np.sqrt(2.0 * gamma)
     q1_raw = sq * solver.solve("W", ph, flops=flops)
     q2_raw = sq * solver.solve("E", ph, flops=flops)
-    n = inst.n
-    none = np.zeros((n, 0))
-    Q1, _, R1 = orthonormalize_against(none, q1_raw, flops=flops)
-    Q2, _, R2 = orthonormalize_against(none, q2_raw, flops=flops)
-    U, s, V = truncated_svd(R1 @ R2.T, config.trunc_rel, flops=flops)
     st = ModifiedState(inst, solver, base, Eimp, Fimp, flops)
-    st.Q1, st.Sig, st.Q2 = Q1 @ U, s, Q2 @ V
+    st.Q1, st.Sig, st.Q2 = qr_svd(q1_raw, q2_raw, config.trunc_rel, flops)
     if st.Sig.size > config.max_rank:
         raise RankOverflowError("initial rank exceeds max_rank=%d" % config.max_rank)
     return st
@@ -149,9 +146,6 @@ def msda_step(st, config=None):
     flops.add("inner_core", 6.0 * m)
     ZE = st.Eimp.apply(Q2)
     ZF = st.Fimp.apply(Q1)
-    E1 = ZE * dup[None, :]
-    F1 = ZF * dup[None, :]
-    flops.add("rank_update", 2.0 * n * m)
     Qh1, S1, R1 = orthonormalize_against(Q1, ZF, flops=flops)
     Qh2, S2, R2 = orthonormalize_against(Q2, ZE, flops=flops)
     SigHat = np.block([
@@ -163,8 +157,8 @@ def msda_step(st, config=None):
     st.Q2 = np.hstack([Q2, Qh2]) @ V
     flops.add("factor_assembly", 4.0 * n * (m + Qh1.shape[1]) * sv.size)
     st.Sig = sv
-    st.Eimp.push_update(E1, ZE)
-    st.Fimp.push_update(F1, ZF)
+    st.Eimp.push_symmetric(ZE, dup)
+    st.Fimp.push_symmetric(ZF, dup)
     st.k += 1
     return st
 
@@ -187,9 +181,11 @@ def msda_solve(inst, config=None, gamma=None):
                       RuntimeWarning, stacklevel=2)
     t0 = time.perf_counter()
     st = msda_init(binst, config=config, flops=report.flops, gamma=gamma)
+    op_ranks = report.extras["operator_rank_history"] = []
     report.gamma = st.solver.gamma
     report.iter_times.append(time.perf_counter() - t0)
     report.rank_history.append(st.ranks)
+    op_ranks.append((st.Eimp.rank, st.Fimp.rank))
     _, res = residual_norm(binst, st.H, flops=report.flops)
     report.residual_history.append(res)
     report.termination = "max_iter"
@@ -199,6 +195,7 @@ def msda_solve(inst, config=None, gamma=None):
         msda_step(st, config)
         report.iter_times.append(time.perf_counter() - t0)
         report.rank_history.append(st.ranks)
+        op_ranks.append((st.Eimp.rank, st.Fimp.rank))
         if st.k % config.residual_cadence == 0 or st.k == config.max_iter:
             _, res = residual_norm(binst, st.H, flops=report.flops)
             report.residual_history.append(res)
@@ -227,27 +224,12 @@ def msda_solve(inst, config=None, gamma=None):
     return X, report
 
 
-class _OriginalView:
-    """Original-scale coefficient view of a balanced instance.
-
-    Balancing never touches delta and d, and phi**2 recovers q, so the
-    original residual can be evaluated without the original object.
-    """
-
-    is_balanced = False
-
-    def __init__(self, binst):
-        self.n = binst.n
-        self.delta = binst.delta
-        self.d = binst.d
-        self.q = binst.phi ** 2
-        self.params = binst.params
-        self.near_singular = binst.near_singular
-
-
 def _original_scale_residual(inst, binst, X, flops):
-    orig_inst = inst if not inst.is_balanced else _OriginalView(binst)
-    _, r = residual_norm(orig_inst, X, flops=flops)
+    if inst.is_balanced:
+        # balancing keeps delta and d and sets phi = sqrt(q)
+        inst = NareInstance(delta=binst.delta, d=binst.d, q=binst.phi ** 2,
+                            params=binst.params, quad=None)
+    _, r = residual_norm(inst, X, flops=flops)
     return r
 
 

@@ -2,11 +2,12 @@
 
 The doubling iteration advances four coupled sequences.  Here the two inner
 sequences H_k and G_k are stored as truncated SVD-style triples (orthonormal
-factors around a diagonal core) and the outer sequences E_k, F_k only as
-implicit recursive operators, so one iteration costs O(n) times a polynomial in
-the truncated ranks.  Each step performs four large implicit-operator block
-products; the balanced variant in ``modified_sda_ls`` gets away with two, which
-is the comparison the flop instrumentation exists to make.
+factors around a diagonal core) and the outer sequences E_k, F_k as a diagonal
+plus truncated low-rank factors (``ImplicitIterate``), so one iteration costs
+O(n) times a polynomial in the truncated ranks.  Each step performs four large
+implicit-operator block products; the balanced variant in ``modified_sda_ls``
+gets away with two, which is the comparison the flop instrumentation exists
+to make.
 """
 
 import time
@@ -16,13 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .structured_linalg import (
+    BaseOperators,
     FlopModel,
     ImplicitIterate,
     LowRankBilinear,
     RankOverflowError,
     ShiftedSolver,
     gamma_select,
-    make_base_operators,
     orthonormalize_against,
     residual_norm,
     truncated_svd,
@@ -47,10 +48,6 @@ class SolverConfig:
     max_iter           doubling-iteration budget
     max_rank           cap on truncated factor ranks
     residual_cadence   evaluate the residual every this many iterations
-    implicit_dense_threshold
-                       row dimension at or below which the implicit operators
-                       keep a dense internal image (0 keeps them purely
-                       recursive; large-scale measurements use 0)
     """
 
     tol_residual: float = 1e-12
@@ -58,7 +55,6 @@ class SolverConfig:
     max_iter: int = 50
     max_rank: int = 200
     residual_cadence: int = 1
-    implicit_dense_threshold: int = 512
 
     def __post_init__(self):
         if self.tol_residual <= 0:
@@ -67,8 +63,6 @@ class SolverConfig:
             raise ValueError("trunc_rel must be nonnegative")
         if self.max_iter < 1 or self.max_rank < 1 or self.residual_cadence < 1:
             raise ValueError("max_iter, max_rank and residual_cadence must be >= 1")
-        if self.implicit_dense_threshold < 0:
-            raise ValueError("implicit_dense_threshold must be nonnegative")
 
 
 @dataclass
@@ -112,7 +106,6 @@ class SolveReport:
             "iter_times_s": [float(t) for t in self.iter_times],
             "wall_time_s": float(sum(self.iter_times)),
             "total_flops": float(self.flops.total()),
-            "c_gamma": float(self.flops.c_gamma),
             "warnings": list(self.warnings),
             "extras": {k: v for k, v in self.extras.items()},
         }
@@ -161,7 +154,7 @@ class SdaLsState:
         return (self.Sig.size, self.Gam.size)
 
 
-def _qr_svd(raw_left, raw_right, trunc_rel, flops):
+def qr_svd(raw_left, raw_right, trunc_rel, flops):
     """Canonicalize a product raw_left @ raw_right.T into an orthonormal triple."""
     n = raw_left.shape[0]
     none = np.zeros((n, 0))
@@ -196,11 +189,9 @@ def sda_ls_init(inst, gamma=None, config=None, b1=None, b2=None, c1=None, c2=Non
             b1 = b2 = e
             c1 = c2 = inst.q[:, None]
     solver = ShiftedSolver(inst, gamma)
-    base = make_base_operators(solver)
-    Eimp = ImplicitIterate(base, "E", flops=flops,
-                           mirror_threshold=config.implicit_dense_threshold)
-    Fimp = ImplicitIterate(base, "F", flops=flops,
-                           mirror_threshold=config.implicit_dense_threshold)
+    base = BaseOperators(solver)
+    Eimp = ImplicitIterate(base, "E", flops=flops, trunc_rel=config.trunc_rel)
+    Fimp = ImplicitIterate(base, "F", flops=flops, trunc_rel=config.trunc_rel)
     if symmetric_split:
         sq = np.sqrt(2.0 * gamma)
         q1_raw = sq * solver.solve("W", b1, flops=flops)
@@ -213,8 +204,8 @@ def sda_ls_init(inst, gamma=None, config=None, b1=None, b2=None, c1=None, c2=Non
         p1_raw = 2.0 * gamma * solver.solve("E", c1, flops=flops)
         p2_raw = solver.solve("W", c2, transpose=True, flops=flops)
     st = SdaLsState(inst, solver, base, Eimp, Fimp, flops)
-    st.Q1, st.Sig, st.Q2 = _qr_svd(q1_raw, q2_raw, config.trunc_rel, flops)
-    st.P1, st.Gam, st.P2 = _qr_svd(p1_raw, p2_raw, config.trunc_rel, flops)
+    st.Q1, st.Sig, st.Q2 = qr_svd(q1_raw, q2_raw, config.trunc_rel, flops)
+    st.P1, st.Gam, st.P2 = qr_svd(p1_raw, p2_raw, config.trunc_rel, flops)
     if max(st.Sig.size, st.Gam.size) > config.max_rank:
         raise RankOverflowError("initial rank exceeds max_rank=%d" % config.max_rank)
     return st
@@ -317,9 +308,11 @@ def sda_ls_solve(inst, config=None, gamma=None):
                       RuntimeWarning, stacklevel=2)
     t0 = time.perf_counter()
     st = sda_ls_init(inst, gamma=gamma, config=config, flops=report.flops)
+    op_ranks = report.extras["operator_rank_history"] = []
     report.gamma = st.solver.gamma
     report.iter_times.append(time.perf_counter() - t0)
     report.rank_history.append(st.ranks)
+    op_ranks.append((st.Eimp.rank, st.Fimp.rank))
     _, res = residual_norm(inst, st.H, flops=report.flops)
     report.residual_history.append(res)
     report.termination = "max_iter"
@@ -333,6 +326,7 @@ def sda_ls_solve(inst, config=None, gamma=None):
             raise
         report.iter_times.append(time.perf_counter() - t0)
         report.rank_history.append(st.ranks)
+        op_ranks.append((st.Eimp.rank, st.Fimp.rank))
         if st.k % config.residual_cadence == 0 or st.k == config.max_iter:
             _, res = residual_norm(inst, st.H, flops=report.flops)
             report.residual_history.append(res)

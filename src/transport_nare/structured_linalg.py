@@ -3,8 +3,9 @@
 Everything here exploits the same shape: coefficient matrices that are diagonal
 plus a rank-one outer product.  Shifted inverses then collapse to Sherman-Morrison
 corrections over diagonal solves, the doubling base operators become fused
-"diagonal times block plus rank-one correction" applications, and residuals of
-low-rank iterates can be evaluated without ever forming an n-by-n matrix.
+"diagonal times block plus rank-one correction" applications, the outer doubling
+iterates stay diagonal plus low rank, and residuals of low-rank iterates can be
+evaluated without ever forming an n-by-n matrix.
 
 The flop counters follow the kernels defined here so that the two large-scale
 solvers can be compared on counted work rather than wall time.
@@ -24,7 +25,6 @@ __all__ = [
     "ImplicitIterate",
     "FlopModel",
     "gamma_select",
-    "make_base_operators",
     "truncated_svd",
     "orthonormalize_against",
     "residual_norm",
@@ -133,26 +133,24 @@ class LowRankBilinear:
 # Counting conventions (multiply+add = 2 flops):
 #   gemm (p,q)@(q,r)           2*p*q*r
 #   diagonal scale of (p,q)    p*q
-#   fused base apply, n x m    5*n*m   (diagonal scale + rank-one correction)
 # Small dense factorizations use the usual leading-order constants
-# (QR of (n,m): 2*n*m^2, SVD of (m,m): 12*m^3).  The constants only matter
-# relative to each other: the acceptance comparison is a ratio of totals
-# accumulated with identical formulas in both solvers.
+# (QR of (n,m): 2*n*m^2, SVD of (m,m): 12*m^3, symmetric eigendecomposition
+# of (m,m): 9*m^3).  The constants only matter relative to each other: the
+# acceptance comparison is a ratio of totals accumulated with identical
+# formulas in both solvers.
 
 class FlopModel:
     """Per-iteration, per-kernel counted work for one solve.
 
     Counters are keyed by (iteration, kernel label).  ``event`` tracks discrete
-    happenings (block applications of the implicit operators, base-operator
-    column applications) that acceptance checks assert on exactly.
+    happenings (block applications of the implicit operators) that acceptance
+    checks assert on exactly.
     """
 
     def __init__(self):
         self.flops = {}
         self.events = {}
         self.k = 0
-        self._base_flops = 0.0
-        self._base_cols = 0
 
     def add(self, label, amount):
         key = (self.k, label)
@@ -161,19 +159,6 @@ class FlopModel:
     def event(self, label, count=1):
         key = (self.k, label)
         self.events[key] = self.events.get(key, 0) + int(count)
-
-    def add_base_apply(self, flops, cols):
-        self.add("base_apply", flops)
-        self.event("base_apply_cols", cols)
-        self._base_flops += flops
-        self._base_cols += cols
-
-    @property
-    def c_gamma(self):
-        """Measured cost of one base-operator application per column."""
-        if self._base_cols == 0:
-            return 0.0
-        return self._base_flops / self._base_cols
 
     def snapshot(self, k):
         return {label: f for (kk, label), f in sorted(self.flops.items()) if kk == k}
@@ -340,9 +325,6 @@ class BaseOperators:
             wt = sm.inv_d * sm.u
             self._ops[name] = (a[:, None], p, w, pt, wt)
 
-    def flops_per_column(self):
-        return 5 * self.n
-
     def apply(self, name, block, transpose=False):
         a, p, w, pt, wt = self._ops[name]
         if transpose:
@@ -350,56 +332,106 @@ class BaseOperators:
         return a * block + p[:, None] * (w @ block)[None, :]
 
     def dense(self, name):
-        """Exact dense image of the fused operator (oracle and mirror setup)."""
+        """Exact dense image of the fused operator (test oracle)."""
         a, p, w, _, _ = self._ops[name]
         return np.diag(a[:, 0]) + np.outer(p, w)
 
 
-def make_base_operators(solver):
-    """Build the fused E0/F0 application handles for one shifted solver."""
-    return BaseOperators(solver)
-
-
 # ---------------------------------------------------------------------------
-# implicit doubling iterate
+# outer doubling iterate
 # ---------------------------------------------------------------------------
 
 class ImplicitIterate:
-    """The never-assembled doubling operator E_k (or F_k).
+    """The outer doubling iterate E_k (or F_k), stored as diagonal plus low rank.
 
-    Level k is defined recursively by squaring the previous level and adding a
-    low-rank correction, so apply() at level k costs exactly 2^k base
-    applications per column plus the per-level corrections.  Only apply and
-    apply_transpose are public.  For small problems (row dimension at or below
-    ``mirror_threshold``) an internal dense image is maintained and served
-    instead, which changes nothing observable except speed and flop labels;
-    every large-scale measurement runs with the mirror disabled.
+    Level 0 is the fused base operator diag(a) + p w^T.  Squaring keeps that
+    shape, (D + U V^T)^2 = D^2 + (D U + U V^T U) V^T + U (D V)^T, so level k
+    holds the vector d_k = a^(2^k) and two n x r factors, recompressed after
+    each update by pivoted QR of both stacks and an SVD of the small core
+    truncated at ``trunc_rel``.  A block apply costs O(n r) per column at
+    every level.
+
+    ``push_symmetric`` keeps a symmetric iterate in the one-factor form
+    diag(d) + U diag(s) U^T with orthonormal U, which needs one QR per level
+    instead of two.
     """
 
-    def __init__(self, base, name, flops=None, mirror_threshold=0):
-        self._base = base
-        self._name = name
+    def __init__(self, base, name, flops=None, trunc_rel=0.0):
+        a, p, w, _, _ = base._ops[name]
         self.n = base.n
         self.level = 0
-        self.updates = []
         self.flops = flops
-        self._mirror = base.dense(name) if base.n <= mirror_threshold else None
+        self.trunc_rel = trunc_rel
+        self.d = a[:, 0]
+        self.U = p[:, None]
+        self.V = w[:, None]
+        self.s = None       # set by push_symmetric
 
     @property
-    def mirrored(self):
-        return self._mirror is not None
+    def rank(self):
+        return self.U.shape[1]
+
+    def _advance(self, u, v):
+        if u.shape[0] != self.n or v.shape[0] != self.n or u.shape[1] != v.shape[1]:
+            raise ValueError("update factors must be n x r with matching r")
+        self.level += 1
 
     def push_update(self, u, v):
         """Advance one level: new operator = old @ old + u @ v.T."""
-        if u.shape[0] != self.n or v.shape[0] != self.n or u.shape[1] != v.shape[1]:
-            raise ValueError("update factors must be n x r with matching r")
-        self.updates.append((u, v))
-        self.level += 1
-        if self._mirror is not None:
-            self._mirror = self._mirror @ self._mirror + u @ v.T
-            if self.flops is not None:
-                self.flops.add("mirror_update",
-                               2.0 * self.n ** 3 + 2.0 * self.n * u.size)
+        if self.s is not None:
+            raise ValueError("a symmetric iterate advances by push_symmetric")
+        self._advance(u, v)
+        none = np.zeros((self.n, 0))
+        d, U, V = self.d, self.U, self.V
+        r = U.shape[1]
+        # each stack is freed once factored: both alive at once raise the peak
+        left = np.hstack([d[:, None] * U + U @ (V.T @ U), U, u])
+        Ql, _, Rl = orthonormalize_against(none, left, null_rel=0.0, flops=self.flops)
+        del left
+        right = np.hstack([V, d[:, None] * V, v])
+        Qr, _, Rr = orthonormalize_against(none, right, null_rel=0.0, flops=self.flops)
+        del right
+        Uc, sc, Vc = truncated_svd(Rl @ Rr.T, self.trunc_rel, flops=self.flops)
+        self.U = Ql @ (Uc * sc[None, :])
+        self.V = Qr @ Vc
+        self.d = d * d
+        if self.flops is not None:
+            w = 2 * r + u.shape[1]
+            self.flops.add("implicit_update", self.n * r * (4.0 * r + 2.0) + 2.0 * w ** 3
+                           + 2.0 * self.n * (Ql.shape[1] + Qr.shape[1]) * sc.size)
+
+    def push_symmetric(self, z, dup):
+        """Advance a symmetric iterate one level: old @ old + z diag(dup) z^T.
+
+        The first call reads the level-0 correction p w^T, where p is a
+        multiple of w on a balanced instance, as (p.w) w w^T / (w.w).
+        """
+        if self.s is None and self.level > 0:
+            raise ValueError("push_symmetric continues a symmetric iterate only")
+        self._advance(z, z)
+        if self.s is None:
+            w = self.V[:, 0]
+            self.s = np.array([self.U[:, 0] @ w])
+            self.U, self.V = (w / np.linalg.norm(w))[:, None], None
+        d, U, s = self.d, self.U, self.s
+        r = U.shape[1]
+        # K = [D U, U, z] = Q R; with U^T U = I the update is Q C Q^T, where
+        # C = R0 S R1^T + R1 S R0^T + R1 S^2 R1^T + R2 diag(dup) R2^T
+        Q, _, R = orthonormalize_against(np.zeros((self.n, 0)),
+                                         np.hstack([d[:, None] * U, U, z]),
+                                         null_rel=0.0, flops=self.flops)
+        R0, R1s, R2 = R[:, :r], R[:, r:2 * r] * s[None, :], R[:, 2 * r:]
+        C = R0 @ R1s.T
+        lam, W = np.linalg.eigh(C + C.T + R1s @ R1s.T + (R2 * dup[None, :]) @ R2.T)
+        big = np.abs(lam).max(initial=0.0)
+        keep = (lam != 0.0) & (np.abs(lam) >= self.trunc_rel * big)
+        self.U, self.s = Q @ W[:, keep], lam[keep]
+        self.d = d * d
+        if self.flops is not None:
+            m = R.shape[0]
+            self.flops.add("implicit_update", self.n * r + 6.0 * m ** 3
+                           + 2.0 * self.n * m * self.s.size)
+            self.flops.add("eig", 9.0 * m ** 3)
 
     def apply(self, block, transpose=False):
         block = np.asarray(block, dtype=float)
@@ -409,32 +441,17 @@ class ImplicitIterate:
             raise ValueError("block row dimension mismatch")
         if self.flops is not None:
             self.flops.event("implicit_block_apply")
-        if self._mirror is not None:
-            if self.flops is not None:
-                self.flops.add("mirror_apply", 2.0 * self.n ** 2 * block.shape[1])
-            m = self._mirror.T if transpose else self._mirror
-            return m @ block
-        return self._recurse(self.level, block, transpose)
+            self.flops.add("implicit_apply", (1.0 + 4.0 * self.rank) * block.size)
+        if self.s is not None:
+            corr = self.U @ (self.s[:, None] * (self.U.T @ block))
+        elif transpose:
+            corr = self.V @ (self.U.T @ block)
+        else:
+            corr = self.U @ (self.V.T @ block)
+        return self.d[:, None] * block + corr
 
     def apply_transpose(self, block):
         return self.apply(block, transpose=True)
-
-    def _recurse(self, level, block, transpose):
-        if level == 0:
-            if self.flops is not None:
-                self.flops.add_base_apply(
-                    self._base.flops_per_column() * block.shape[1], block.shape[1])
-            return self._base.apply(self._name, block, transpose=transpose)
-        u, v = self.updates[level - 1]
-        y = self._recurse(level - 1, self._recurse(level - 1, block, transpose), transpose)
-        if transpose:
-            corr = v @ (u.T @ block)
-        else:
-            corr = u @ (v.T @ block)
-        if self.flops is not None:
-            self.flops.add("implicit_correction",
-                           4.0 * self.n * u.shape[1] * block.shape[1])
-        return y + corr
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +475,12 @@ def orthonormalize_against(Q, Z, null_rel=QR_NULL_REL, max_new=None, flops=None)
     if max_new is None:
         max_new = n - nq
     S = Q.T @ Z
-    Zp = Z - Q @ S
-    S2 = Q.T @ Zp
-    Zp = Zp - Q @ S2
-    S = S + S2
+    Zp = Z
+    if nq:      # with an empty Q the projections subtract exact zeros
+        Zp = Z - Q @ S
+        S2 = Q.T @ Zp
+        Zp = Zp - Q @ S2
+        S = S + S2
     if flops is not None:
         flops.add("orthogonalize", 8.0 * n * nq * m + 2.0 * n * m * m)
     empty = (np.zeros((n, 0)), S, np.zeros((0, m)))

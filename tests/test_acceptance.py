@@ -107,7 +107,7 @@ def test_criterion_04_symmetry_audit():
 
 def test_criterion_05_flop_halving():
     inst = make_instance(1024, 0.9, 0.1)
-    cfg = SolverConfig(max_iter=6, implicit_dense_threshold=0)
+    cfg = SolverConfig(max_iter=6)
     _, rep_ls = sda_ls_solve(inst, config=cfg)
     _, rep_m = msda_solve(inst, config=cfg)
     for k in range(1, 7):
@@ -191,7 +191,7 @@ def test_criterion_08_spectral_relation():
 
 
 def test_criterion_09_linear_scaling_wall_time():
-    cfg = SolverConfig(max_iter=8, implicit_dense_threshold=0)
+    cfg = SolverConfig(max_iter=8)
     ratio = np.inf
     for _ in range(2):                     # one retry to shrug off a noisy run
         med = {}

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from transport_nare.structured_linalg import (
+    BaseOperators,
     FlopModel,
     ImplicitIterate,
     LowRankBilinear,
     ShiftedSolver,
     gamma_select,
-    make_base_operators,
     orthonormalize_against,
     residual_norm,
     truncated_svd,
@@ -96,15 +99,15 @@ def test_flop_model_accumulates_by_iteration():
     assert fm.iterations() == [0, 1]
 
 
-def test_flop_model_events_and_base_cost():
+def test_flop_model_events():
     fm = FlopModel()
     fm.event("implicit_block_apply")
     fm.event("implicit_block_apply")
-    fm.add_base_apply(400.0, 5)
+    fm.k = 1
+    fm.event("implicit_block_apply", 3)
     assert fm.iteration_events(0, "implicit_block_apply") == 2
-    assert fm.iteration_events(0, "base_apply_cols") == 5
-    assert fm.c_gamma == 80.0
-    assert FlopModel().c_gamma == 0.0
+    assert fm.iteration_events(1, "implicit_block_apply") == 3
+    assert fm.iteration_events(2, "implicit_block_apply") == 0
 
 
 def test_flop_model_csv(tmp_path):
@@ -223,7 +226,7 @@ def test_shifted_solver_counts_flops():
 
 def test_base_operators_scalar_value():
     sol = ShiftedSolver(SCALAR, 3.0)
-    base = make_base_operators(sol)
+    base = BaseOperators(sol)
     one = np.ones((1, 1))
     assert abs(base.apply("E", one)[0, 0] + 1.0 / 35.0) <= 1e-15
     assert abs(base.apply("F", one)[0, 0] + 1.0 / 35.0) <= 1e-15
@@ -232,7 +235,7 @@ def test_base_operators_scalar_value():
 
 def test_base_operators_zero_block():
     sol = ShiftedSolver(make_instance(6, 0.9, 0.1), 9.0)
-    base = make_base_operators(sol)
+    base = BaseOperators(sol)
     np.testing.assert_array_equal(base.apply("E", np.zeros((6, 2))),
                                   np.zeros((6, 2)))
 
@@ -244,7 +247,7 @@ def test_base_operators_match_dense(balanced):
         inst = balance(inst)
     gamma = gamma_select(inst)
     sol = ShiftedSolver(inst, gamma)
-    base = make_base_operators(sol)
+    base = BaseOperators(sol)
     mats = dense_shifted(inst, gamma)
     eye = np.eye(16)
     e0 = eye - 2.0 * gamma * np.linalg.inv(mats["V"])
@@ -255,41 +258,55 @@ def test_base_operators_match_dense(balanced):
     np.testing.assert_allclose(base.apply("E", X), e0 @ X, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(base.apply("F", X, transpose=True), f0.T @ X,
                                rtol=1e-12, atol=1e-12)
-    assert base.flops_per_column() == 80
 
 
 # ---------------------------------------------------------------------------
 # implicit doubling iterate
 # ---------------------------------------------------------------------------
 
-def make_level2(n=16, seed=7, mirror_threshold=0, flops=None):
+def make_iterate(levels, symmetric=False, n=16, seed=7, flops=None):
+    """An iterate advanced by random updates, with its dense recursion.
+
+    The updates are scaled so that M <- M^2 + (update) stays of order one over
+    six levels.  The symmetric form runs on the balanced instance, where the
+    base operator is symmetric, with positive weights like the solver's.
+    """
     inst = make_instance(n, 0.9, 0.1)
+    if symmetric:
+        inst = balance(inst)
     sol = ShiftedSolver(inst, gamma_select(inst))
-    base = make_base_operators(sol)
-    imp = ImplicitIterate(base, "E", flops=flops, mirror_threshold=mirror_threshold)
+    base = BaseOperators(sol)
+    imp = ImplicitIterate(base, "E", flops=flops)
     rng = np.random.default_rng(seed)
     M = base.dense("E")
-    for _ in range(2):
-        u = rng.standard_normal((n, 2))
-        v = rng.standard_normal((n, 2))
-        imp.push_update(u, v)
-        M = M @ M + u @ v.T
+    for _ in range(levels):
+        u = 0.3 * rng.standard_normal((n, 2)) / np.sqrt(n)
+        if symmetric:
+            dup = rng.uniform(0.1, 1.0, 2)
+            imp.push_symmetric(u, dup)
+            M = M @ M + (u * dup[None, :]) @ u.T
+        else:
+            v = 0.3 * rng.standard_normal((n, 2)) / np.sqrt(n)
+            imp.push_update(u, v)
+            M = M @ M + u @ v.T
     return imp, M
 
 
 def test_implicit_level_zero_delegates():
     sol = ShiftedSolver(make_instance(8, 0.5, 0.5), 7.0)
-    base = make_base_operators(sol)
+    base = BaseOperators(sol)
     imp = ImplicitIterate(base, "F")
     X = np.random.default_rng(0).standard_normal((8, 3))
-    np.testing.assert_array_equal(imp.apply(X), base.apply("F", X))
-    np.testing.assert_array_equal(imp.apply_transpose(X),
-                                  base.apply("F", X, transpose=True))
+    np.testing.assert_allclose(imp.apply(X), base.apply("F", X),
+                               rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(imp.apply_transpose(X),
+                               base.apply("F", X, transpose=True),
+                               rtol=1e-14, atol=1e-15)
 
 
 def test_implicit_zero_updates_is_repeated_squaring():
     sol = ShiftedSolver(make_instance(8, 0.5, 0.5), 7.0)
-    base = make_base_operators(sol)
+    base = BaseOperators(sol)
     imp = ImplicitIterate(base, "E")
     for _ in range(2):
         imp.push_update(np.zeros((8, 1)), np.zeros((8, 1)))
@@ -300,7 +317,7 @@ def test_implicit_zero_updates_is_repeated_squaring():
 
 
 def test_implicit_level2_matches_dense():
-    imp, M = make_level2()
+    imp, M = make_iterate(2)
     X = np.random.default_rng(11).standard_normal((16, 4))
     scale = np.abs(M @ X).max()
     np.testing.assert_allclose(imp.apply(X), M @ X, rtol=0, atol=1e-12 * scale)
@@ -308,31 +325,66 @@ def test_implicit_level2_matches_dense():
                                rtol=0, atol=1e-12 * scale)
 
 
-def test_implicit_apply_counts_base_columns():
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_implicit_six_levels_match_dense_recursion(symmetric):
+    imp, M = make_iterate(6, symmetric=symmetric)
+    assert imp.level == 6
+    X = np.random.default_rng(13).standard_normal((16, 3))
+    scale = np.abs(M @ X).max()
+    np.testing.assert_allclose(imp.apply(X), M @ X, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(imp.apply_transpose(X), M.T @ X, rtol=0,
+                               atol=1e-12 * scale)
+
+
+def test_implicit_apply_cost_is_flat_in_level():
+    # one block apply costs (1 + 4 r) flops per entry whatever the level:
+    # no work grows like 2^k
     fm = FlopModel()
-    imp, _ = make_level2(flops=fm)
-    before = fm.iteration_events(0, "base_apply_cols")
+    imp, _ = make_iterate(6, flops=fm)
     imp.apply(np.ones((16, 3)))
-    assert fm.iteration_events(0, "base_apply_cols") - before == 4 * 3
+    assert fm.snapshot(0)["implicit_apply"] == (1 + 4 * imp.rank) * 16 * 3
+    assert imp.rank <= 16
     applies = fm.iteration_events(0, "implicit_block_apply")
     imp.apply_transpose(np.ones((16, 2)))
     assert fm.iteration_events(0, "implicit_block_apply") == applies + 1
 
 
-def test_implicit_mirror_is_equivalent():
-    imp, M = make_level2(mirror_threshold=16)
-    assert imp.mirrored
-    X = np.random.default_rng(13).standard_normal((16, 3))
-    scale = np.abs(M @ X).max()
-    np.testing.assert_allclose(imp.apply(X), M @ X, rtol=0, atol=1e-11 * scale)
-    plain, _ = make_level2(mirror_threshold=0)
-    np.testing.assert_allclose(imp.apply(X), plain.apply(X), rtol=0,
-                               atol=1e-11 * scale)
+_entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_push_update_matches_dense_property(n, r, m, data):
+    d = data.draw(hnp.arrays(float, n, elements=_entries))
+    U = data.draw(hnp.arrays(float, (n, r), elements=_entries))
+    V = data.draw(hnp.arrays(float, (n, r), elements=_entries))
+    u = data.draw(hnp.arrays(float, (n, m), elements=_entries))
+    v = data.draw(hnp.arrays(float, (n, m), elements=_entries))
+    sol = ShiftedSolver(make_instance(n, 0.5, 0.5), 7.0)
+    imp = ImplicitIterate(BaseOperators(sol), "E")
+    imp.d, imp.U, imp.V = d, U, V
+    E = np.diag(d) + U @ V.T
+    want = E @ E + u @ v.T
+    imp.push_update(u, v)
+    # relative to the size of the summed terms: the result itself may cancel
+    scale = max(np.linalg.norm(E) ** 2 + np.linalg.norm(u @ v.T), 1e-300)
+    eye = np.eye(n)
+    assert np.linalg.norm(imp.apply(eye) - want) <= 1e-12 * scale
+    assert np.linalg.norm(imp.apply_transpose(eye) - want.T) <= 1e-12 * scale
+
+
+def test_push_symmetric_needs_a_symmetric_iterate():
+    imp, _ = make_iterate(1)
+    with pytest.raises(ValueError):
+        imp.push_symmetric(np.ones((16, 1)), np.ones(1))
+    sym, _ = make_iterate(1, symmetric=True)
+    with pytest.raises(ValueError):
+        sym.push_update(np.ones((16, 1)), np.ones((16, 1)))
 
 
 def test_implicit_update_shape_check():
     sol = ShiftedSolver(make_instance(8, 0.5, 0.5), 7.0)
-    imp = ImplicitIterate(make_base_operators(sol), "E")
+    imp = ImplicitIterate(BaseOperators(sol), "E")
     with pytest.raises(ValueError):
         imp.push_update(np.ones((8, 2)), np.ones((8, 3)))
     with pytest.raises(ValueError):
