@@ -6,16 +6,14 @@ The large-scale solvers are validated against this one on instances small
 enough to afford it (``DENSE_CAP`` rows).
 """
 
-import time
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .structured_linalg import gamma_select, residual_norm
+from .structured_linalg import gamma_select
 from .transport_problem import DENSE_CAP, assemble_dense
-from .sda_ls import SolverConfig, SolveReport, stagnated
+from .sda_ls import SolverConfig, SolveReport, run_doubling
 
 __all__ = [
     "DenseSdaState",
@@ -39,6 +37,14 @@ class DenseSdaState:
     H: np.ndarray
     gamma: float
     k: int = 0
+
+    @property
+    def ranks(self):
+        return self.E.shape
+
+    def levels(self):
+        return {"e_norms": float(np.linalg.norm(self.E)),
+                "f_norms": float(np.linalg.norm(self.F))}
 
 
 def dense_sda_init(A, B, C, E, gamma):
@@ -103,44 +109,16 @@ def dense_sda_solve(inst, config=None, gamma=None):
         raise ValueError(
             "dense solver capped at n=%d (got n=%d); use the low-rank solvers"
             % (DENSE_CAP, n))
-    if inst.near_singular:
-        warnings.warn("near-critical instance: convergence may degrade",
-                      RuntimeWarning, stacklevel=2)
     A, B, C, E = assemble_dense(inst)
     if gamma is None:
         gamma = gamma_select(inst)
-    report = SolveReport(algorithm="dense-sda", n=n, gamma=gamma)
-    if inst.near_singular:
-        report.warnings.append("near-critical parameters (c=1, alpha=0)")
-    b_norm = np.linalg.norm(B)
-    t0 = time.perf_counter()
-    st = dense_sda_init(A, B, C, E, gamma)
-    report.iter_times.append(time.perf_counter() - t0)
-    e_norms = [float(np.linalg.norm(st.E))]
-    f_norms = [float(np.linalg.norm(st.F))]
-    res = dense_residual(A, B, C, E, st.H)
-    report.residual_history.append(res)
-    report.rank_history.append((n, n))
-    report.termination = "max_iter"
-    while st.k < config.max_iter:
-        t0 = time.perf_counter()
-        dense_sda_step(st)
-        report.iter_times.append(time.perf_counter() - t0)
-        e_norms.append(float(np.linalg.norm(st.E)))
-        f_norms.append(float(np.linalg.norm(st.F)))
-        report.rank_history.append((n, n))
-        if st.k % config.residual_cadence == 0 or st.k == config.max_iter:
-            res = dense_residual(A, B, C, E, st.H)
-            report.residual_history.append(res)
-            if res <= config.tol_residual:
-                report.termination = "converged"
-                break
-            if stagnated(report.residual_history, config.tol_residual):
-                report.termination = "stagnated"
-                break
-    report.iterations = st.k
-    report.extras["e_norms"] = e_norms
-    report.extras["f_norms"] = f_norms
+    report = SolveReport(algorithm="dense-sda", n=n)
+    st = run_doubling(
+        report, inst,
+        lambda: dense_sda_init(A, B, C, E, gamma),
+        lambda st, _: dense_sda_step(st),
+        lambda st: dense_residual(A, B, C, E, st.H),
+        config)
     report.extras["dual_residual"] = float(
         np.linalg.norm(st.G @ B @ st.G - st.G @ A - E @ st.G + C)
         / np.linalg.norm(C))

@@ -17,20 +17,12 @@ values contaminate) and as basis-independent products and operator probes
 (which is what the equality actually means numerically).
 """
 
-import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .structured_linalg import (
-    BaseOperators,
-    FlopModel,
-    ImplicitIterate,
-    LowRankBilinear,
     RankOverflowError,
-    ShiftedSolver,
-    gamma_select,
     orthonormalize_against,
     residual_norm,
     truncated_svd,
@@ -39,16 +31,16 @@ from .transport_problem import NareInstance, balance, unbalance_solution
 from .sda_ls import (
     SolverConfig,
     SolveReport,
+    low_rank_state,
     qr_svd,
+    run_doubling,
     sda_ls_init,
     sda_ls_step,
-    stagnated,
     step_core,
 )
 
 __all__ = [
     "CoreSingularError",
-    "ModifiedState",
     "msda_init",
     "msda_step",
     "msda_solve",
@@ -65,57 +57,17 @@ class CoreSingularError(RuntimeError):
     """A core singular value reached 1 and the inner correction blew up."""
 
 
-class ModifiedState:
-    """State of the balanced iteration: one factor pair, two implicit ops.
-
-    Balancing makes both outer iterates symmetric matrices (each equal to its
-    own transpose) rather than transposes of each other, which is what lets
-    the G-side factors collapse onto the H-side: G_k = H_k^T exactly.  E_k and
-    F_k remain distinct operators, but each needs only one large product per
-    step instead of two.
-    """
-
-    def __init__(self, inst, solver, base, Eimp, Fimp, flops):
-        self.inst = inst
-        self.solver = solver
-        self.base = base
-        self.Eimp = Eimp
-        self.Fimp = Fimp
-        self.flops = flops
-        self.k = 0
-        self.Q1 = self.Q2 = None
-        self.Sig = None
-
-    @property
-    def H(self):
-        return LowRankBilinear(self.Q1, self.Sig, self.Q2)
-
-    @property
-    def ranks(self):
-        return (self.Sig.size,)
-
-
 def msda_init(inst, config=None, flops=None, gamma=None):
-    """Initial rank-one factors on a balanced instance."""
+    """Initial rank-one factors on a balanced instance; the G side stays unset."""
     if not inst.is_balanced:
         raise ValueError("msda operates on balanced instances; call balance() first")
     config = config or SolverConfig()
-    flops = flops if flops is not None else FlopModel()
-    flops.k = 0
-    if gamma is None:
-        gamma = gamma_select(inst)
-    solver = ShiftedSolver(inst, gamma)
-    base = BaseOperators(solver)
-    Eimp = ImplicitIterate(base, "E", flops=flops, trunc_rel=config.trunc_rel)
-    Fimp = ImplicitIterate(base, "F", flops=flops, trunc_rel=config.trunc_rel)
+    st = low_rank_state(inst, gamma, config, flops)
     ph = inst.phi[:, None]
-    sq = np.sqrt(2.0 * gamma)
-    q1_raw = sq * solver.solve("W", ph, flops=flops)
-    q2_raw = sq * solver.solve("E", ph, flops=flops)
-    st = ModifiedState(inst, solver, base, Eimp, Fimp, flops)
-    st.Q1, st.Sig, st.Q2 = qr_svd(q1_raw, q2_raw, config.trunc_rel, flops)
-    if st.Sig.size > config.max_rank:
-        raise RankOverflowError("initial rank exceeds max_rank=%d" % config.max_rank)
+    sq = np.sqrt(2.0 * st.gamma)
+    q1_raw = sq * st.solver.solve("W", ph, flops=st.flops)
+    q2_raw = sq * st.solver.solve("E", ph, flops=st.flops)
+    st.Q1, st.Sig, st.Q2 = qr_svd(q1_raw, q2_raw, config.trunc_rel, st.flops)
     return st
 
 
@@ -168,59 +120,38 @@ def msda_solve(inst, config=None, gamma=None):
 
     Accepts either an original or an already balanced instance.  Stopping is
     driven by the balanced-scale residual; after it clears the tolerance the
-    original-scale residual is evaluated as a confirmation and recorded in
-    report.extras.  If that confirmation misses 10x the tolerance the solver
-    keeps iterating while budget remains.
+    original-scale residual is evaluated as a confirmation.  If that
+    confirmation misses 10x the tolerance the solver keeps iterating while
+    budget remains.  report.extras["residual_original"] is the original-scale
+    residual of the returned X.
     """
     config = config or SolverConfig()
     binst = inst if inst.is_balanced else balance(inst)
     report = SolveReport(algorithm="modified-sda-ls", n=binst.n)
-    if binst.near_singular:
-        report.warnings.append("near-critical parameters (c=1, alpha=0)")
-        warnings.warn("near-critical instance: convergence may degrade",
-                      RuntimeWarning, stacklevel=2)
-    t0 = time.perf_counter()
-    st = msda_init(binst, config=config, flops=report.flops, gamma=gamma)
-    op_ranks = report.extras["operator_rank_history"] = []
-    report.gamma = st.solver.gamma
-    report.iter_times.append(time.perf_counter() - t0)
-    report.rank_history.append(st.ranks)
-    op_ranks.append((st.Eimp.rank, st.Fimp.rank))
-    _, res = residual_norm(binst, st.H, flops=report.flops)
-    report.residual_history.append(res)
-    report.termination = "max_iter"
-    X = None
-    while st.k < config.max_iter:
-        t0 = time.perf_counter()
-        msda_step(st, config)
-        report.iter_times.append(time.perf_counter() - t0)
-        report.rank_history.append(st.ranks)
-        op_ranks.append((st.Eimp.rank, st.Fimp.rank))
-        if st.k % config.residual_cadence == 0 or st.k == config.max_iter:
-            _, res = residual_norm(binst, st.H, flops=report.flops)
-            report.residual_history.append(res)
-            if res <= config.tol_residual:
-                X = unbalance_solution(st.H, binst.phi)
-                orig = _original_scale_residual(inst, binst, X, report.flops)
-                report.extras["residual_original"] = orig
-                if orig <= 10.0 * config.tol_residual:
-                    report.termination = "converged"
-                    break
-                report.warnings.append(
-                    "balanced residual %.3e met tol but original-scale residual "
-                    "%.3e exceeded 10*tol; continuing" % (res, orig))
-                X = None
-            elif stagnated(report.residual_history, config.tol_residual):
-                report.termination = "stagnated"
-                break
-    report.iterations = st.k
+
+    def accept(st, res):
+        X = unbalance_solution(st.H, binst.phi)
+        orig = _original_scale_residual(inst, binst, X, report.flops)
+        report.extras["residual_original"] = orig
+        if orig <= 10.0 * config.tol_residual:
+            return True
+        report.warnings.append(
+            "balanced residual %.3e met tol but original-scale residual "
+            "%.3e exceeded 10*tol; continuing" % (res, orig))
+        return False
+
+    st = run_doubling(
+        report, binst,
+        lambda: msda_init(binst, config=config, flops=report.flops, gamma=gamma),
+        msda_step,
+        lambda st: residual_norm(binst, st.H, flops=report.flops)[1],
+        config, accept)
     report.extras["final_rank"] = st.ranks
     report.extras["residual_balanced"] = report.final_residual
-    if X is None:
-        X = unbalance_solution(st.H, binst.phi)
-        if "residual_original" not in report.extras:
-            report.extras["residual_original"] = _original_scale_residual(
-                inst, binst, X, report.flops)
+    X = unbalance_solution(st.H, binst.phi)
+    if report.termination != "converged":
+        report.extras["residual_original"] = _original_scale_residual(
+            inst, binst, X, report.flops)
     return X, report
 
 

@@ -7,7 +7,8 @@ plus truncated low-rank factors (``ImplicitIterate``), so one iteration costs
 O(n) times a polynomial in the truncated ranks.  Each step performs four large
 implicit-operator block products; the balanced variant in ``modified_sda_ls``
 gets away with two, which is the comparison the flop instrumentation exists
-to make.
+to make.  The configuration, the report and the ``run_doubling`` loop that
+all three solvers share live here too.
 """
 
 import time
@@ -32,7 +33,8 @@ from .structured_linalg import (
 __all__ = [
     "SolverConfig",
     "SolveReport",
-    "SdaLsState",
+    "LowRankState",
+    "run_doubling",
     "sda_ls_init",
     "sda_ls_step",
     "sda_ls_solve",
@@ -43,26 +45,24 @@ __all__ = [
 class SolverConfig:
     """Knobs shared by all solvers.
 
-    tol_residual       normalized-residual stopping tolerance
-    trunc_rel          relative singular-value drop threshold (0 disables)
-    max_iter           doubling-iteration budget
-    max_rank           cap on truncated factor ranks
-    residual_cadence   evaluate the residual every this many iterations
+    tol_residual   normalized-residual stopping tolerance
+    trunc_rel      relative singular-value drop threshold (0 disables)
+    max_iter       doubling-iteration budget
+    max_rank       cap on truncated factor ranks
     """
 
     tol_residual: float = 1e-12
     trunc_rel: float = 1e-15
     max_iter: int = 50
     max_rank: int = 200
-    residual_cadence: int = 1
 
     def __post_init__(self):
         if self.tol_residual <= 0:
             raise ValueError("tol_residual must be positive")
         if self.trunc_rel < 0:
             raise ValueError("trunc_rel must be nonnegative")
-        if self.max_iter < 1 or self.max_rank < 1 or self.residual_cadence < 1:
-            raise ValueError("max_iter, max_rank and residual_cadence must be >= 1")
+        if self.max_iter < 1 or self.max_rank < 1:
+            raise ValueError("max_iter and max_rank must be >= 1")
 
 
 @dataclass
@@ -127,19 +127,73 @@ def stagnated(history, tol):
     return cur > 0.5 * history[-4] and cur <= 1e-6 * max(history)
 
 
-class SdaLsState:
-    """Mutable per-solve state: factor triples, implicit operators, counters."""
+def run_doubling(report, inst, init, step, residual, config, accept=None):
+    """The doubling loop shared by all solvers; returns the final state.
 
-    def __init__(self, inst, solver, base, Eimp, Fimp, flops):
+    ``init()`` builds the level-0 state, ``step(st, config)`` advances it one
+    doubling and ``residual(st)`` gives its normalized residual.  The state
+    carries ``k``, ``gamma``, ``ranks`` and ``levels()``, a dict of per-level
+    values that accumulate as lists in ``report.extras``.  Every history holds
+    the level-0 entry in front of one entry per doubling.  A residual at
+    tolerance ends the run 'converged' unless ``accept(st, res)`` turns it
+    down; otherwise the run ends 'stagnated' at its roundoff floor or
+    'max_iter'.
+    """
+    if inst.near_singular:
+        report.warnings.append("near-critical parameters (c=1, alpha=0)")
+        warnings.warn("near-critical instance: convergence may degrade",
+                      RuntimeWarning, stacklevel=3)
+
+    def record(st, seconds):
+        report.iter_times.append(seconds)
+        report.rank_history.append(st.ranks)
+        for key, value in st.levels().items():
+            report.extras.setdefault(key, []).append(value)
+        res = residual(st)
+        report.residual_history.append(res)
+        return res
+
+    t0 = time.perf_counter()
+    st = init()
+    report.gamma = st.gamma
+    record(st, time.perf_counter() - t0)
+    report.termination = "max_iter"
+    while st.k < config.max_iter:
+        t0 = time.perf_counter()
+        step(st, config)
+        res = record(st, time.perf_counter() - t0)
+        if res <= config.tol_residual:
+            if accept is None or accept(st, res):
+                report.termination = "converged"
+                break
+        elif stagnated(report.residual_history, config.tol_residual):
+            report.termination = "stagnated"
+            break
+    report.iterations = st.k
+    return st
+
+
+class LowRankState:
+    """Mutable per-solve state of the low-rank iterations.
+
+    Holds the H-side factor triple (Q1, Sig, Q2), the G-side triple (P1, Gam,
+    P2), the outer iterates E_k, F_k and the flop counters.  The balanced
+    iteration, where G_k = H_k^T, leaves the G side unset.
+    """
+
+    def __init__(self, inst, solver, Eimp, Fimp, flops):
         self.inst = inst
         self.solver = solver
-        self.base = base
         self.Eimp = Eimp
         self.Fimp = Fimp
         self.flops = flops
         self.k = 0
         self.Q1 = self.Q2 = self.P1 = self.P2 = None
         self.Sig = self.Gam = None
+
+    @property
+    def gamma(self):
+        return self.solver.gamma
 
     @property
     def H(self):
@@ -151,7 +205,23 @@ class SdaLsState:
 
     @property
     def ranks(self):
+        if self.Gam is None:
+            return (self.Sig.size,)
         return (self.Sig.size, self.Gam.size)
+
+    def levels(self):
+        return {"operator_rank_history": (self.Eimp.rank, self.Fimp.rank)}
+
+
+def low_rank_state(inst, gamma, config, flops):
+    """Level-0 state without factors: the shifted solver and both outer iterates."""
+    flops = flops if flops is not None else FlopModel()
+    flops.k = 0
+    solver = ShiftedSolver(inst, gamma_select(inst) if gamma is None else gamma)
+    base = BaseOperators(solver)
+    Eimp = ImplicitIterate(base, "E", flops=flops, trunc_rel=config.trunc_rel)
+    Fimp = ImplicitIterate(base, "F", flops=flops, trunc_rel=config.trunc_rel)
+    return LowRankState(inst, solver, Eimp, Fimp, flops)
 
 
 def qr_svd(raw_left, raw_right, trunc_rel, flops):
@@ -164,50 +234,29 @@ def qr_svd(raw_left, raw_right, trunc_rel, flops):
     return Ql @ U, s, Qr @ V
 
 
-def sda_ls_init(inst, gamma=None, config=None, b1=None, b2=None, c1=None, c2=None,
-                symmetric_split=False, flops=None):
+def sda_ls_init(inst, gamma=None, config=None, symmetric_split=False, flops=None):
     """Initial truncated factors and implicit operators.
 
-    The defaults take the transport rank-one factorizations B = b1 b2^T and
-    C = c1 c2^T (all-ones and q on the original scale, phi twice after
+    Takes the transport rank-one factorizations B = b b^T and C = c c^T (b the
+    all-ones vector and c = q on the original scale, both phi after
     balancing).  ``symmetric_split`` distributes 2*gamma as sqrt(2*gamma) on
     each side, which on balanced instances makes the four initial factor blocks
     pairwise identical; the symmetry audit starts from exactly that split.
     """
     config = config or SolverConfig()
-    flops = flops if flops is not None else FlopModel()
-    flops.k = 0
-    if gamma is None:
-        gamma = gamma_select(inst)
-    n = inst.n
-    if b1 is None:
-        if inst.is_balanced:
-            ph = inst.phi[:, None]
-            b1 = b2 = c1 = c2 = ph
-        else:
-            e = np.ones((n, 1))
-            b1 = b2 = e
-            c1 = c2 = inst.q[:, None]
-    solver = ShiftedSolver(inst, gamma)
-    base = BaseOperators(solver)
-    Eimp = ImplicitIterate(base, "E", flops=flops, trunc_rel=config.trunc_rel)
-    Fimp = ImplicitIterate(base, "F", flops=flops, trunc_rel=config.trunc_rel)
-    if symmetric_split:
-        sq = np.sqrt(2.0 * gamma)
-        q1_raw = sq * solver.solve("W", b1, flops=flops)
-        q2_raw = sq * solver.solve("E", b2, transpose=True, flops=flops)
-        p1_raw = sq * solver.solve("E", c1, flops=flops)
-        p2_raw = sq * solver.solve("W", c2, transpose=True, flops=flops)
+    st = low_rank_state(inst, gamma, config, flops)
+    solver, flops, gamma = st.solver, st.flops, st.gamma
+    if inst.is_balanced:
+        b = c = inst.phi[:, None]
     else:
-        q1_raw = 2.0 * gamma * solver.solve("W", b1, flops=flops)
-        q2_raw = solver.solve("E", b2, transpose=True, flops=flops)
-        p1_raw = 2.0 * gamma * solver.solve("E", c1, flops=flops)
-        p2_raw = solver.solve("W", c2, transpose=True, flops=flops)
-    st = SdaLsState(inst, solver, base, Eimp, Fimp, flops)
+        b, c = np.ones((inst.n, 1)), inst.q[:, None]
+    left, right = (np.sqrt(2.0 * gamma),) * 2 if symmetric_split else (2.0 * gamma, 1.0)
+    q1_raw = left * solver.solve("W", b, flops=flops)
+    q2_raw = right * solver.solve("E", b, transpose=True, flops=flops)
+    p1_raw = left * solver.solve("E", c, flops=flops)
+    p2_raw = right * solver.solve("W", c, transpose=True, flops=flops)
     st.Q1, st.Sig, st.Q2 = qr_svd(q1_raw, q2_raw, config.trunc_rel, flops)
     st.P1, st.Gam, st.P2 = qr_svd(p1_raw, p2_raw, config.trunc_rel, flops)
-    if max(st.Sig.size, st.Gam.size) > config.max_rank:
-        raise RankOverflowError("initial rank exceeds max_rank=%d" % config.max_rank)
     return st
 
 
@@ -302,40 +351,11 @@ def sda_ls_solve(inst, config=None, gamma=None):
     """
     config = config or SolverConfig()
     report = SolveReport(algorithm="sda-ls", n=inst.n)
-    if inst.near_singular:
-        report.warnings.append("near-critical parameters (c=1, alpha=0)")
-        warnings.warn("near-critical instance: convergence may degrade",
-                      RuntimeWarning, stacklevel=2)
-    t0 = time.perf_counter()
-    st = sda_ls_init(inst, gamma=gamma, config=config, flops=report.flops)
-    op_ranks = report.extras["operator_rank_history"] = []
-    report.gamma = st.solver.gamma
-    report.iter_times.append(time.perf_counter() - t0)
-    report.rank_history.append(st.ranks)
-    op_ranks.append((st.Eimp.rank, st.Fimp.rank))
-    _, res = residual_norm(inst, st.H, flops=report.flops)
-    report.residual_history.append(res)
-    report.termination = "max_iter"
-    while st.k < config.max_iter:
-        t0 = time.perf_counter()
-        try:
-            sda_ls_step(st, config)
-        except RankOverflowError:
-            report.termination = "rank_overflow"
-            report.iter_times.append(time.perf_counter() - t0)
-            raise
-        report.iter_times.append(time.perf_counter() - t0)
-        report.rank_history.append(st.ranks)
-        op_ranks.append((st.Eimp.rank, st.Fimp.rank))
-        if st.k % config.residual_cadence == 0 or st.k == config.max_iter:
-            _, res = residual_norm(inst, st.H, flops=report.flops)
-            report.residual_history.append(res)
-            if res <= config.tol_residual:
-                report.termination = "converged"
-                break
-            if stagnated(report.residual_history, config.tol_residual):
-                report.termination = "stagnated"
-                break
-    report.iterations = st.k
+    st = run_doubling(
+        report, inst,
+        lambda: sda_ls_init(inst, gamma=gamma, config=config, flops=report.flops),
+        sda_ls_step,
+        lambda st: residual_norm(inst, st.H, flops=report.flops)[1],
+        config)
     report.extras["final_rank"] = st.ranks
     return st.H, report

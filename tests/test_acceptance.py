@@ -193,6 +193,7 @@ def test_criterion_08_spectral_relation():
 def test_criterion_09_linear_scaling_wall_time():
     cfg = SolverConfig(max_iter=8)
     ratio = np.inf
+    flops = {}
     for _ in range(2):                     # one retry to shrug off a noisy run
         med = {}
         for n in (2048, 4096):
@@ -200,10 +201,16 @@ def test_criterion_09_linear_scaling_wall_time():
             _, rep = sda_ls_solve(make_instance(n, 0.9, 0.1), config=cfg)
             assert time.perf_counter() - t0 < 60.0
             med[n] = statistics.median(rep.iter_times[1:])
+            flops[n] = sum(rep.flops.iteration_total(k, exclude=("residual",))
+                           for k in range(1, 9))
         ratio = min(ratio, med[4096] / med[2048])
         if ratio <= 2.5:
             break
     assert ratio <= 2.5, ratio
+    # the counted work is deterministic and tells linear from flat, which the
+    # wall-time ratio cannot at these sizes (measured 1.985 at equal ranks)
+    flop_ratio = flops[4096] / flops[2048]
+    assert 1.8 <= flop_ratio <= 2.2, flop_ratio
 
 
 def test_criterion_10_smw_roundtrips():

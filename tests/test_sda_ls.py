@@ -1,5 +1,6 @@
 """Low-rank doubling solver: frozen values, dense equivalence, termination."""
 
+import dataclasses
 import json
 import warnings
 
@@ -15,7 +16,7 @@ from transport_nare.sda_ls import (
     sda_ls_step,
     stagnated,
 )
-from transport_nare.structured_linalg import RankOverflowError, gamma_select
+from transport_nare.structured_linalg import BaseOperators, RankOverflowError, gamma_select
 from transport_nare.transport_problem import (
     assemble_dense,
     balance,
@@ -46,7 +47,7 @@ def test_config_defaults():
     assert cfg.trunc_rel == 1e-15
     assert cfg.max_iter == 50
     assert cfg.max_rank == 200
-    assert cfg.residual_cadence == 1
+    assert len(dataclasses.fields(cfg)) == 4
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -55,7 +56,6 @@ def test_config_defaults():
     {"trunc_rel": -1e-15},
     {"max_iter": 0},
     {"max_rank": 0},
-    {"residual_cadence": 0},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -110,16 +110,6 @@ def test_init_symmetric_split_pairs_factors():
     np.testing.assert_array_equal(st.Sig, st.Gam)
 
 
-def test_init_rank_cap():
-    inst = make_instance(16, 0.5, 0.5)
-    rng = np.random.default_rng(0)
-    b = rng.standard_normal((16, 5))
-    c = rng.standard_normal((16, 5))
-    with pytest.raises(RankOverflowError):
-        sda_ls_init(inst, config=SolverConfig(max_rank=4),
-                    b1=b, b2=b, c1=c, c2=c)
-
-
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
@@ -153,7 +143,7 @@ def test_step_zero_cores_squares_silently():
     assert np.linalg.norm(st.H.dense()) == 0.0
     assert st.Eimp.level == 1 and st.Fimp.level == 1
     # the correction vanished: the outer iterate is the squared base operator
-    M = st.base.dense("E")
+    M = BaseOperators(st.solver).dense("E")
     X = np.random.default_rng(3).standard_normal((16, 2))
     np.testing.assert_allclose(st.Eimp.apply(X), M @ (M @ X), rtol=0,
                                atol=1e-14 * np.abs(M @ (M @ X)).max())
@@ -275,7 +265,7 @@ def test_solve_partial_large_scale_rank_stays_low():
     assert hist[-1] < hist[0]
 
 
-def test_solve_rank_overflow_escalates():
+def test_solve_rank_cap_escalates():
     inst = make_instance(16, 0.5, 0.5)
     with pytest.raises(RankOverflowError):
         sda_ls_solve(inst, config=SolverConfig(max_rank=4))
@@ -295,20 +285,9 @@ def test_solve_max_iter():
     assert rep.iterations == 3
 
 
-def test_solve_residual_cadence():
-    inst = make_instance(16, 0.5, 0.5)
-    _, dense_rep = sda_ls_solve(inst)
-    _, rep = sda_ls_solve(inst, config=SolverConfig(residual_cadence=2))
-    assert rep.termination == "converged"
-    assert rep.iterations % 2 == 0
-    assert len(rep.residual_history) < len(dense_rep.residual_history)
-
-
 def test_solve_report_contents():
     H, rep = sda_ls_solve(make_instance(16, 0.9, 0.1))
     assert rep.algorithm == "sda-ls"
-    assert len(rep.rank_history) == rep.iterations + 1
-    assert len(rep.residual_history) == rep.iterations + 1
     assert rep.extras["final_rank"] == (H.rank, H.rank)
     assert rep.max_rank_seen >= H.rank
     d = rep.to_dict()
@@ -317,7 +296,6 @@ def test_solve_report_contents():
     assert d["total_flops"] > 0
     # E/F correction ranks per doubling, kept apart from the H/G ranks
     ops = d["extras"]["operator_rank_history"]
-    assert len(ops) == rep.iterations + 1
     assert ops[0] == (1, 1)
     assert all(1 <= r <= 16 for pair in ops for r in pair)
     assert d["max_rank"] == max(max(r) for r in rep.rank_history)
@@ -332,10 +310,55 @@ def test_solve_balanced_instance():
     assert np.linalg.norm(H.dense() - Xd) <= 1e-10 * np.linalg.norm(Xd)
 
 
+# ---------------------------------------------------------------------------
+# the doubling loop all three solvers share
+# ---------------------------------------------------------------------------
+
+SOLVES = [sda_ls_solve, msda_solve, dense_sda_solve]
+LEVEL_EXTRAS = {"sda-ls": ("operator_rank_history",),
+                "modified-sda-ls": ("operator_rank_history",),
+                "dense-sda": ("e_norms", "f_norms")}
+
+
+@pytest.mark.parametrize("solve", SOLVES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("kwargs,termination", [
+    ({}, "converged"),
+    ({"max_iter": 3}, "max_iter"),
+    ({"tol_residual": 1e-100}, "stagnated"),
+])
+def test_report_contract(solve, kwargs, termination):
+    cfg = SolverConfig(**kwargs)
+    rep = solve(make_instance(16, 0.9, 0.1), config=cfg)[-1]
+    assert rep.termination == termination
+    if termination == "max_iter":
+        assert rep.iterations == 3
+    elif termination == "converged":
+        assert rep.final_residual <= cfg.tol_residual
+    else:
+        assert stagnated(rep.residual_history, cfg.tol_residual)
+        assert not stagnated(rep.residual_history[:-1], cfg.tol_residual)
+    # every history holds the level-0 entry in front of one per doubling
+    histories = [rep.residual_history, rep.rank_history, rep.iter_times]
+    histories += [rep.extras[key] for key in LEVEL_EXTRAS[rep.algorithm]]
+    for seq in histories:
+        assert len(seq) == rep.iterations + 1
+    assert rep.gamma > 0
+    assert not rep.warnings
+    d = rep.to_dict()
+    json.dumps(d)
+    for key in ("schema_version", "algorithm", "iterations", "termination",
+                "residual_history", "wall_time_s"):
+        assert key in d
+
+
 def test_solve_near_critical_warns():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         inst = make_instance(8, 1.0, 0.0)
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         _, rep = sda_ls_solve(inst)
-    assert rep.warnings
+    # one warning per solve, attributed to the line that called the solver
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert caught[0].filename == __file__
+    assert rep.warnings == ["near-critical parameters (c=1, alpha=0)"]
