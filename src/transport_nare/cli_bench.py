@@ -1,7 +1,9 @@
 """Command-line front end: generate, solve, verify, bench.
 
 Exit codes: 0 success/convergence, 2 non-convergence or tolerance violation,
-1 usage or input errors.  Output files land in --out, else in the directory
+1 usage or input errors.  A modified-sda-ls solve is judged by the residual of
+the returned X on the original scale, which can miss a tolerance that the
+balanced residual meets.  Output files land in --out, else in the directory
 named by the TRANSPORT_NARE_OUT environment variable, else the working
 directory.
 
@@ -225,12 +227,17 @@ def cmd_solve(args):
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     report.flops.to_csv(flops_path)
-    print("%s n=%d iterations=%d termination=%s residual=%.3e -> %s"
-          % (args.algo, inst.n, report.iterations, report.termination,
-             report.final_residual, report_path))
-    if report.termination != "converged":
-        return 2
-    return 0
+    line = ("%s n=%d iterations=%d termination=%s residual=%.3e"
+            % (args.algo, inst.n, report.iterations, report.termination,
+               report.final_residual))
+    ok = report.termination == "converged"
+    if args.algo == "modified-sda-ls":
+        # the returned X is judged on the original scale, not the balanced one
+        orig = report.extras["residual_original"]
+        line += " residual_original=%.3e" % orig
+        ok = ok and orig <= config.tol_residual
+    print("%s -> %s" % (line, report_path))
+    return 0 if ok else 2
 
 
 # ---------------------------------------------------------------------------

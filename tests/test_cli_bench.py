@@ -107,6 +107,22 @@ def test_solve_nonconvergence_exit_code(tmp_path, capsys):
     assert report["termination"] == "max_iter"
 
 
+@pytest.mark.parametrize("n, code", [(32, 0), (256, 2)])
+def test_solve_msda_judged_on_original_scale(tmp_path, capsys, n, code):
+    # at n = 256 the balanced residual meets the default tol 1e-12 and msda
+    # accepts (original scale within 10*tol), but the returned X reads 3.7e-12
+    rc = run(["solve", "--n", str(n), "--c", "0.9", "--alpha", "0.1",
+              "--algo", "modified-sda-ls", "--out", str(tmp_path)])
+    report = json.load(open(tmp_path / ("report_modified-sda-ls_n%d_c0.9_a0.1.json"
+                                        % n)))
+    orig = report["extras"]["residual_original"]
+    assert "residual_original=%.3e" % orig in capsys.readouterr().out
+    assert report["termination"] == "converged"
+    assert report["final_residual"] <= 1e-12
+    assert (orig > 1e-12) == (code == 2)
+    assert rc == code
+
+
 def test_solve_audit_section(tmp_path, capsys):
     rc = run(["solve", "--n", "16", "--c", "0.9", "--alpha", "0.1",
               "--algo", "modified-sda-ls", "--audit", "--out", str(tmp_path)])

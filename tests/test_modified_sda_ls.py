@@ -209,6 +209,26 @@ def test_solve_near_critical_warns():
     assert rep.warnings == ["near-critical parameters (c=1, alpha=0)"]
 
 
+def test_solve_critical_pair_n1024():
+    # 31 doublings at n = 1024, tol 1e-8; the residual falls about 4x per
+    # doubling at the critical pair, so the bound's 2 spare doublings allow a
+    # 16x larger constant.  The original-scale residual, 7.4e-8, is accepted
+    # under the 10*tol rule.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        inst = make_instance(1024, 1.0, 0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        X, rep = msda_solve(inst, SolverConfig(tol_residual=1e-8))
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert rep.termination == "converged"
+    assert rep.iterations <= 31 + 2
+    assert rep.final_residual <= 1e-8
+    orig = rep.extras["residual_original"]
+    assert orig <= 10 * 1e-8
+    assert residual_norm(inst, X)[1] == pytest.approx(orig, rel=1e-12)
+
+
 def test_solve_confirmation_failure_keeps_iterating(monkeypatch):
     inst = make_instance(32, 0.9, 0.1)
     _, plain = msda_solve(inst)

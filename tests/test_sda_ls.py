@@ -16,7 +16,12 @@ from transport_nare.sda_ls import (
     sda_ls_step,
     stagnated,
 )
-from transport_nare.structured_linalg import BaseOperators, RankOverflowError, gamma_select
+from transport_nare.structured_linalg import (
+    BaseOperators,
+    RankOverflowError,
+    gamma_select,
+    residual_norm,
+)
 from transport_nare.transport_problem import (
     assemble_dense,
     balance,
@@ -362,3 +367,20 @@ def test_solve_near_critical_warns():
     assert [w.category for w in caught] == [RuntimeWarning]
     assert caught[0].filename == __file__
     assert rep.warnings == ["near-critical parameters (c=1, alpha=0)"]
+
+
+def test_solve_critical_pair_n1024():
+    # at c = 1, alpha = 0 the doubling rate degrades to linear (the residual
+    # falls about 4x per doubling): 33 doublings to 4.6e-9 at n = 1024; the
+    # bound allows 2 more, a 16x larger constant
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        inst = make_instance(1024, 1.0, 0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        X, rep = sda_ls_solve(inst, SolverConfig(tol_residual=1e-8))
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert rep.termination == "converged"
+    assert rep.iterations <= 33 + 2
+    assert rep.final_residual <= 1e-8
+    assert residual_norm(inst, X)[1] == pytest.approx(rep.final_residual, rel=1e-12)

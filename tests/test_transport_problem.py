@@ -23,6 +23,14 @@ from transport_nare.transport_problem import (
 # quadrature
 # ---------------------------------------------------------------------------
 
+def assert_mirrored(quad):
+    """The rule is symmetric about 1/2: weights exactly, nodes to rounding."""
+    assert np.array_equal(quad.weights, quad.weights[::-1])
+    np.testing.assert_allclose(quad.omega + quad.omega[::-1], 1.0, rtol=0, atol=2.3e-16)
+    if quad.n % 2:
+        assert quad.omega[quad.n // 2] == 0.5
+
+
 def test_gauss_legendre_n1_closed_form():
     quad = gauss_legendre(1)
     assert quad.omega.tolist() == [0.5]
@@ -45,12 +53,65 @@ def test_gauss_legendre_basic_properties(n):
     assert np.all(np.diff(quad.omega) < 0.0)
     assert np.all(quad.weights > 0.0)
     assert abs(quad.weights.sum() - 1.0) <= 1e-14
+    assert_mirrored(quad)
 
 
 def test_gauss_legendre_n4096_weight_sum():
     quad = gauss_legendre(4096)
     assert abs(quad.weights.sum() - 1.0) <= 1e-14
     assert np.all(np.diff(quad.omega) < 0.0)
+    assert_mirrored(quad)
+
+
+# (index, node, weight) on (0, 1) in descending node order, from 40-digit
+# Newton on the Legendre recurrence (mpmath), rounded to 17 digits
+GL_REFERENCE = {
+    64: [
+        (0, 0.99965252086788607, 0.00089164036084821647),
+        (1, 0.99817005838597764, 0.0020735166302812338),
+        (2, 0.99550668573837216, 0.0032522289844891814),
+        (5, 0.98050439982602686, 0.0067315239483593213),
+        (16, 0.84261815652711662, 0.017736106628441192),
+        (20, 0.76563973200994727, 0.020631281621311764),
+        (31, 0.51217514633171222, 0.024345478504569860),
+    ],
+    512: [
+        (0, 0.99999449549219093, 1.4126318686967346e-5),
+        (1, 0.99997099730342283, 3.2882865829620098e-5),
+        (2, 0.99992872318498972, 5.1665951748456618e-5),
+        (5, 0.99968920460129963, 0.00010800908898849543),
+        (20, 0.99596049659758573, 0.00038880174928434862),
+        (128, 0.85219609405791191, 0.0021755462377535329),
+        (255, 0.50153248109257970, 0.0030649525877028929),
+    ],
+    4096: [
+        (0, 0.99999991384485191, 2.2110192569547434e-7),
+        (1, 0.99999954605371249, 5.1468307020756646e-7),
+        (2, 0.99999888436944837, 8.0869862585100964e-7),
+        (5, 0.99999513502256452, 1.6908724524289954e-6),
+        (20, 0.99993669085970720, 6.1015981726027524e-6),
+        (1024, 0.85338388550737445, 0.00027126888288779609),
+        (2047, 0.50019172418852696, 0.00038344835826076520),
+    ],
+}
+
+
+@pytest.mark.parametrize("n", sorted(GL_REFERENCE))
+def test_gauss_legendre_matches_reference(n):
+    idx, om, w = (np.array(col) for col in zip(*GL_REFERENCE[n]))
+    quad = gauss_legendre(n)
+    # nodes are found in x, not in the angle, so the smallest weights at the
+    # ends lose accuracy as n grows: 9e-14, 2e-13 and 7e-11 relative
+    assert np.abs(quad.omega[idx] - om).max() <= 2e-16
+    assert np.abs(quad.weights[idx] / w - 1.0).max() <= (5e-13 if n <= 512 else 2e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 16])
+def test_gauss_legendre_exact_to_degree_2n_minus_1(n):
+    quad = gauss_legendre(n)
+    k = np.arange(2 * n)
+    moments = quad.omega[None, :] ** k[:, None] @ quad.weights
+    np.testing.assert_allclose(moments, 1.0 / (k + 1), rtol=2e-15, atol=0)
 
 
 def test_gauss_legendre_rejects_bad_n():
