@@ -6,10 +6,7 @@ solver keeps full matrices and is the ground truth at these sizes; the
 low-rank solvers should agree to ~1e-12 while carrying ranks far below n.
 
 Also prints, for one cell, the mirrored spectrum of the flow matrix against
-the closed-loop eigenvalues sigma(E - C X) u sigma(A - B Y), the relation that
-holds (expect ~1e-13), and match_distance, the diagnostic pairing with the
-sign-flipped matrix N, which does not hold on transport sign patterns (see
-README; expect ~1e-1).
+the closed-loop eigenvalues sigma(E - C X) u sigma(A - B Y) (expect ~1e-13).
 """
 
 import numpy as np
@@ -43,7 +40,4 @@ A, B, C, E = assemble_dense(inst)
 closed = np.concatenate([np.linalg.eigvals(E - C @ X), np.linalg.eigvals(A - B @ Y)])
 print("n=8 (c=0.5, a=0.5): mirrored vs closed-loop spectrum: %.3e"
       % np.max(np.abs(np.sort(srep.mirrored) - np.sort(closed))))
-print("n=8 (c=0.5, a=0.5): mirrored vs flipped-sign spectrum (match_distance): %.3e"
-      % srep.match_distance)
 print("flow-matrix eigenvalues:", np.round(srep.h_eigenvalues, 3))
-print("flipped-sign eigenvalues:", np.round(srep.k_eigenvalues, 3))

@@ -1,32 +1,19 @@
-"""Command-line front end: generate, solve, verify, bench.
+"""Command-line front end: generate, solve, verify.
 
 Exit codes: 0 success/convergence, 2 non-convergence or tolerance violation,
-1 usage or input errors.  A modified-sda-ls solve is judged by the residual of
-the returned X on the original scale, which can miss a tolerance that the
-balanced residual meets.  Output files land in --out, else in the directory
-named by the TRANSPORT_NARE_OUT environment variable, else the working
-directory.
+1 usage or input errors.  A modified-sda-ls run, in solve and in verify alike,
+is judged by the residual of the returned X on the original scale, which can
+miss a tolerance that the balanced residual meets.  Output files land in
+--out, else in the directory named by the TRANSPORT_NARE_OUT environment
+variable, else the working directory.
 
-Reports are versioned JSON (one per solve) plus a flop CSV with columns
-k,kernel,count.  The bench command emits one CSV of records with columns
-
-    n,c,alpha,algorithm,iterations,termination,final_residual,max_rank,
-    total_flops,flops_per_iter,wall_time_s,modified_over_original
-
-where flops_per_iter packs "k:count" pairs separated by semicolons (residual
-evaluation excluded, so the column reflects iteration cost only) and
-modified_over_original is filled on modified-sda-ls rows with the flop ratio
-against the sda-ls run of the same cell.  Failures of individual cells are
-recorded in the termination column and the sweep continues.
-
-The default bench sweep caps iterations at 8: it is a per-iteration cost
-profile (per-iteration flops and the ratio between the two solvers), not a
-convergence study.  Cells run serially; records appear in sweep order.
+solve writes a versioned JSON report plus a flop CSV with columns
+k,kernel,count.  verify prints one PASS/FAIL line per gated check and, with
+--out, writes them to a versioned JSON report together with the symmetry
+audit rows (n <= AUDIT_MAX_N).
 """
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -44,22 +31,14 @@ from .transport_problem import (
     build_instance,
     write_instance,
 )
-from .structured_linalg import gamma_select, residual_norm
+from .structured_linalg import gamma_select
 from .sda_ls import SolverConfig, sda_ls_init, sda_ls_step, sda_ls_solve
-from .modified_sda_ls import audit_symmetry, msda_init, msda_step, msda_solve
+from .modified_sda_ls import AUDIT_MAX_N, audit_symmetry, msda_init, msda_step, \
+    msda_solve
 from .dense_sda import dense_sda_init, dense_sda_step, dense_residual, \
-    dense_sda_solve, spectral_check, SPECTRAL_MAX_N
-from .modified_sda_ls import AUDIT_MAX_N
+    dense_sda_solve
 
 ALGOS = ("dense-sda", "sda-ls", "modified-sda-ls")
-
-DEFAULT_SWEEP_N = (256, 1024, 4096)
-DEFAULT_SWEEP_CELLS = ((0.5, 0.5), (0.9, 0.1), (0.999, 0.001))
-BENCH_MAX_ITER = 8
-
-BENCH_COLUMNS = ["n", "c", "alpha", "algorithm", "iterations", "termination",
-                 "final_residual", "max_rank", "total_flops", "flops_per_iter",
-                 "wall_time_s", "modified_over_original"]
 
 
 class UsageError(Exception):
@@ -94,7 +73,7 @@ def _load_instance(args):
     return make_instance(args.n, args.c, args.alpha)
 
 
-def _config(args, max_iter_default=None):
+def _config(args):
     kw = {}
     if args.tol is not None:
         if args.tol <= 0:
@@ -104,8 +83,6 @@ def _config(args, max_iter_default=None):
         kw["trunc_rel"] = args.trunc_rel
     if args.max_iter is not None:
         kw["max_iter"] = args.max_iter
-    elif max_iter_default is not None:
-        kw["max_iter"] = max_iter_default
     if args.max_rank is not None:
         kw["max_rank"] = args.max_rank
     return SolverConfig(**kw)
@@ -141,9 +118,6 @@ def build_parser():
     _add_config_args(s)
     s.add_argument("--algo", choices=ALGOS, default="modified-sda-ls")
     s.add_argument("--out", help="output directory")
-    s.add_argument("--audit", action="store_true",
-                   help="attach a symmetry audit section to the report (n <= %d)"
-                        % AUDIT_MAX_N)
 
     v = sub.add_parser("verify", help="cross-check a large-scale solver against "
                                       "the dense oracle")
@@ -152,21 +126,6 @@ def build_parser():
     v.add_argument("--algo", choices=("sda-ls", "modified-sda-ls"),
                    default="modified-sda-ls")
     v.add_argument("--out", help="output directory (JSON comparison report)")
-    v.add_argument("--audit", action="store_true",
-                   help="require the symmetry audit even at sizes where it is "
-                        "skipped by default")
-    v.add_argument("--spectral-tol", type=float, default=None,
-                   help="gate the spectral match distance at this bound "
-                        "(informational when omitted)")
-
-    b = sub.add_parser("bench", help="benchmark sweep, CSV output")
-    b.add_argument("--sizes", type=int, nargs="*", default=None,
-                   help="n values (default: %s)" % (DEFAULT_SWEEP_N,))
-    b.add_argument("--cells", nargs="*", default=None, metavar="C:ALPHA",
-                   help="parameter pairs like 0.9:0.1 "
-                        "(default: %s)" % (DEFAULT_SWEEP_CELLS,))
-    _add_config_args(b)
-    b.add_argument("--out", help="output directory (bench.csv)")
     return ap
 
 
@@ -208,8 +167,6 @@ def cmd_solve(args):
     if args.algo == "dense-sda" and inst.n > DENSE_CAP:
         raise UsageError("dense-sda is capped at n=%d (got n=%d)"
                          % (DENSE_CAP, inst.n))
-    if args.audit and inst.n > AUDIT_MAX_N:
-        raise UsageError("--audit requires n <= %d" % AUDIT_MAX_N)
     config = _config(args)
     X, report = _run_solver(args.algo, inst, config)
     doc = report.to_dict()
@@ -217,8 +174,6 @@ def cmd_solve(args):
     doc["alpha"] = inst.params.alpha
     doc["near_singular"] = bool(inst.near_singular)
     doc["x_entry_11"] = _x_entry(X)
-    if args.audit:
-        doc["symmetry_audit"] = audit_symmetry(inst, config=config).to_dict()
     out = _out_dir(args)
     tag = "%s_%s" % (args.algo, _tag(inst.params))
     report_path = os.path.join(out, "report_%s.json" % tag)
@@ -290,17 +245,16 @@ def cmd_verify(args):
     loose = max(100.0 * tol, 1e-10) if tol > 0 else 0.0
 
     checks = []
-    infos = []
 
     Xd, Yd, dreport = dense_sda_solve(inst, config)
     checks.append(("residual_dense", dreport.final_residual, tol))
     X, report = _run_solver(args.algo, inst, config)
-    res_key = "residual_lowrank"
-    checks.append((res_key, report.final_residual, tol))
+    checks.append(("residual_lowrank", report.final_residual, tol))
     if args.algo == "modified-sda-ls":
+        # the returned X is judged on the original scale, as in solve
         checks.append(("residual_original",
                        report.extras.get("residual_original", float("nan")),
-                       10.0 * tol))
+                       tol))
     Xl = X.dense()
     diff = np.linalg.norm(Xl - Xd) / np.linalg.norm(Xd)
     checks.append(("solution_diff", diff, loose))
@@ -311,24 +265,6 @@ def cmd_verify(args):
             trunc_rel=config.trunc_rel, max_rank=config.max_rank))
         audit_doc = audit.to_dict()
         checks.append(("audit_gated", audit.max_gated(), loose))
-        raw = max(max(r["dev_q1_p2"], r["dev_q2_p1"], r["dev_core"])
-                  for r in audit.rows)
-        infos.append(("audit_raw_max", raw,
-                      "raw factor entries, basis-sensitive; not gated"))
-    elif args.audit:
-        raise UsageError("--audit requires n <= %d" % AUDIT_MAX_N)
-
-    spectral_doc = None
-    if n <= SPECTRAL_MAX_N:
-        spec_rep = spectral_check(inst)
-        spectral_doc = spec_rep.to_dict()
-        if args.spectral_tol is not None:
-            checks.append(("spectral_distance", spec_rep.match_distance,
-                           args.spectral_tol))
-        else:
-            infos.append(("spectral_distance", spec_rep.match_distance,
-                          "informational; mirror pairing does not hold for "
-                          "these sign patterns"))
 
     if config.trunc_rel == 0.0:
         worst = _iterate_match(inst, args.algo, config, solver_tol,
@@ -342,8 +278,6 @@ def cmd_verify(args):
             failures += 1
         print("check %-18s %s  %.3e <= %.3e"
               % (name, "PASS" if ok else "FAIL", value, bound))
-    for name, value, note in infos:
-        print("info  %-18s       %.3e  (%s)" % (name, value, note))
 
     if args.out:
         out = _out_dir(args)
@@ -355,15 +289,11 @@ def cmd_verify(args):
             "checks": [{"name": a, "value": float(b), "bound": float(c),
                         "pass": bool(np.isfinite(b) and b <= c)}
                        for a, b, c in checks],
-            "info": [{"name": a, "value": float(b), "note": c}
-                     for a, b, c in infos],
             "dense_report": dreport.to_dict(),
             "solver_report": report.to_dict(),
         }
         if audit_doc is not None:
             doc["symmetry_audit"] = audit_doc
-        if spectral_doc is not None:
-            doc["spectral"] = spectral_doc
         path = os.path.join(out, "verify_%s_%s.json"
                             % (args.algo, _tag(inst.params)))
         with open(path, "w") as fh:
@@ -371,87 +301,6 @@ def cmd_verify(args):
             fh.write("\n")
         print("report -> %s" % path)
     return 2 if failures else 0
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-
-def _parse_cells(raw):
-    cells = []
-    for item in raw:
-        try:
-            cs, als = item.split(":")
-            cells.append((float(cs), float(als)))
-        except ValueError:
-            raise UsageError("bad cell %r; expected C:ALPHA like 0.9:0.1" % item)
-    return cells
-
-
-def _flops_per_iter(flops):
-    parts = []
-    for k in flops.iterations():
-        parts.append("%d:%d" % (k, int(flops.iteration_total(
-            k, exclude=("residual",)))))
-    return ";".join(parts)
-
-
-def _bench_cell(n, c, alpha, config):
-    inst = make_instance(n, c, alpha)
-    rows = []
-    totals = {}
-    for algo in ("sda-ls", "modified-sda-ls"):
-        row = {"n": n, "c": c, "alpha": alpha, "algorithm": algo,
-               "iterations": 0, "termination": "", "final_residual": "",
-               "max_rank": 0, "total_flops": 0, "flops_per_iter": "",
-               "wall_time_s": 0.0, "modified_over_original": ""}
-        try:
-            _, report = _run_solver(algo, inst, config)
-            total = report.flops.total(exclude=("residual",))
-            totals[algo] = total
-            row.update({
-                "iterations": report.iterations,
-                "termination": report.termination,
-                "final_residual": "%.6e" % report.final_residual,
-                "max_rank": report.max_rank_seen,
-                "total_flops": int(report.flops.total()),
-                "flops_per_iter": _flops_per_iter(report.flops),
-                "wall_time_s": "%.4f" % sum(report.iter_times),
-            })
-        except Exception as exc:  # cell failures recorded, sweep continues
-            row["termination"] = "error:%s" % type(exc).__name__
-        rows.append(row)
-    if "sda-ls" in totals and "modified-sda-ls" in totals and totals["sda-ls"]:
-        ratio = totals["modified-sda-ls"] / totals["sda-ls"]
-        for row in rows:
-            if row["algorithm"] == "modified-sda-ls":
-                row["modified_over_original"] = "%.4f" % ratio
-    return rows
-
-
-def cmd_bench(args):
-    sizes = DEFAULT_SWEEP_N if args.sizes is None else args.sizes
-    if args.cells is None:
-        cells = DEFAULT_SWEEP_CELLS
-    else:
-        cells = _parse_cells(args.cells)
-    config = _config(args, max_iter_default=BENCH_MAX_ITER)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS)
-    writer.writeheader()
-    for n in sizes:
-        for c, alpha in cells:
-            for row in _bench_cell(n, c, alpha, config):
-                writer.writerow(row)
-    text = buf.getvalue()
-    sys.stdout.write(text)
-    if args.out:
-        out = _out_dir(args)
-        path = os.path.join(out, "bench.csv")
-        with open(path, "w") as fh:
-            fh.write(text)
-        print("bench -> %s" % path, file=sys.stderr)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +314,7 @@ def main(argv=None):
             return cmd_generate(args)
         if args.command == "solve":
             return cmd_solve(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_bench(args)
+        return cmd_verify(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

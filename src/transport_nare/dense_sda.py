@@ -3,7 +3,8 @@
 Everything here is plain dense linear algebra: the four iteration matrices are
 stored explicitly and each step costs a handful of n^3 products and LU solves.
 The large-scale solvers are validated against this one on instances small
-enough to afford it (``DENSE_CAP`` rows).
+enough to afford it (``DENSE_CAP`` rows).  ``spectral_check`` gives the
+eigenvalues of the flow matrix at small size (``SPECTRAL_MAX_N`` rows).
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,6 @@ __all__ = [
     "dense_residual",
     "SpectralReport",
     "spectral_check",
-    "spectral_check_matrices",
 ]
 
 SPECTRAL_MAX_N = 64
@@ -129,40 +129,19 @@ def dense_sda_solve(inst, config=None, gamma=None):
 
 @dataclass
 class SpectralReport:
-    """Eigenvalue cross-check between the flow matrix and its sign-flipped twin.
+    """Eigenvalues of the flow matrix M = [[E, -C], [B, -A]].
 
-    h_eigenvalues come from M = [[E, -C], [B, -A]], whose spectrum splits
-    into the eigenvalues of E - C X and the negated eigenvalues of A - B Y
-    at the minimal solutions.  mirrored is that spectrum with its left half
+    The spectrum of M splits into the eigenvalues of E - C X and the negated
+    eigenvalues of A - B Y at the minimal solutions X and Y.  h_eigenvalues
+    is that spectrum and mirrored is the same with its n leftmost eigenvalues
     reflected through sign, so it equals sigma(E - C X) together with
-    sigma(A - B Y); this closed-loop relation is the one that holds.
-    k_eigenvalues come from the sign-flipped N = [[E, -C], [-B, A]], the flow
-    matrix of the same equation with B and C negated.  Both eigenvalue lists
-    are sorted by nonincreasing real part (ties by imaginary part).
-    match_distance is the Hausdorff distance between the spectrum of N and
-    mirrored, the pairing a symmetric-coefficient argument would suggest; on
-    these transport coefficients the two genuinely differ (n = 1: +-2*sqrt(2)
-    mirrored to {2*sqrt(2), 2*sqrt(2)}, against {2, 4}), so it is a
-    diagnostic, not an error.
+    sigma(A - B Y).  Both lists are sorted by nonincreasing real part (ties
+    by imaginary part).
     """
 
     n: int
     h_eigenvalues: np.ndarray
-    k_eigenvalues: np.ndarray
     mirrored: np.ndarray
-    match_distance: float
-
-    def to_dict(self):
-        def ser(v):
-            return [[float(z.real), float(z.imag)] for z in v]
-        return {
-            "schema_version": 1,
-            "n": self.n,
-            "h_eigenvalues": ser(self.h_eigenvalues),
-            "k_eigenvalues": ser(self.k_eigenvalues),
-            "mirrored": ser(self.mirrored),
-            "match_distance": float(self.match_distance),
-        }
 
 
 def _sort_desc_real(vals):
@@ -170,35 +149,15 @@ def _sort_desc_real(vals):
     return vals[order]
 
 
-def hausdorff_distance(a, b):
-    """Hausdorff distance between two finite point sets in the complex plane."""
-    a = np.asarray(a, dtype=complex).ravel()
-    b = np.asarray(b, dtype=complex).ravel()
-    dist = np.abs(a[:, None] - b[None, :])
-    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
-
-
-def spectral_check_matrices(A, B, C, E):
-    """Eigenvalue comparison for an explicit coefficient quadruple."""
-    n = A.shape[0]
-    M = np.block([[E, -C], [B, -A]])
-    N = np.block([[E, -C], [-B, A]])
-    h_eigs = _sort_desc_real(np.linalg.eigvals(M))
-    k_eigs = _sort_desc_real(np.linalg.eigvals(N))
-    # mirror: keep the n rightmost eigenvalues of M, reflect the n leftmost
-    mirrored = np.concatenate([h_eigs[:n], -h_eigs[n:]])
-    mirrored = _sort_desc_real(mirrored)
-    dist = hausdorff_distance(k_eigs, mirrored)
-    return SpectralReport(n=n, h_eigenvalues=h_eigs, k_eigenvalues=k_eigs,
-                          mirrored=mirrored, match_distance=dist)
-
-
 def spectral_check(inst):
-    """Diagnostic eigenvalue comparison at small size (n <= SPECTRAL_MAX_N)."""
+    """Flow-matrix eigenvalues at small size (n <= SPECTRAL_MAX_N)."""
     n = inst.n
     if n > SPECTRAL_MAX_N:
         raise ValueError(
             "spectral check is a small-size diagnostic (n <= %d, got %d)"
             % (SPECTRAL_MAX_N, n))
     A, B, C, E = assemble_dense(inst)
-    return spectral_check_matrices(A, B, C, E)
+    h_eigs = _sort_desc_real(np.linalg.eigvals(np.block([[E, -C], [B, -A]])))
+    # keep the n rightmost eigenvalues, reflect the n leftmost
+    mirrored = _sort_desc_real(np.concatenate([h_eigs[:n], -h_eigs[n:]]))
+    return SpectralReport(n=n, h_eigenvalues=h_eigs, mirrored=mirrored)

@@ -173,9 +173,6 @@ class FlopModel:
     def total(self, exclude=()):
         return sum(f for (_, label), f in self.flops.items() if label not in exclude)
 
-    def iterations(self):
-        return sorted({k for (k, _) in self.flops})
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)

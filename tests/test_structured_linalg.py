@@ -96,7 +96,6 @@ def test_flop_model_accumulates_by_iteration():
     assert fm.iteration_total(1, exclude=("residual",)) == 7.0
     assert fm.total() == 160.0
     assert fm.total(exclude=("gemm",)) == 3.0
-    assert fm.iterations() == [0, 1]
 
 
 def test_flop_model_events():
