@@ -6,9 +6,9 @@ Gam = Sig, P1 = Q2 and P2 = Q1.  The outer iterates stay distinct (E_0 comes
 from V, built on d, and F_0 from W, built on delta), but each is a symmetric
 matrix, kept as diag(d) + U diag(s) U^T.  Exploiting that halves the large
 implicit products per step from four to two, drops one of the two core SVDs
-and one of the two QRs in each outer-iterate update.  The solver works
-entirely on the balanced instance and rescales the solution back at the end,
-confirming the residual on the original scale.
+and one of the two QRs in each outer-iterate update.  The solver iterates on
+the balanced instance and judges each iterate by the original-scale residual
+of the solution it maps back to.
 
 ``audit_symmetry`` runs the general solver from the symmetric initial split on
 a balanced instance and measures how well the claimed pairings hold, both as
@@ -27,7 +27,7 @@ from .structured_linalg import (
     residual_norm,
     truncated_svd,
 )
-from .transport_problem import NareInstance, balance, unbalance_solution
+from .transport_problem import balance, unbalance_solution
 from .sda_ls import (
     SolverConfig,
     SolveReport,
@@ -118,50 +118,25 @@ def msda_step(st, config=None):
 def msda_solve(inst, config=None, gamma=None):
     """Solve on the balanced scale, return (X, report) on the original scale.
 
-    Accepts either an original or an already balanced instance.  Stopping is
-    driven by the balanced-scale residual; after it clears the tolerance the
-    original-scale residual is evaluated as a confirmation.  If that
-    confirmation misses 10x the tolerance the solver keeps iterating while
-    budget remains.  report.extras["residual_original"] is the original-scale
-    residual of the returned X.
+    Takes the original instance.  Every residual the run records, and so its
+    stopping test, is the original-scale residual of the X it would return.
     """
+    if inst.is_balanced:
+        raise ValueError("msda_solve takes the original instance, not a "
+                         "balanced one")
     config = config or SolverConfig()
-    binst = inst if inst.is_balanced else balance(inst)
-    report = SolveReport(algorithm="modified-sda-ls", n=binst.n)
-
-    def accept(st, res):
-        X = unbalance_solution(st.H, binst.phi)
-        orig = _original_scale_residual(inst, binst, X, report.flops)
-        report.extras["residual_original"] = orig
-        if orig <= 10.0 * config.tol_residual:
-            return True
-        report.warnings.append(
-            "balanced residual %.3e met tol but original-scale residual "
-            "%.3e exceeded 10*tol; continuing" % (res, orig))
-        return False
-
+    binst = balance(inst)
+    report = SolveReport(algorithm="modified-sda-ls", n=inst.n)
     st = run_doubling(
-        report, binst,
+        report, inst,
         lambda: msda_init(binst, config=config, flops=report.flops, gamma=gamma),
         msda_step,
-        lambda st: residual_norm(binst, st.H, flops=report.flops)[1],
-        config, accept)
+        lambda st: residual_norm(
+            inst, unbalance_solution(st.H, binst.phi), flops=report.flops)[1],
+        config)
     report.extras["final_rank"] = st.ranks
-    report.extras["residual_balanced"] = report.final_residual
-    X = unbalance_solution(st.H, binst.phi)
-    if report.termination != "converged":
-        report.extras["residual_original"] = _original_scale_residual(
-            inst, binst, X, report.flops)
-    return X, report
-
-
-def _original_scale_residual(inst, binst, X, flops):
-    if inst.is_balanced:
-        # balancing keeps delta and d and sets phi = sqrt(q)
-        inst = NareInstance(delta=binst.delta, d=binst.d, q=binst.phi ** 2,
-                            params=binst.params, quad=None)
-    _, r = residual_norm(inst, X, flops=flops)
-    return r
+    report.extras["residual_original"] = report.final_residual
+    return unbalance_solution(st.H, binst.phi), report
 
 
 # ---------------------------------------------------------------------------

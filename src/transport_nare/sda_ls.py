@@ -87,8 +87,7 @@ class SolveReport:
 
     @property
     def max_rank_seen(self):
-        flat = [r if np.isscalar(r) else max(r) for r in self.rank_history]
-        return int(max(flat)) if flat else 0
+        return max((max(r) for r in self.rank_history), default=0)
 
     def to_dict(self):
         return {
@@ -100,8 +99,7 @@ class SolveReport:
             "termination": self.termination,
             "residual_history": [float(r) for r in self.residual_history],
             "final_residual": float(self.final_residual),
-            "rank_history": [list(r) if not np.isscalar(r) else int(r)
-                             for r in self.rank_history],
+            "rank_history": [list(r) for r in self.rank_history],
             "max_rank": self.max_rank_seen,
             "iter_times_s": [float(t) for t in self.iter_times],
             "wall_time_s": float(sum(self.iter_times)),
@@ -127,7 +125,7 @@ def stagnated(history, tol):
     return cur > 0.5 * history[-4] and cur <= 1e-6 * max(history)
 
 
-def run_doubling(report, inst, init, step, residual, config, accept=None):
+def run_doubling(report, inst, init, step, residual, config):
     """The doubling loop shared by all solvers; returns the final state.
 
     ``init()`` builds the level-0 state, ``step(st, config)`` advances it one
@@ -135,9 +133,8 @@ def run_doubling(report, inst, init, step, residual, config, accept=None):
     carries ``k``, ``gamma``, ``ranks`` and ``levels()``, a dict of per-level
     values that accumulate as lists in ``report.extras``.  Every history holds
     the level-0 entry in front of one entry per doubling.  A residual at
-    tolerance ends the run 'converged' unless ``accept(st, res)`` turns it
-    down; otherwise the run ends 'stagnated' at its roundoff floor or
-    'max_iter'.
+    tolerance ends the run 'converged'; otherwise the run ends 'stagnated' at
+    its roundoff floor or 'max_iter'.
     """
     if inst.near_singular:
         report.warnings.append("near-critical parameters (c=1, alpha=0)")
@@ -163,9 +160,8 @@ def run_doubling(report, inst, init, step, residual, config, accept=None):
         step(st, config)
         res = record(st, time.perf_counter() - t0)
         if res <= config.tol_residual:
-            if accept is None or accept(st, res):
-                report.termination = "converged"
-                break
+            report.termination = "converged"
+            break
         elif stagnated(report.residual_history, config.tol_residual):
             report.termination = "stagnated"
             break

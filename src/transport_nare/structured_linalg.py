@@ -455,22 +455,21 @@ class ImplicitIterate:
 # orthogonalization and deterministic truncated SVD
 # ---------------------------------------------------------------------------
 
-def orthonormalize_against(Q, Z, null_rel=QR_NULL_REL, max_new=None, flops=None):
+def orthonormalize_against(Q, Z, null_rel=QR_NULL_REL, flops=None):
     """Extend the orthonormal basis Q by the fresh directions of Z.
 
     Two-pass classical Gram-Schmidt against Q, then a pivoted QR of the
     remainder.  Remainder directions whose pivot falls below ``null_rel`` times
     the block scale are numerical noise and are dropped; the basis is also never
-    grown past ``max_new`` columns (default: up to full dimension n).  Without
-    the drop rule, no-truncation runs keep resurrecting roundoff directions
-    once the basis saturates and the combined basis stops being orthonormal.
+    grown past the full dimension n.  Without the drop rule, no-truncation runs
+    keep resurrecting roundoff directions once the basis saturates and the
+    combined basis stops being orthonormal.
 
     Returns (Q_new, S, R) with Z ~= Q @ S + Q_new @ R.
     """
     n, m = Z.shape
     nq = Q.shape[1]
-    if max_new is None:
-        max_new = n - nq
+    max_new = n - nq
     S = Q.T @ Z
     Zp = Z
     if nq:      # with an empty Q the projections subtract exact zeros

@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
+from transport_nare import cli_bench
 from transport_nare.cli_bench import main
-from transport_nare.transport_problem import read_instance
+from transport_nare.structured_linalg import residual_norm
+from transport_nare.transport_problem import make_instance, read_instance
 
 X_SCALAR = 3.0 - 2.0 * np.sqrt(2.0)
 
@@ -105,20 +107,33 @@ def test_solve_nonconvergence_exit_code(tmp_path, capsys):
     assert report["termination"] == "max_iter"
 
 
-@pytest.mark.parametrize("n, code", [(32, 0), (256, 2)])
-def test_solve_msda_judged_on_original_scale(tmp_path, capsys, n, code):
-    # at n = 256 the balanced residual meets the default tol 1e-12 and msda
-    # accepts (original scale within 10*tol), but the returned X reads 3.7e-12
-    rc = run(["solve", "--n", str(n), "--c", "0.9", "--alpha", "0.1",
+@pytest.mark.parametrize("n, c, alpha, code", [
+    (8, 0.5, 0.5, 0), (32, 0.9, 0.1, 0), (256, 0.9, 0.1, 2)],
+    ids=["8-0", "32-0", "256-2"])
+def test_solve_msda_judged_on_original_scale(tmp_path, capsys, monkeypatch,
+                                             n, c, alpha, code):
+    # the exit code follows termination alone, and a converged X meets tol
+    # on the original scale under an independent residual evaluation; n = 256
+    # stagnates at 3.7e-12, above the default tol 1e-12
+    real = cli_bench._run_solver
+    returned = []
+
+    def keep_x(*args):
+        X, report = real(*args)
+        returned.append(X)
+        return X, report
+
+    monkeypatch.setattr(cli_bench, "_run_solver", keep_x)
+    rc = run(["solve", "--n", str(n), "--c", str(c), "--alpha", str(alpha),
               "--algo", "modified-sda-ls", "--out", str(tmp_path)])
-    report = json.load(open(tmp_path / ("report_modified-sda-ls_n%d_c0.9_a0.1.json"
-                                        % n)))
-    orig = report["extras"]["residual_original"]
-    assert "residual_original=%.3e" % orig in capsys.readouterr().out
-    assert report["termination"] == "converged"
-    assert report["final_residual"] <= 1e-12
-    assert (orig > 1e-12) == (code == 2)
+    capsys.readouterr()
+    report = json.load(open(next(tmp_path.glob("report_*.json"))))
     assert rc == code
+    assert (rc == 0) == (report["termination"] == "converged")
+    orig = residual_norm(make_instance(n, c, alpha), returned[0])[1]
+    assert orig == report["final_residual"]
+    if report["termination"] == "converged":
+        assert orig <= 1e-12
 
 
 def test_solve_large_scale_iteration_counts_agree(tmp_path, capsys):
@@ -146,8 +161,9 @@ def test_verify_defaults_pass(tmp_path, capsys):
     assert rc == 0
     checks = [ln for ln in out.splitlines() if ln.startswith("check")]
     assert checks and all(" PASS " in ln for ln in checks)
-    assert any("audit_gated" in ln for ln in checks)
-    assert any("residual_original" in ln for ln in checks)
+    # one residual per solver: the original-scale one of the X it returns
+    assert [ln.split()[1] for ln in checks] == [
+        "residual_dense", "residual_lowrank", "solution_diff", "audit_gated"]
     doc = json.load(open(tmp_path / "verify_modified-sda-ls_n32_c0.9_a0.1.json"))
     assert all(c["pass"] for c in doc["checks"])
     assert "symmetry_audit" in doc
@@ -159,14 +175,24 @@ def test_verify_zero_tolerance_fails_itemized(capsys):
     out = capsys.readouterr().out
     assert rc == 2
     assert any(" FAIL " in ln for ln in out.splitlines() if ln.startswith("check"))
-    # at the default tol 1e-12 only the original-scale residual (1.8e-12)
-    # misses: verify gates it at tol, as solve does
+    # at the default tol 1e-12 modified-sda-ls keeps doubling until the X it
+    # returns meets tol on the original scale (3.4e-14), so every check passes
     rc = run(["verify", "--n", "8", "--c", "0.5", "--alpha", "0.5"])
     out = capsys.readouterr().out
-    assert rc == 2
-    failed = [ln.split()[1] for ln in out.splitlines()
-              if ln.startswith("check") and " FAIL " in ln]
-    assert failed == ["residual_original"]
+    assert rc == 0
+    assert not [ln for ln in out.splitlines()
+                if ln.startswith("check") and " FAIL " in ln]
+
+
+def test_verify_sda_ls_skips_symmetry_audit(tmp_path, capsys):
+    # the audit checks the balanced solver's factor sharing, not sda-ls
+    rc = run(["verify", "--n", "32", "--c", "0.9", "--alpha", "0.1",
+              "--algo", "sda-ls", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "audit_gated" not in out
+    doc = json.load(open(tmp_path / "verify_sda-ls_n32_c0.9_a0.1.json"))
+    assert "symmetry_audit" not in doc
 
 
 def test_verify_no_truncation_iterate_match(capsys):
