@@ -10,7 +10,6 @@ instance generation, flop accounting, audits, and a command-line front end.
 
 from .transport_problem import (
     DENSE_CAP,
-    BalancedInstance,
     NareInstance,
     Quadrature,
     TransportParams,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DENSE_CAP",
-    "BalancedInstance",
     "NareInstance",
     "Quadrature",
     "TransportParams",

@@ -7,8 +7,8 @@ from V, built on d, and F_0 from W, built on delta), but each is a symmetric
 matrix, kept as diag(d) + U diag(s) U^T.  Exploiting that halves the large
 implicit products per step from four to two, drops one of the two core SVDs
 and one of the two QRs in each outer-iterate update.  The solver iterates on
-the balanced instance and judges each iterate by the original-scale residual
-of the solution it maps back to.
+the balanced instance and judges each iterate by the residual, on the
+instance it was given, of the solution it maps back to.
 
 ``audit_symmetry`` runs the general solver from the symmetric initial split on
 a balanced instance and measures how well the claimed pairings hold, both as
@@ -59,11 +59,11 @@ class CoreSingularError(RuntimeError):
 
 def msda_init(inst, config=None, flops=None, gamma=None):
     """Initial rank-one factors on a balanced instance; the G side stays unset."""
-    if not inst.is_balanced:
+    if not np.array_equal(inst.u, inst.v):
         raise ValueError("msda operates on balanced instances; call balance() first")
     config = config or SolverConfig()
     st = low_rank_state(inst, gamma, config, flops)
-    ph = inst.phi[:, None]
+    ph = inst.u[:, None]
     sq = np.sqrt(2.0 * st.gamma)
     q1_raw = sq * st.solver.solve("W", ph, flops=st.flops)
     q2_raw = sq * st.solver.solve("E", ph, flops=st.flops)
@@ -116,14 +116,11 @@ def msda_step(st, config=None):
 
 
 def msda_solve(inst, config=None, gamma=None):
-    """Solve on the balanced scale, return (X, report) on the original scale.
+    """Solve on the balanced scale, return (X, report) on the scale of ``inst``.
 
-    Takes the original instance.  Every residual the run records, and so its
-    stopping test, is the original-scale residual of the X it would return.
+    Takes any instance.  Every residual the run records, and so its stopping
+    test, is the residual on ``inst`` of the X it would return.
     """
-    if inst.is_balanced:
-        raise ValueError("msda_solve takes the original instance, not a "
-                         "balanced one")
     config = config or SolverConfig()
     binst = balance(inst)
     report = SolveReport(algorithm="modified-sda-ls", n=inst.n)
@@ -132,11 +129,11 @@ def msda_solve(inst, config=None, gamma=None):
         lambda: msda_init(binst, config=config, flops=report.flops, gamma=gamma),
         msda_step,
         lambda st: residual_norm(
-            inst, unbalance_solution(st.H, binst.phi), flops=report.flops)[1],
+            inst, unbalance_solution(st.H, inst), flops=report.flops)[1],
         config)
     report.extras["final_rank"] = st.ranks
     report.extras["residual_original"] = report.final_residual
-    return unbalance_solution(st.H, binst.phi), report
+    return unbalance_solution(st.H, inst), report
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +195,19 @@ def _probe_operator_symmetry(imp, n, rng, probes=4):
 
 
 def audit_symmetry(inst, k_max=4, config=None, seed=0):
-    """Run the general solver symmetric-split on a balanced instance, measure
-    how the G-side tracks the transposed H-side for k_max steps.
+    """Run the general solver on the balanced instance, measure how the G-side
+    tracks the transposed H-side for k_max steps.
 
     Only intended at moderate size (n <= AUDIT_MAX_N): the product deviations
     are formed densely.
     """
-    binst = inst if inst.is_balanced else balance(inst)
+    binst = balance(inst)
     n = binst.n
     if n > AUDIT_MAX_N:
         raise ValueError("symmetry audit is a diagnostic; n <= %d" % AUDIT_MAX_N)
     config = config or SolverConfig()
     rng = np.random.default_rng(seed)
-    st = sda_ls_init(binst, config=config, symmetric_split=True)
+    st = sda_ls_init(binst, config=config)
     audit = SymmetryAudit(n=n, params=(binst.params.c, binst.params.alpha))
     for k in range(k_max + 1):
         H = st.H.dense()

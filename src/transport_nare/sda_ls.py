@@ -230,27 +230,23 @@ def qr_svd(raw_left, raw_right, trunc_rel, flops):
     return Ql @ U, s, Qr @ V
 
 
-def sda_ls_init(inst, gamma=None, config=None, symmetric_split=False, flops=None):
+def sda_ls_init(inst, gamma=None, config=None, flops=None):
     """Initial truncated factors and implicit operators.
 
-    Takes the transport rank-one factorizations B = b b^T and C = c c^T (b the
-    all-ones vector and c = q on the original scale, both phi after
-    balancing).  ``symmetric_split`` distributes 2*gamma as sqrt(2*gamma) on
-    each side, which on balanced instances makes the four initial factor blocks
-    pairwise identical; the symmetry audit starts from exactly that split.
+    Takes the rank-one factorizations B = u u^T and C = v v^T and splits
+    2*gamma as sqrt(2*gamma) on each side, which on a balanced instance makes
+    the four initial factor blocks pairwise identical; the symmetry audit
+    starts from exactly that.
     """
     config = config or SolverConfig()
     st = low_rank_state(inst, gamma, config, flops)
     solver, flops, gamma = st.solver, st.flops, st.gamma
-    if inst.is_balanced:
-        b = c = inst.phi[:, None]
-    else:
-        b, c = np.ones((inst.n, 1)), inst.q[:, None]
-    left, right = (np.sqrt(2.0 * gamma),) * 2 if symmetric_split else (2.0 * gamma, 1.0)
-    q1_raw = left * solver.solve("W", b, flops=flops)
-    q2_raw = right * solver.solve("E", b, transpose=True, flops=flops)
-    p1_raw = left * solver.solve("E", c, flops=flops)
-    p2_raw = right * solver.solve("W", c, transpose=True, flops=flops)
+    b, c = inst.u[:, None], inst.v[:, None]
+    sq = np.sqrt(2.0 * gamma)
+    q1_raw = sq * solver.solve("W", b, flops=flops)
+    q2_raw = sq * solver.solve("E", b, transpose=True, flops=flops)
+    p1_raw = sq * solver.solve("E", c, flops=flops)
+    p2_raw = sq * solver.solve("W", c, transpose=True, flops=flops)
     st.Q1, st.Sig, st.Q2 = qr_svd(q1_raw, q2_raw, config.trunc_rel, flops)
     st.P1, st.Gam, st.P2 = qr_svd(p1_raw, p2_raw, config.trunc_rel, flops)
     return st

@@ -222,11 +222,11 @@ class _RankOneShifted:
 def gamma_select(inst):
     """Doubling shift: the largest diagonal entry over both coefficient matrices.
 
-    For transport instances the two diagonals are delta_i - q_i and d_i - q_i
-    (the same values before and after balancing), and d_i >= delta_i, so the max
-    is attained on the d side; both are scanned to keep the contract literal.
+    The diagonals of A and E are delta_i - u_i v_i and d_i - u_i v_i (the same
+    values before and after balancing), and d_i >= delta_i, so the max is
+    attained on the d side; both are scanned to keep the contract literal.
     """
-    q = inst.phi ** 2 if inst.is_balanced else inst.q
+    q = inst.q
     return float(max(np.max(inst.delta - q), np.max(inst.d - q)))
 
 
@@ -236,42 +236,29 @@ class ShiftedSolver:
     Provides solves with E+gamma*I, A+gamma*I and the Schur-type combinations
     W = A + gamma*I - B (E+gamma*I)^-1 C   and
     V = E + gamma*I - C (A+gamma*I)^-1 B.
-    For the transport structure B (E+gamma*I)^-1 C collapses to a scalar
-    multiple of the same rank-one pattern as in A, so W (and V) stay
-    diagonal-minus-rank-one and every solve costs O(n) per column.  On the
-    balanced form the rank-one vectors are split symmetrically, making the W and
-    V solves self-transpose down to the last bit.
+    With A = diag(delta) - u v^T, B = u u^T, C = v v^T, E = diag(d) - v u^T,
+    B (E+gamma*I)^-1 C = s u v^T with s = u^T (E+gamma*I)^-1 v, so W (and
+    likewise V) stays diagonal-minus-rank-one and every solve costs O(n) per
+    column.  The factor 1+s (1+t for V) is split as its square root on both
+    sides, which makes the W and V solves of a balanced instance (u = v)
+    self-transpose down to the last bit.
     """
 
     WHICH = ("E", "A", "W", "V")
 
     def __init__(self, inst, gamma):
-        n = inst.n
-        self.n = n
+        self.n = inst.n
         self.gamma = float(gamma)
-        self.balanced = inst.is_balanced
-        if not self.balanced:
-            e = np.ones(n)
-            q = inst.q
-            self._eg = _RankOneShifted(inst.d + gamma, q, e)
-            self._ag = _RankOneShifted(inst.delta + gamma, e, q)
-            # B (E+gI)^-1 C = (1+s) e q^T with s = e^T (E+gI)^-1 q
-            s = float(e @ self._eg.solve(q[:, None])[:, 0])
-            self._w = _RankOneShifted(inst.delta + gamma, (1.0 + s) * e, q)
-            t = float(q @ self._ag.solve(e[:, None])[:, 0])
-            self._v = _RankOneShifted(inst.d + gamma, (1.0 + t) * q, e)
-        else:
-            ph = inst.phi
-            self._eg = _RankOneShifted(inst.d + gamma, ph, ph)
-            self._ag = _RankOneShifted(inst.delta + gamma, ph, ph)
-            s = float(ph @ self._eg.solve(ph[:, None])[:, 0])
-            t = float(ph @ self._ag.solve(ph[:, None])[:, 0])
-            if 1.0 + s < 0 or 1.0 + t < 0:
-                raise NearCriticalError("balanced Schur correction lost positivity")
-            r = np.sqrt(1.0 + s) * ph
-            self._w = _RankOneShifted(inst.delta + gamma, r, r)
-            r2 = np.sqrt(1.0 + t) * ph
-            self._v = _RankOneShifted(inst.d + gamma, r2, r2)
+        u, v = inst.u, inst.v
+        self._eg = _RankOneShifted(inst.d + gamma, v, u)
+        self._ag = _RankOneShifted(inst.delta + gamma, u, v)
+        s = float(u @ self._eg.solve(v[:, None])[:, 0])
+        t = float(v @ self._ag.solve(u[:, None])[:, 0])
+        if 1.0 + s < 0 or 1.0 + t < 0:
+            raise NearCriticalError("Schur correction lost positivity")
+        rs, rt = np.sqrt(1.0 + s), np.sqrt(1.0 + t)
+        self._w = _RankOneShifted(inst.delta + gamma, rs * u, rs * v)
+        self._v = _RankOneShifted(inst.d + gamma, rt * v, rt * u)
 
     def _pick(self, which):
         try:
@@ -559,29 +546,20 @@ def truncated_svd(M, trunc_rel, flops=None):
 def residual_stacks(inst, X):
     """Stacks U_hat, V_hat with U_hat @ V_hat.T == X C X - X E - A X + B.
 
-    Width is 2*rank + 2: both diagonal actions ride on the factor blocks, the
-    quadratic term is rank one, and the two remaining rank-one pieces share the
-    same right-hand vector and merge.
+    With A = diag(delta) - u v^T, B = u u^T, C = v v^T and E = diag(d) - v u^T
+    the width is 2*rank + 2: both diagonal actions ride on the factor blocks,
+    the quadratic term (X v)(X^T v)^T is rank one, and the two remaining
+    rank-one pieces, (X v) u^T from -X E and B, share u and merge.
     """
-    n = inst.n
+    u, v = inst.u, inst.v
     L, sig, R = X.left, X.core, X.right
     LS = L * sig[None, :]
-    if inst.is_balanced:
-        a_l = a_r = e_l = e_r = b_l = c_l = c_r = inst.phi
-    else:
-        e = np.ones(n)
-        q = inst.q
-        a_l, a_r = e, q       # A = diag(delta) - a_l a_r^T
-        e_l, e_r = q, e       # E = diag(d)     - e_l e_r^T
-        b_l = e               # B = b_l e_r^T   (shares e_r with the E term)
-        c_l, c_r = q, q       # C = c_l c_r^T
-    xcl = LS @ (R.T @ c_l)                  # X c_l
-    xcr = R @ (LS.T @ c_r)                  # X^T c_r
-    xel = LS @ (R.T @ e_l)                  # X e_l
-    # -A X folded through the left factor: (-delta .* LS + a_l (a_r^T LS)) R^T
-    W1 = -(inst.delta[:, None] * LS) + a_l[:, None] * (a_r @ LS)[None, :]
-    U_hat = np.column_stack([W1, -LS, xcl, xel + b_l])
-    V_hat = np.column_stack([R, inst.d[:, None] * R, xcr, e_r])
+    xv = LS @ (R.T @ v)                     # X v, for both X C X and X E
+    xtv = R @ (LS.T @ v)                    # X^T v
+    # -A X folded through the left factor: (-delta .* LS + u (v^T LS)) R^T
+    W1 = -(inst.delta[:, None] * LS) + u[:, None] * (v @ LS)[None, :]
+    U_hat = np.column_stack([W1, -LS, xv, xv + u])
+    V_hat = np.column_stack([R, inst.d[:, None] * R, xtv, u])
     return U_hat, V_hat
 
 
@@ -595,11 +573,12 @@ def residual_norm(inst, X, flops=None):
     catastrophically at machine-level residuals.
 
     Returns (absolute_norm, normalized_norm); the normalization divides by
-    ||B||_F, which is n for the original all-ones B and sum(q) after balancing.
+    ||B||_F = u^T u, which is n for the original u = e and sum(q) after
+    balancing.
     """
     if X.n != inst.n:
         raise ValueError("solution dimension does not match the instance")
-    b_fro = float(inst.phi @ inst.phi) if inst.is_balanced else float(inst.n)
+    b_fro = float(inst.u @ inst.u)
     U_hat, V_hat = residual_stacks(inst, X)
     if flops is not None:
         w = U_hat.shape[1]

@@ -4,17 +4,19 @@ A particle-transport discretization with n angular nodes omega_i and weights
 c_i yields the nonsymmetric algebraic Riccati equation
 
     X C X - X E - A X + B = 0,
-    A = diag(delta) - e q^T,  B = e e^T,  C = q q^T,  E = diag(d) - q e^T,
+    A = diag(delta) - u v^T,  B = u u^T,  C = v v^T,  E = diag(d) - v u^T,
 
-with delta_i = 1/(c omega_i (1+alpha)), d_i = 1/(c omega_i (1-alpha)) and
-q_i = c_i / (2 omega_i).  Physical parameters: average number of secondaries
-0 < c <= 1 and angular shift 0 <= alpha < 1; c = 1 with alpha = 0 is the
-critical pair where the underlying block matrix turns singular.
+with delta_i = 1/(c omega_i (1+alpha)), d_i = 1/(c omega_i (1-alpha)) and,
+in the original form, u = e (all ones) and v = q with q_i = c_i / (2 omega_i).
+Physical parameters: average number of secondaries 0 < c <= 1 and angular
+shift 0 <= alpha < 1; c = 1 with alpha = 0 is the critical pair where the
+underlying block matrix turns singular.
 
 This module builds instances from parameters and quadratures, applies the
-balancing similarity by diag(sqrt(q)) that symmetrizes the coefficients, and
-assembles small dense realizations for the oracle solvers.  Instances are
-immutable value objects; all operations are pure.
+balancing similarity that makes u = v = sqrt(u v) (so B = C and A, E turn
+symmetric), and assembles small dense realizations for the oracle solvers.
+Both forms are the one ``NareInstance`` type.  Instances are immutable value
+objects; all operations are pure.
 """
 
 import io
@@ -30,7 +32,6 @@ __all__ = [
     "TransportParams",
     "Quadrature",
     "NareInstance",
-    "BalancedInstance",
     "gauss_legendre",
     "build_instance",
     "make_instance",
@@ -157,46 +158,27 @@ def gauss_legendre(n):
 class NareInstance:
     """Implicit coefficient matrices of one transport Riccati equation.
 
-    Stores only the diagonal vectors and q; A, B, C, E are never formed at
-    scale.  ``params`` and ``quad`` are kept for reporting and round-trips.
+    A = diag(delta) - u v^T, B = u u^T, C = v v^T and E = diag(d) - v u^T.
+    Stores only the four vectors; A, B, C, E are never formed at scale.  The
+    original form has u = e and v = q, the balanced form u = v = phi.
+    ``params`` and ``quad`` are kept for reporting and round-trips.
     """
 
     delta: np.ndarray
     d: np.ndarray
-    q: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
     params: TransportParams
     quad: Quadrature
 
-    is_balanced = False
-
     @property
     def n(self):
         return self.delta.size
 
     @property
-    def near_singular(self):
-        return self.params.near_singular
-
-
-@dataclass(frozen=True, eq=False)
-class BalancedInstance:
-    """Symmetrized form after the similarity by diag(sqrt(q)).
-
-    The diagonals are unchanged; the rank-one parts of all four coefficients
-    become the same outer product phi phi^T with phi_i = sqrt(q_i), so A and E
-    turn symmetric and B equals C exactly.
-    """
-
-    delta: np.ndarray
-    d: np.ndarray
-    phi: np.ndarray
-    params: TransportParams
-
-    is_balanced = True
-
-    @property
-    def n(self):
-        return self.delta.size
+    def q(self):
+        """The products u_i v_i: q itself in the original form, phi^2 balanced."""
+        return self.u * self.v
 
     @property
     def near_singular(self):
@@ -215,7 +197,8 @@ def build_instance(params, quad):
     if params.near_singular:
         warnings.warn("c = 1 with alpha = 0 is the critical pair; solvers may "
                       "converge slowly or stagnate", RuntimeWarning, stacklevel=2)
-    return NareInstance(delta=delta, d=d, q=q, params=params, quad=quad)
+    return NareInstance(delta=delta, d=d, u=np.ones(params.n), v=q,
+                        params=params, quad=quad)
 
 
 def make_instance(n, c, alpha, quad=None):
@@ -225,29 +208,37 @@ def make_instance(n, c, alpha, quad=None):
 
 
 def balance(inst):
-    """Similarity-transform an instance so all rank-one parts coincide."""
-    if inst.is_balanced:
-        return inst
-    if np.any(inst.q <= 0.0):
-        raise ValueError("balancing requires strictly positive q")
-    return BalancedInstance(delta=inst.delta, d=inst.d, phi=np.sqrt(inst.q),
-                            params=inst.params)
+    """Similarity-transform an instance so all rank-one parts coincide.
 
-
-def unbalance_solution(Xb, phi):
-    """Map a balanced-equation solution back to the original variables.
-
-    Rows of both factors are scaled by 1/phi_i and the core is untouched, which
-    realizes diag(1/phi) @ Xb @ diag(1/phi).  The scaling deliberately gives up
-    column orthonormality of the returned factors.
+    Returns the instance with u = v = phi = sqrt(u v), which is the original
+    equation conjugated by diag(sqrt(u/v)).  An instance with u = v is
+    already balanced and comes back unchanged.
     """
-    phi = np.asarray(phi, dtype=float)
-    if Xb.left.shape[0] != phi.size:
-        raise ValueError("factor rows (%d) and phi length (%d) disagree"
-                         % (Xb.left.shape[0], phi.size))
-    inv = 1.0 / phi
-    return LowRankBilinear(Xb.left * inv[:, None], Xb.core.copy(),
-                           Xb.right * inv[:, None])
+    if np.array_equal(inst.u, inst.v):
+        return inst
+    q = inst.q
+    if np.any(q <= 0.0):
+        raise ValueError("balancing requires strictly positive u v")
+    phi = np.sqrt(q)
+    return NareInstance(delta=inst.delta, d=inst.d, u=phi, v=phi,
+                        params=inst.params, quad=inst.quad)
+
+
+def unbalance_solution(Xb, inst):
+    """Map a solution of ``balance(inst)`` back to the variables of ``inst``.
+
+    Rows of both factors are scaled by u_i / phi_i = sqrt(u_i / v_i) and the
+    core is untouched, which realizes diag(u/phi) @ Xb @ diag(u/phi).  The
+    scale is 1/phi on the original form and exactly 1 on a balanced one.  The
+    scaling deliberately gives up column orthonormality of the returned
+    factors.
+    """
+    if Xb.left.shape[0] != inst.n:
+        raise ValueError("factor rows (%d) and instance size (%d) disagree"
+                         % (Xb.left.shape[0], inst.n))
+    scale = inst.u / balance(inst).u
+    return LowRankBilinear(Xb.left * scale[:, None], Xb.core.copy(),
+                           Xb.right * scale[:, None])
 
 
 def assemble_dense(inst, cap=DENSE_CAP):
@@ -255,20 +246,10 @@ def assemble_dense(inst, cap=DENSE_CAP):
     n = inst.n
     if n > cap:
         raise ValueError("dense assembly capped at n=%d (requested %d)" % (cap, n))
-    if inst.is_balanced:
-        ph = inst.phi
-        outer = np.outer(ph, ph)
-        A = np.diag(inst.delta) - outer
-        E = np.diag(inst.d) - outer
-        B = outer.copy()
-        C = outer.copy()
-    else:
-        e = np.ones(n)
-        A = np.diag(inst.delta) - np.outer(e, inst.q)
-        E = np.diag(inst.d) - np.outer(inst.q, e)
-        B = np.ones((n, n))
-        C = np.outer(inst.q, inst.q)
-    return A, B, C, E
+    u, v = inst.u, inst.v
+    A = np.diag(inst.delta) - np.outer(u, v)
+    E = np.diag(inst.d) - np.outer(v, u)
+    return A, np.outer(u, u), np.outer(v, v), E
 
 
 # ---------------------------------------------------------------------------

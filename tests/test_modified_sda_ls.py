@@ -185,9 +185,12 @@ def test_solve_reports_original_scale_residual():
     assert rep.extras["final_rank"] == (X.rank,)
 
 
-def test_solve_rejects_balanced_input():
-    with pytest.raises(ValueError, match="original instance"):
-        msda_solve(balance(make_instance(16, 0.8, 0.2)))
+def test_solve_balanced_input():
+    # a balanced instance is solved as given: X is on its own scale
+    binst = balance(make_instance(16, 0.8, 0.2))
+    X, rep = msda_solve(binst)
+    assert rep.termination == "converged"
+    assert residual_norm(binst, X)[1] == rep.final_residual
 
 
 def test_solve_iteration_count_tracks_general_solver():
@@ -235,11 +238,11 @@ def test_solve_history_is_original_scale():
     binst = balance(inst)
     X, rep = msda_solve(inst)
     st = msda_init(binst)
-    own = [residual_norm(inst, unbalance_solution(st.H, binst.phi))[1]]
+    own = [residual_norm(inst, unbalance_solution(st.H, inst))[1]]
     balanced = [residual_norm(binst, st.H)[1]]
     while st.k < rep.iterations:
         msda_step(st)
-        own.append(residual_norm(inst, unbalance_solution(st.H, binst.phi))[1])
+        own.append(residual_norm(inst, unbalance_solution(st.H, inst))[1])
         balanced.append(residual_norm(binst, st.H)[1])
     assert rep.residual_history == own
     assert rep.termination == "converged"

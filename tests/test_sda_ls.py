@@ -105,9 +105,9 @@ def test_init_matches_dense_h0_g0():
     st.G.validate()
 
 
-def test_init_symmetric_split_pairs_factors():
+def test_init_balanced_pairs_factors():
     binst = balance(make_instance(12, 0.9, 0.1))
-    st = sda_ls_init(binst, symmetric_split=True)
+    st = sda_ls_init(binst)
     # balanced solves are self-transpose to the bit, so the paired raw
     # factors coincide exactly and survive the deterministic QR/SVD intact
     np.testing.assert_array_equal(st.Q1, st.P2)

@@ -191,10 +191,38 @@ def test_shifted_solver_balanced_is_self_transpose():
                                       sol.solve(which, X, transpose=True))
 
 
+_positive = st.floats(0.1, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.booleans(), st.data())
+def test_shifted_solver_matches_dense_property(n, balanced, data):
+    delta = data.draw(hnp.arrays(float, n, elements=st.floats(0.5, 4.0)))
+    d = data.draw(hnp.arrays(float, n, elements=st.floats(0.5, 4.0)))
+    u = data.draw(hnp.arrays(float, n, elements=_positive))
+    v = u if balanced else data.draw(hnp.arrays(float, n, elements=_positive))
+    inst = NareInstance(delta=delta, d=d, u=u, v=v,
+                        params=TransportParams(0.5, 0.5, n), quad=gauss_legendre(n))
+    # gamma >= 4 u^T v keeps every Sherman-Morrison denominator >= 2/3
+    gamma = 4.0 * float(u @ v) + data.draw(st.floats(0.0, 2.0))
+    sol = ShiftedSolver(inst, gamma)
+    mats = dense_shifted(inst, gamma)
+    X = data.draw(hnp.arrays(float, (n, 3), elements=st.floats(-1.0, 1.0)))
+    for which in ShiftedSolver.WHICH:
+        got = sol.solve(which, X)
+        gott = sol.solve(which, X, transpose=True)
+        for M, y in ((mats[which], got), (mats[which].T, gott)):
+            want = np.linalg.solve(M, X)
+            err = np.linalg.norm(y - want)
+            assert err <= 1e-13 * max(np.linalg.norm(want), 1e-300)
+        if balanced:
+            np.testing.assert_array_equal(got, gott)
+
+
 def test_shifted_solver_decoupled_limit():
-    # with q = 0 every operator is plain diagonal division
+    # with v = 0 every operator is plain diagonal division
     base = make_instance(4, 0.5, 0.5)
-    inst = NareInstance(delta=base.delta, d=base.d, q=np.zeros(4),
+    inst = NareInstance(delta=base.delta, d=base.d, u=np.ones(4), v=np.zeros(4),
                         params=base.params, quad=base.quad)
     sol = ShiftedSolver(inst, 2.0)
     X = np.random.default_rng(2).standard_normal((4, 3))

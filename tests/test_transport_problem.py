@@ -1,5 +1,7 @@
 """Quadrature, instance construction, balancing, and the instance file format."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -240,12 +242,14 @@ def test_balance_is_diagonal_similarity():
     binst = balance(inst)
     A, B, C, E = assemble_dense(inst)
     Ab, Bb, Cb, Eb = assemble_dense(binst)
-    ph = binst.phi
+    ph = binst.u
     np.testing.assert_allclose(Ab, (ph[:, None] * A) / ph[None, :], rtol=1e-14)
     np.testing.assert_allclose(Eb, (E / ph[:, None]) * ph[None, :], rtol=1e-14)
     np.testing.assert_allclose(Bb, (ph[:, None] * B) * ph[None, :], rtol=1e-14)
     np.testing.assert_allclose(Cb, (C / ph[:, None]) / ph[None, :], rtol=1e-14)
     assert balance(binst) is binst
+    scalar = make_instance(1, 0.5, 0.0)     # q = 1: already balanced
+    assert balance(scalar) is scalar
 
 
 def test_balance_preserves_rates():
@@ -253,7 +257,8 @@ def test_balance_preserves_rates():
     binst = balance(inst)
     assert np.array_equal(binst.delta, inst.delta)
     assert np.array_equal(binst.d, inst.d)
-    np.testing.assert_allclose(binst.phi ** 2, inst.q, rtol=1e-15)
+    assert np.array_equal(binst.u, binst.v)
+    np.testing.assert_allclose(binst.u ** 2, inst.q, rtol=1e-15)
 
 
 @pytest.mark.parametrize("n", [8, 32])
@@ -265,7 +270,7 @@ def test_balanced_flow_matrix_similarity(n):
     Ab, Bb, Cb, Eb = assemble_dense(binst)
     K = np.block([[E, -C], [-B, A]])
     Kb = np.block([[Eb, -Cb], [-Bb, Ab]])
-    s = np.concatenate([binst.phi, 1.0 / binst.phi])
+    s = np.concatenate([binst.u, 1.0 / binst.u])
     sim = (K / s[:, None]) * s[None, :]
     scale = np.abs(K).max()
     np.testing.assert_allclose(Kb, sim, rtol=0, atol=1e-14 * scale)
@@ -279,24 +284,37 @@ def test_balanced_flow_matrix_similarity(n):
 # ---------------------------------------------------------------------------
 
 def test_unbalance_maps_rank_one_back():
-    binst = balance(make_instance(8, 0.7, 0.2))
-    ph = binst.phi
+    inst = make_instance(8, 0.7, 0.2)
+    ph = balance(inst).u
     Xb = LowRankBilinear(ph[:, None], np.array([1.0]), ph[:, None])
-    X = unbalance_solution(Xb, ph)
+    X = unbalance_solution(Xb, inst)
     np.testing.assert_allclose(X.dense(), np.ones((8, 8)), rtol=0, atol=1e-14)
 
 
 def test_unbalance_round_trip_random():
     rng = np.random.default_rng(5)
     for n in (4, 17, 64):
-        ph = rng.uniform(0.3, 2.0, size=n)
+        u = rng.uniform(0.3, 2.0, size=n)
+        v = rng.uniform(0.3, 2.0, size=n)
+        inst = replace(make_instance(n, 0.5, 0.5), u=u, v=v)
         left = rng.standard_normal((n, 3))
         core = rng.uniform(0.5, 1.5, size=3)
         right = rng.standard_normal((n, 3))
         Xb = LowRankBilinear(left, core, right)
-        X = unbalance_solution(Xb, ph)
-        expect = Xb.dense() / np.outer(ph, ph)
+        X = unbalance_solution(Xb, inst)
+        s = np.sqrt(u / v)
+        expect = Xb.dense() * np.outer(s, s)
         np.testing.assert_allclose(X.dense(), expect, rtol=1e-14, atol=1e-14)
+
+
+def test_unbalance_of_balanced_is_identity():
+    binst = balance(make_instance(16, 0.9, 0.1))
+    rng = np.random.default_rng(6)
+    Xb = LowRankBilinear(rng.standard_normal((16, 2)), np.array([2.0, 1.0]),
+                         rng.standard_normal((16, 2)))
+    X = unbalance_solution(Xb, binst)
+    np.testing.assert_array_equal(X.left, Xb.left)
+    np.testing.assert_array_equal(X.right, Xb.right)
 
 
 def test_unbalance_solves_original_equation():
@@ -308,7 +326,7 @@ def test_unbalance_solves_original_equation():
     Xb, _, rep = dense_sda_solve(binst)
     assert rep.termination == "converged"
     U, s, Vt = np.linalg.svd(Xb)
-    Xlr = unbalance_solution(LowRankBilinear(U, s, Vt.T), binst.phi)
+    Xlr = unbalance_solution(LowRankBilinear(U, s, Vt.T), inst)
     A, B, C, E = assemble_dense(inst)
     assert dense_residual(A, B, C, E, Xlr.dense()) <= 1e-12
 
@@ -316,7 +334,7 @@ def test_unbalance_solves_original_equation():
 def test_unbalance_shape_mismatch():
     Xb = LowRankBilinear(np.ones((4, 1)), np.array([1.0]), np.ones((4, 1)))
     with pytest.raises(ValueError):
-        unbalance_solution(Xb, np.ones(5))
+        unbalance_solution(Xb, make_instance(5, 0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------
