@@ -96,7 +96,7 @@ def dense_residual(A, B, C, E, X):
     return np.linalg.norm(R) / np.linalg.norm(B)
 
 
-def dense_sda_solve(inst, config=None, gamma=None):
+def dense_sda_solve(inst, config=None):
     """Solve the dense equation; returns (X, Y, SolveReport).
 
     X solves X C X - X E - A X + B = 0 (limit of H_k) and Y the dual
@@ -110,8 +110,7 @@ def dense_sda_solve(inst, config=None, gamma=None):
             "dense solver capped at n=%d (got n=%d); use the low-rank solvers"
             % (DENSE_CAP, n))
     A, B, C, E = assemble_dense(inst)
-    if gamma is None:
-        gamma = gamma_select(inst)
+    gamma = gamma_select(inst)
     report = SolveReport(algorithm="dense-sda", n=n)
     st = run_doubling(
         report, inst,

@@ -7,8 +7,10 @@ plus truncated low-rank factors (``ImplicitIterate``), so one iteration costs
 O(n) times a polynomial in the truncated ranks.  Each step performs four large
 implicit-operator block products; the balanced variant in ``modified_sda_ls``
 gets away with two, which is the comparison the flop instrumentation exists
-to make.  The configuration, the report and the ``run_doubling`` loop that
-all three solvers share live here too.
+to make.  ``extend_triple`` is the one kernel that adds a low-rank term to a
+factor triple and re-truncates it; both inits, both H/G updates here and the
+single H update of the balanced step call it.  The configuration, the report
+and the ``run_doubling`` loop that all three solvers share live here too.
 """
 
 import time
@@ -35,6 +37,7 @@ __all__ = [
     "SolveReport",
     "LowRankState",
     "run_doubling",
+    "extend_triple",
     "sda_ls_init",
     "sda_ls_step",
     "sda_ls_solve",
@@ -209,28 +212,45 @@ class LowRankState:
         return {"operator_rank_history": (self.Eimp.rank, self.Fimp.rank)}
 
 
-def low_rank_state(inst, gamma, config, flops):
+def low_rank_state(inst, config, flops):
     """Level-0 state without factors: the shifted solver and both outer iterates."""
     flops = flops if flops is not None else FlopModel()
     flops.k = 0
-    solver = ShiftedSolver(inst, gamma_select(inst) if gamma is None else gamma)
+    solver = ShiftedSolver(inst, gamma_select(inst))
     base = BaseOperators(solver)
     Eimp = ImplicitIterate(base, "E", flops=flops, trunc_rel=config.trunc_rel)
     Fimp = ImplicitIterate(base, "F", flops=flops, trunc_rel=config.trunc_rel)
     return LowRankState(inst, solver, Eimp, Fimp, flops)
 
 
-def qr_svd(raw_left, raw_right, trunc_rel, flops):
-    """Canonicalize a product raw_left @ raw_right.T into an orthonormal triple."""
-    n = raw_left.shape[0]
-    none = np.zeros((n, 0))
-    Ql, _, Rl = orthonormalize_against(none, raw_left, flops=flops)
-    Qr, _, Rr = orthonormalize_against(none, raw_right, flops=flops)
-    U, s, V = truncated_svd(Rl @ Rr.T, trunc_rel, flops=flops)
-    return Ql @ U, s, Qr @ V
+def extend_triple(Q1, core, Q2, Z1, C, Z2, config, flops):
+    """Truncated orthonormal triple of Q1 diag(core) Q2^T + Z1 C Z2^T.
+
+    Extends both orthonormal bases by the fresh directions of Z1 and Z2
+    (Zi = Qi Si + Qhi Ri), so the sum is [Q1, Qh1] M [Q2, Qh2]^T with the
+    small middle matrix M = [S1; R1] C [S2; R2]^T plus diag(core) in its
+    leading block, and SVD-truncates M at ``config.trunc_rel``.  Every
+    doubling step and both inits (from an empty triple) go through here.  The
+    rank cap is checked before any QR allocates.  Lives in this module, not
+    ``structured_linalg``, so that its kernel calls resolve through this
+    module's names, which perfbench's span tracer patches.
+    """
+    m, n = core.size, Z1.shape[0]
+    if m + Z1.shape[1] > config.max_rank:
+        raise RankOverflowError(
+            "step %d would grow rank %d to %d past max_rank=%d"
+            % (flops.k, m, m + Z1.shape[1], config.max_rank))
+    Qh1, S1, R1 = orthonormalize_against(Q1, Z1, flops=flops)
+    Qh2, S2, R2 = orthonormalize_against(Q2, Z2, flops=flops)
+    M = np.vstack([S1, R1]) @ C @ np.vstack([S2, R2]).T
+    M[:m, :m] += np.diag(core)
+    U1, s, U2 = truncated_svd(M, config.trunc_rel, flops=flops)
+    w = M.shape[0]
+    flops.add("factor_assembly", 2.0 * w ** 3 + 4.0 * n * w * s.size)
+    return np.hstack([Q1, Qh1]) @ U1, s, np.hstack([Q2, Qh2]) @ U2
 
 
-def sda_ls_init(inst, gamma=None, config=None, flops=None):
+def sda_ls_init(inst, config=None, flops=None):
     """Initial truncated factors and implicit operators.
 
     Takes the rank-one factorizations B = u u^T and C = v v^T and splits
@@ -239,16 +259,17 @@ def sda_ls_init(inst, gamma=None, config=None, flops=None):
     starts from exactly that.
     """
     config = config or SolverConfig()
-    st = low_rank_state(inst, gamma, config, flops)
-    solver, flops, gamma = st.solver, st.flops, st.gamma
+    st = low_rank_state(inst, config, flops)
+    solver, flops = st.solver, st.flops
     b, c = inst.u[:, None], inst.v[:, None]
-    sq = np.sqrt(2.0 * gamma)
-    q1_raw = sq * solver.solve("W", b, flops=flops)
-    q2_raw = sq * solver.solve("E", b, transpose=True, flops=flops)
-    p1_raw = sq * solver.solve("E", c, flops=flops)
-    p2_raw = sq * solver.solve("W", c, transpose=True, flops=flops)
-    st.Q1, st.Sig, st.Q2 = qr_svd(q1_raw, q2_raw, config.trunc_rel, flops)
-    st.P1, st.Gam, st.P2 = qr_svd(p1_raw, p2_raw, config.trunc_rel, flops)
+    sq = np.sqrt(2.0 * st.gamma)
+    none, one = np.zeros((inst.n, 0)), np.eye(1)
+    st.Q1, st.Sig, st.Q2 = extend_triple(
+        none, np.zeros(0), none, sq * solver.solve("W", b, flops=flops), one,
+        sq * solver.solve("E", b, transpose=True, flops=flops), config, flops)
+    st.P1, st.Gam, st.P2 = extend_triple(
+        none, np.zeros(0), none, sq * solver.solve("E", c, flops=flops), one,
+        sq * solver.solve("W", c, transpose=True, flops=flops), config, flops)
     return st
 
 
@@ -278,63 +299,39 @@ def step_core(Sig, Gam, N1, N2):
 def sda_ls_step(st, config=None):
     """One doubling step on the truncated factors.
 
-    Computes the inner corrected cores, the four large implicit products
-    E P1, E^T Q2, F Q1, F^T P2, extends both factor bases by block QR, assembles
-    the enlarged cores, re-truncates them by SVD, and pushes the new rank
-    corrections onto the implicit operators.
+    Computes the inner corrected cores and the four large implicit products
+    E P1, E^T Q2, F Q1, F^T P2, extends and re-truncates the H and G triples
+    with ``extend_triple``, and pushes the new rank corrections onto the
+    implicit operators.  A rank overflow raises before the state changes.
     """
     config = config or SolverConfig()
     flops = st.flops
     flops.k = st.k + 1
-    Q1, Sig, Q2 = st.Q1, st.Sig, st.Q2
-    P1, Gam, P2 = st.P1, st.Gam, st.P2
     n = st.inst.n
-    m, l = Sig.size, Gam.size
-    # candidate ranks at most double; enforce the cap before the QR allocates
-    if 2 * m > config.max_rank or 2 * l > config.max_rank:
-        raise RankOverflowError(
-            "step %d would grow ranks to (%d, %d) past max_rank=%d"
-            % (st.k + 1, 2 * m, 2 * l, config.max_rank))
-    N1 = Q2.T @ P1
-    N2 = P2.T @ Q1
+    m, l = st.Sig.size, st.Gam.size
+    N1 = st.Q2.T @ st.P1
+    N2 = st.P2.T @ st.Q1
     flops.add("cross_gram", 4.0 * n * m * l)
-    SigC, GamC, WE, WF = step_core(Sig, Gam, N1, N2)
+    SigC, GamC, WE, WF = step_core(st.Sig, st.Gam, N1, N2)
     flops.add("inner_core", 4.0 * m * l * (m + l) + 2.0 * (m ** 3 + l ** 3))
-    ZE1 = st.Eimp.apply(P1)
-    ZE2 = st.Eimp.apply_transpose(Q2)
-    ZF1 = st.Fimp.apply(Q1)
-    ZF2 = st.Fimp.apply_transpose(P2)
+    ZE1 = st.Eimp.apply(st.P1)
+    ZE2 = st.Eimp.apply_transpose(st.Q2)
+    ZF1 = st.Fimp.apply(st.Q1)
+    ZF2 = st.Fimp.apply_transpose(st.P2)
     E1 = ZE1 @ WE
     F1 = ZF1 @ WF
     flops.add("rank_update", 2.0 * n * l * m + 2.0 * n * m * l)
-    Qh1, S1q, R1q = orthonormalize_against(Q1, ZF1, flops=flops)
-    Qh2, S2q, R2q = orthonormalize_against(Q2, ZE2, flops=flops)
-    Ph1, S1p, R1p = orthonormalize_against(P1, ZE1, flops=flops)
-    Ph2, S2p, R2p = orthonormalize_against(P2, ZF2, flops=flops)
-    SigHat = np.block([
-        [np.diag(Sig) + S1q @ SigC @ S2q.T, S1q @ SigC @ R2q.T],
-        [R1q @ SigC @ S2q.T, R1q @ SigC @ R2q.T]])
-    GamHat = np.block([
-        [np.diag(Gam) + S1p @ GamC @ S2p.T, S1p @ GamC @ R2p.T],
-        [R1p @ GamC @ S2p.T, R1p @ GamC @ R2p.T]])
-    flops.add("factor_assembly", 4.0 * (m + l) ** 3)
-    U1, sv, U2 = truncated_svd(SigHat, config.trunc_rel, flops=flops)
-    V1, gv, V2 = truncated_svd(GamHat, config.trunc_rel, flops=flops)
-    st.Q1 = np.hstack([Q1, Qh1]) @ U1
-    st.Q2 = np.hstack([Q2, Qh2]) @ U2
-    st.P1 = np.hstack([P1, Ph1]) @ V1
-    st.P2 = np.hstack([P2, Ph2]) @ V2
-    flops.add("factor_assembly",
-              2.0 * n * (m + Qh1.shape[1]) * sv.size * 2
-              + 2.0 * n * (l + Ph1.shape[1]) * gv.size * 2)
-    st.Sig, st.Gam = sv, gv
+    # both triples are built before either is stored: an overflow leaves st as it was
+    H = extend_triple(st.Q1, st.Sig, st.Q2, ZF1, SigC, ZE2, config, flops)
+    G = extend_triple(st.P1, st.Gam, st.P2, ZE1, GamC, ZF2, config, flops)
+    (st.Q1, st.Sig, st.Q2), (st.P1, st.Gam, st.P2) = H, G
     st.Eimp.push_update(E1, ZE2)
     st.Fimp.push_update(F1, ZF2)
     st.k += 1
     return st
 
 
-def sda_ls_solve(inst, config=None, gamma=None):
+def sda_ls_solve(inst, config=None):
     """Iterate to the minimal solution; returns (X, SolveReport).
 
     X is the final H-side triple.  Termination is 'converged' on hitting the
@@ -345,7 +342,7 @@ def sda_ls_solve(inst, config=None, gamma=None):
     report = SolveReport(algorithm="sda-ls", n=inst.n)
     st = run_doubling(
         report, inst,
-        lambda: sda_ls_init(inst, gamma=gamma, config=config, flops=report.flops),
+        lambda: sda_ls_init(inst, config=config, flops=report.flops),
         sda_ls_step,
         lambda st: residual_norm(inst, st.H, flops=report.flops)[1],
         config)

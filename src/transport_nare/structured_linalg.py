@@ -100,13 +100,6 @@ class LowRankBilinear:
             best = min(best, float(block.min()))
         return best
 
-    def frobenius(self):
-        """||X||_F from the small Gram matrices of the factors."""
-        g = (self.left.T @ self.left) * self.core[:, None]
-        h = (self.right.T @ self.right) * self.core[None, :]
-        val = float(np.sum(g * h.T))
-        return np.sqrt(max(val, 0.0))
-
     def orthonormality_defect(self):
         r = self.rank
         if r == 0:

@@ -84,7 +84,8 @@ def test_criterion_03_no_truncation_iterate_equivalence():
             kmax = drep.iterations
             A, B, C, E = assemble_dense(inst)
             dstate = dense_sda_init(A, B, C, E, gamma_select(inst))
-            lstate = sda_ls_init(inst, config=cfg, gamma=dstate.gamma)
+            lstate = sda_ls_init(inst, config=cfg)
+            assert lstate.gamma == dstate.gamma
             for k in range(kmax + 1):
                 Hd = dstate.H
                 dev = np.linalg.norm(lstate.H.dense() - Hd) / np.linalg.norm(Hd)

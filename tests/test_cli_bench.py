@@ -174,7 +174,9 @@ def test_verify_zero_tolerance_fails_itemized(capsys):
               "--tol", "0"])
     out = capsys.readouterr().out
     assert rc == 2
-    assert any(" FAIL " in ln for ln in out.splitlines() if ln.startswith("check"))
+    failed = [ln.split()[1] for ln in out.splitlines()
+              if ln.startswith("check") and " FAIL " in ln]
+    assert "residual_dense" in failed
     # at the default tol 1e-12 modified-sda-ls keeps doubling until the X it
     # returns meets tol on the original scale (3.4e-14), so every check passes
     rc = run(["verify", "--n", "8", "--c", "0.5", "--alpha", "0.5"])
@@ -182,6 +184,25 @@ def test_verify_zero_tolerance_fails_itemized(capsys):
     assert rc == 0
     assert not [ln for ln in out.splitlines()
                 if ln.startswith("check") and " FAIL " in ln]
+
+
+@pytest.mark.parametrize("algo,c,alpha,rc,failed", [
+    ("modified-sda-ls", 0.5, 0.5, 0, []),
+    ("modified-sda-ls", 0.9, 0.1, 0, []),
+    ("sda-ls", 0.9, 0.1, 2, ["residual_lowrank"]),
+])
+def test_verify_gates_oracle_at_comparison_bound(capsys, algo, c, alpha, rc, failed):
+    # at n = 128 the dense oracle's own floor (1.7e-12 and 3.1e-12) sits above
+    # the default tol 1e-12; it is gated at the solution_diff bound it
+    # certifies, so the exit code reports the solver under test alone
+    code = run(["verify", "--n", "128", "--c", str(c), "--alpha", str(alpha),
+                "--algo", algo])
+    checks = [ln.split() for ln in capsys.readouterr().out.splitlines()
+              if ln.startswith("check")]
+    assert code == rc
+    assert [ln[1] for ln in checks if ln[2] == "FAIL"] == failed
+    dense = next(ln for ln in checks if ln[1] == "residual_dense")
+    assert float(dense[3]) > 1e-12 and float(dense[5]) == 1e-10
 
 
 def test_verify_sda_ls_skips_symmetry_audit(tmp_path, capsys):

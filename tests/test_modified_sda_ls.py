@@ -16,7 +16,12 @@ from transport_nare.modified_sda_ls import (
     msda_step,
 )
 from transport_nare.sda_ls import SolverConfig, sda_ls_init, sda_ls_solve, sda_ls_step
-from transport_nare.structured_linalg import ShiftedSolver, gamma_select, residual_norm
+from transport_nare.structured_linalg import (
+    RankOverflowError,
+    ShiftedSolver,
+    gamma_select,
+    residual_norm,
+)
 from transport_nare.transport_problem import (
     assemble_dense,
     balance,
@@ -133,6 +138,19 @@ def test_step_detects_singular_core():
     st.Sig = np.array([1.0])
     with pytest.raises(CoreSingularError):
         msda_step(st)
+
+
+def test_step_rank_cap_precedes_growth():
+    cfg = SolverConfig(max_rank=4)
+    st = msda_init(balance(make_instance(16, 0.5, 0.5)), config=cfg)
+    msda_step(st, cfg)         # 1 -> 2
+    msda_step(st, cfg)         # 2 -> 4
+    before = (st.Q1, st.Sig, st.Q2)
+    with pytest.raises(RankOverflowError):
+        msda_step(st, cfg)     # would need 8
+    assert st.k == 2 and st.ranks == (4,)
+    assert all(a is b for a, b in zip((st.Q1, st.Sig, st.Q2), before))
+    assert st.Eimp.level == 2 and st.Fimp.level == 2
 
 
 def test_step_operators_stay_symmetric():

@@ -6,11 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 from transport_nare.dense_sda import dense_sda_init, dense_sda_solve, dense_sda_step
 from transport_nare.modified_sda_ls import msda_solve
 from transport_nare.sda_ls import (
     SolverConfig,
+    extend_triple,
     sda_ls_init,
     sda_ls_solve,
     sda_ls_step,
@@ -18,6 +22,8 @@ from transport_nare.sda_ls import (
 )
 from transport_nare.structured_linalg import (
     BaseOperators,
+    FlopModel,
+    LowRankBilinear,
     RankOverflowError,
     gamma_select,
     residual_norm,
@@ -175,6 +181,61 @@ def test_step_rank_cap_precedes_growth():
     sda_ls_step(st, cfg)       # 2 -> 4
     with pytest.raises(RankOverflowError):
         sda_ls_step(st, cfg)   # would need 8
+    assert st.k == 2 and st.ranks == (4, 4)
+    assert st.Eimp.level == 2 and st.Fimp.level == 2
+
+
+def test_step_rank_cap_on_g_leaves_h_untouched():
+    # H fits (3 + 3 <= 7) but G does not (4 + 4 > 7): neither side is stored
+    cfg = SolverConfig(max_rank=7)
+    st = sda_ls_init(make_instance(16, 0.5, 0.5), config=cfg)
+    sda_ls_step(st, cfg)
+    sda_ls_step(st, cfg)
+    st.Q1, st.Sig, st.Q2 = st.Q1[:, :3], st.Sig[:3], st.Q2[:, :3]
+    before = (st.Q1, st.Sig, st.Q2, st.P1, st.Gam, st.P2)
+    with pytest.raises(RankOverflowError):
+        sda_ls_step(st, cfg)
+    assert st.k == 2 and st.ranks == (3, 4)
+    after = (st.Q1, st.Sig, st.Q2, st.P1, st.Gam, st.P2)
+    assert all(a is b for a, b in zip(after, before))
+    assert st.Eimp.level == 2 and st.Fimp.level == 2
+
+
+_unit = hst.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.integers(1, 16), hst.integers(0, 4), hst.integers(1, 4), hst.booleans(),
+       hst.data())
+def test_extend_triple_matches_dense_property(n, m, w, inside, data):
+    m = min(m, n)
+
+    def draw(shape):
+        return data.draw(hnp.arrays(float, shape, elements=_unit))
+
+    Q1 = np.linalg.qr(draw((n, m)) + np.eye(n, m))[0]
+    Q2 = np.linalg.qr(draw((n, m)) - np.eye(n, m))[0]
+    core = np.sort(data.draw(hnp.arrays(float, m, elements=hst.floats(0.1, 4.0))))[::-1]
+    # m = 0 is the init case; one case puts Z1 inside span(Q1)
+    Z1 = Q1 @ draw((m, w)) if inside and m else draw((n, w))
+    Z2, C = draw((n, w)), draw((w, w))
+    left, s, right = extend_triple(Q1, core, Q2, Z1, C, Z2,
+                                   SolverConfig(trunc_rel=0.0), FlopModel())
+    base, upd = Q1 @ np.diag(core) @ Q2.T, Z1 @ C @ Z2.T
+    # relative to the size of the summed terms: the result itself may cancel
+    scale = max(np.linalg.norm(base) + np.linalg.norm(upd), 1e-300)
+    assert np.linalg.norm(left @ np.diag(s) @ right.T - (base + upd)) <= 1e-12 * scale
+    X = LowRankBilinear(left, s, right)
+    assert X.orthonormality_defect() <= 1e-13
+    assert np.all(s >= 0.0) and np.all(np.diff(s) <= 0.0)
+
+
+def test_extend_triple_cap_raises_before_qr():
+    fm = FlopModel()
+    with pytest.raises(RankOverflowError):
+        extend_triple(np.eye(6, 3), np.ones(3), np.eye(6, 3), np.ones((6, 2)),
+                      np.eye(2), np.ones((6, 2)), SolverConfig(max_rank=4), fm)
+    assert not fm.flops
 
 
 def test_step_counts_kernels_and_applies():
