@@ -29,8 +29,8 @@ for n in (16, 32, 64):
         dm = np.linalg.norm(Xm.dense() - Xd) / scale
         print("%-22s it=%-3d    diff=%.2e it=%-3d r=%-3d diff=%.2e it=%-3d r=%-3d"
               % ("n=%d c=%g a=%g" % (n, c, alpha), drep.iterations,
-                 dl, lrep.iterations, max(lrep.extras["final_rank"]),
-                 dm, mrep.iterations, max(mrep.extras["final_rank"])))
+                 dl, lrep.iterations, max(lrep.rank_history[-1]),
+                 dm, mrep.iterations, max(mrep.rank_history[-1])))
 
 print()
 inst = make_instance(8, 0.5, 0.5)

@@ -228,16 +228,11 @@ def cmd_verify(args):
     n = inst.n
     if n > DENSE_CAP:
         raise UsageError("verify needs the dense oracle; n <= %d" % DENSE_CAP)
-    tol = args.tol if args.tol is not None else 1e-12
-    if tol < 0:
-        raise UsageError("--tol must be nonnegative for verify")
-    solver_tol = tol if tol > 0 else 1e-12
+    config = _config(args)
+    tol = config.tol_residual
     base = {"tol": args.tol, "trunc_rel": args.trunc_rel,
             "max_iter": args.max_iter, "max_rank": args.max_rank}
-    cargs = argparse.Namespace(tol=solver_tol, trunc_rel=args.trunc_rel,
-                               max_iter=args.max_iter, max_rank=args.max_rank)
-    config = _config(cargs)
-    loose = max(100.0 * tol, 1e-10) if tol > 0 else 0.0
+    loose = max(100.0 * tol, 1e-10)
 
     checks = []
 
@@ -259,9 +254,8 @@ def cmd_verify(args):
         checks.append(("audit_gated", audit.max_gated(), loose))
 
     if config.trunc_rel == 0.0:
-        worst = _iterate_match(inst, args.algo, config, solver_tol,
-                               config.max_iter)
-        checks.append(("iterate_match", worst, max(100.0 * tol, 1e-10)))
+        worst = _iterate_match(inst, args.algo, config, tol, config.max_iter)
+        checks.append(("iterate_match", worst, loose))
 
     failures = 0
     for name, value, bound in checks:

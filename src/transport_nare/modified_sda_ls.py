@@ -116,7 +116,6 @@ def msda_solve(inst, config=None):
         lambda st: residual_norm(
             inst, unbalance_solution(st.H, inst), flops=report.flops)[1],
         config)
-    report.extras["final_rank"] = st.ranks
     report.extras["residual_original"] = report.final_residual
     return unbalance_solution(st.H, inst), report
 

@@ -346,5 +346,4 @@ def sda_ls_solve(inst, config=None):
         sda_ls_step,
         lambda st: residual_norm(inst, st.H, flops=report.flops)[1],
         config)
-    report.extras["final_rank"] = st.ranks
     return st.H, report

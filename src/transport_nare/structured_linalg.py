@@ -324,8 +324,10 @@ class ImplicitIterate:
     Level 0 is the fused base operator diag(a) + p w^T.  Squaring keeps that
     shape, (D + U V^T)^2 = D^2 + (D U + U V^T U) V^T + U (D V)^T, so level k
     holds the vector d_k = a^(2^k) and two n x r factors, recompressed after
-    each update by pivoted QR of both stacks and an SVD of the small core
-    truncated at ``trunc_rel``.  A block apply costs O(n r) per column at
+    each update by a plain economic QR of both stacks and an SVD of the small
+    core truncated at ``trunc_rel``.  The stacks need no basis extension or
+    drop rule: Q R reproduces a rank-deficient stack too, and the truncated
+    SVD of the core sets the new rank.  A block apply costs O(n r) per column at
     every level.
 
     ``push_symmetric`` keeps a symmetric iterate in the one-factor form
@@ -358,15 +360,14 @@ class ImplicitIterate:
         if self.s is not None:
             raise ValueError("a symmetric iterate advances by push_symmetric")
         self._advance(u, v)
-        none = np.zeros((self.n, 0))
         d, U, V = self.d, self.U, self.V
         r = U.shape[1]
         # each stack is freed once factored: both alive at once raise the peak
         left = np.hstack([d[:, None] * U + U @ (V.T @ U), U, u])
-        Ql, _, Rl = orthonormalize_against(none, left, null_rel=0.0, flops=self.flops)
+        Ql, Rl = sla.qr(left, mode="economic")
         del left
         right = np.hstack([V, d[:, None] * V, v])
-        Qr, _, Rr = orthonormalize_against(none, right, null_rel=0.0, flops=self.flops)
+        Qr, Rr = sla.qr(right, mode="economic")
         del right
         Uc, sc, Vc = truncated_svd(Rl @ Rr.T, self.trunc_rel, flops=self.flops)
         self.U = Ql @ (Uc * sc[None, :])
@@ -375,6 +376,7 @@ class ImplicitIterate:
         if self.flops is not None:
             w = 2 * r + u.shape[1]
             self.flops.add("implicit_update", self.n * r * (4.0 * r + 2.0) + 2.0 * w ** 3
+                           + 4.0 * self.n * w * w
                            + 2.0 * self.n * (Ql.shape[1] + Qr.shape[1]) * sc.size)
 
     def push_symmetric(self, z, dup):
@@ -394,9 +396,7 @@ class ImplicitIterate:
         r = U.shape[1]
         # K = [D U, U, z] = Q R; with U^T U = I the update is Q C Q^T, where
         # C = R0 S R1^T + R1 S R0^T + R1 S^2 R1^T + R2 diag(dup) R2^T
-        Q, _, R = orthonormalize_against(np.zeros((self.n, 0)),
-                                         np.hstack([d[:, None] * U, U, z]),
-                                         null_rel=0.0, flops=self.flops)
+        Q, R = sla.qr(np.hstack([d[:, None] * U, U, z]), mode="economic")
         R0, R1s, R2 = R[:, :r], R[:, r:2 * r] * s[None, :], R[:, 2 * r:]
         C = R0 @ R1s.T
         lam, W = np.linalg.eigh(C + C.T + R1s @ R1s.T + (R2 * dup[None, :]) @ R2.T)
@@ -405,9 +405,9 @@ class ImplicitIterate:
         self.U, self.s = Q @ W[:, keep], lam[keep]
         self.d = d * d
         if self.flops is not None:
-            m = R.shape[0]
-            self.flops.add("implicit_update", self.n * r + 6.0 * m ** 3
-                           + 2.0 * self.n * m * self.s.size)
+            m, w = R.shape
+            self.flops.add("implicit_update", self.n * r + 2.0 * self.n * w * w
+                           + 6.0 * m ** 3 + 2.0 * self.n * m * self.s.size)
             self.flops.add("eig", 9.0 * m ** 3)
 
     def apply(self, block, transpose=False):
@@ -435,11 +435,11 @@ class ImplicitIterate:
 # orthogonalization and deterministic truncated SVD
 # ---------------------------------------------------------------------------
 
-def orthonormalize_against(Q, Z, null_rel=QR_NULL_REL, flops=None):
+def orthonormalize_against(Q, Z, flops=None):
     """Extend the orthonormal basis Q by the fresh directions of Z.
 
     Two-pass classical Gram-Schmidt against Q, then a pivoted QR of the
-    remainder.  Remainder directions whose pivot falls below ``null_rel`` times
+    remainder.  Remainder directions whose pivot falls below ``QR_NULL_REL`` times
     the block scale are numerical noise and are dropped; the basis is also never
     grown past the full dimension n.  Without the drop rule, no-truncation runs
     keep resurrecting roundoff directions once the basis saturates and the
@@ -467,7 +467,7 @@ def orthonormalize_against(Q, Z, null_rel=QR_NULL_REL, flops=None):
         return empty
     Qf, Rf, piv = sla.qr(Zp, mode="economic", pivoting=True)
     diag = np.abs(np.diag(Rf))
-    thresh = null_rel * max(diag[0] if diag.size else 0.0, colscale)
+    thresh = QR_NULL_REL * max(diag[0] if diag.size else 0.0, colscale)
     r = min(int(np.sum(diag > thresh)), max_new)
     if r == 0:
         return empty
@@ -561,9 +561,9 @@ def residual_norm(inst, X, flops=None):
 
     Every term is a short combination of outer products of available n-vectors
     with the factor columns of X, so the residual is ||U_hat @ V_hat.T||_F with
-    stacks of width 2*rank+2.  Both stacks are QR-factored and the norm taken on
-    the small triangular product; a Gram-matrix evaluation would cancel
-    catastrophically at machine-level residuals.
+    stacks of width 2*rank+2.  With U_hat = Q R that is ||V_hat @ R.T||_F: one
+    R-only QR and one product, no Q formed.  A Gram-matrix evaluation would
+    cancel catastrophically at machine-level residuals.
 
     Returns (absolute_norm, normalized_norm); the normalization divides by
     ||B||_F = u^T u, which is n for the original u = e and sum(q) after
@@ -575,8 +575,7 @@ def residual_norm(inst, X, flops=None):
     U_hat, V_hat = residual_stacks(inst, X)
     if flops is not None:
         w = U_hat.shape[1]
-        flops.add("residual", 8.0 * inst.n * w * w)
-    _, ru = np.linalg.qr(U_hat)
-    _, rv = np.linalg.qr(V_hat)
-    absnorm = float(np.linalg.norm(ru @ rv.T))
+        flops.add("residual", 4.0 * inst.n * w * w)
+    R = np.linalg.qr(U_hat, mode="r")
+    absnorm = float(np.linalg.norm(V_hat @ R.T))
     return absnorm, absnorm / b_fro

@@ -200,7 +200,7 @@ def test_solve_reports_original_scale_residual():
     assert rep.final_residual <= 1e-12
     assert X.min_entry() >= -1e-12
     assert rep.algorithm == "modified-sda-ls"
-    assert rep.extras["final_rank"] == (X.rank,)
+    assert rep.rank_history[-1] == (X.rank,)
 
 
 def test_solve_balanced_input():

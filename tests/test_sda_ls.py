@@ -354,7 +354,7 @@ def test_solve_max_iter():
 def test_solve_report_contents():
     H, rep = sda_ls_solve(make_instance(16, 0.9, 0.1))
     assert rep.algorithm == "sda-ls"
-    assert rep.extras["final_rank"] == (H.rank, H.rank)
+    assert rep.rank_history[-1] == (H.rank, H.rank)
     assert rep.max_rank_seen >= H.rank
     d = rep.to_dict()
     json.dumps(d)

@@ -15,8 +15,11 @@ from transport_nare.structured_linalg import (
     gamma_select,
     orthonormalize_against,
     residual_norm,
+    residual_stacks,
     truncated_svd,
 )
+from transport_nare.sda_ls import sda_ls_solve
+from transport_nare.modified_sda_ls import msda_solve
 from transport_nare.transport_problem import (
     TransportParams,
     NareInstance,
@@ -399,6 +402,35 @@ def test_push_update_matches_dense_property(n, r, m, data):
     assert np.linalg.norm(imp.apply_transpose(eye) - want.T) <= 1e-12 * scale
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from(["random", "in_span", "zero"]), st.data())
+def test_push_symmetric_matches_dense_property(n, r, m, kind, data):
+    # z inside span(U) and z = 0 make [D U, U, z] rank-deficient, so its QR
+    # has zero pivots
+    d = data.draw(hnp.arrays(float, n, elements=_entries))
+    U, _ = np.linalg.qr(data.draw(hnp.arrays(float, (n, min(r, n)), elements=_entries)))
+    s = data.draw(hnp.arrays(float, U.shape[1], elements=_entries))
+    dup = data.draw(hnp.arrays(float, m, elements=_entries))
+    if kind == "random":
+        z = data.draw(hnp.arrays(float, (n, m), elements=_entries))
+    elif kind == "in_span":
+        z = U @ data.draw(hnp.arrays(float, (U.shape[1], m), elements=_entries))
+    else:
+        z = np.zeros((n, m))
+    sol = ShiftedSolver(make_instance(n, 0.5, 0.5), 7.0)
+    imp = ImplicitIterate(BaseOperators(sol), "E")
+    imp.d, imp.U, imp.V, imp.s = d, U, None, s
+    E = np.diag(d) + (U * s[None, :]) @ U.T
+    Z = (z * dup[None, :]) @ z.T
+    want = E @ E + Z
+    imp.push_symmetric(z, dup)
+    scale = max(np.linalg.norm(E) ** 2 + np.linalg.norm(Z), 1e-300)
+    assert np.linalg.norm(imp.apply(np.eye(n)) - want) <= 1e-12 * scale
+    # the next level relies on U^T U = I
+    assert np.abs(imp.U.T @ imp.U - np.eye(imp.rank)).max(initial=0.0) <= 1e-13
+
+
 def test_push_symmetric_needs_a_symmetric_iterate():
     imp, _ = make_iterate(1)
     with pytest.raises(ValueError):
@@ -582,6 +614,33 @@ def test_residual_matches_dense_sweep(n, r, seed):
     absnorm, _ = residual_norm(inst, X)
     expect = dense_residual_norm(inst, X.dense())
     assert abs(absnorm - expect) <= 1e-11 * max(1.0, expect)
+
+
+def two_qr_residual_norm(inst, X):
+    """Reference formula: R factors of both stacks, norm of R_u R_v^T."""
+    U_hat, V_hat = residual_stacks(inst, X)
+    _, ru = np.linalg.qr(U_hat)
+    _, rv = np.linalg.qr(V_hat)
+    return float(np.linalg.norm(ru @ rv.T))
+
+
+# Measured at 1 BLAS thread, one QR against two on these converged X: at most
+# 4.4e-4 relative at n = 64 (a roundoff-floor residual near 2e-13; factoring V
+# instead of U first moves the two-QR value by up to 7e-4 there) and 2.0e-6
+# at n = 512.  The bounds leave 11x and 25x.  The Gram product misses the
+# two-QR value by 700x or more on every case.
+ONE_QR_BOUND = {64: 5e-3, 512: 5e-5}
+
+
+@pytest.mark.parametrize("solve", [sda_ls_solve, msda_solve], ids=["sda-ls", "msda"])
+@pytest.mark.parametrize("n,c,alpha", [(64, 0.5, 0.5), (64, 0.9, 0.1),
+                                       (64, 0.999, 0.001), (512, 0.9, 0.1)])
+def test_residual_one_qr_matches_two_qr_on_solutions(solve, n, c, alpha):
+    inst = make_instance(n, c, alpha)
+    X, _ = solve(inst)
+    absnorm, _ = residual_norm(inst, X)
+    expect = two_qr_residual_norm(inst, X)
+    assert abs(absnorm - expect) <= ONE_QR_BOUND[n] * expect
 
 
 def test_residual_dimension_mismatch():
