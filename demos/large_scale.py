@@ -8,9 +8,11 @@ large-scale solvers run to convergence in seconds.  The tolerance is 1e-8:
 the default 1e-12 lies below the doubling floor at this n (about eps times
 the shift), and sda-ls settles between 1e-9 and 2e-9.
 
-The demo prints, for one cell, the residual, the rank of H and the ranks of
-the E/F corrections after every doubling with its wall time, then a summary
-of both solvers on all three standard cells.  It then times capped runs at
+The demo prints, for one cell, the relative H increment, the rank of H and
+the ranks of the E/F corrections after every doubling with its wall time, and
+the residual on the levels where the solver computed one (level 0, then every
+level from the first whose increment met the gate), then a summary of both
+solvers on all three standard cells.  It then times capped runs at
 half the size to exhibit linear growth, and finishes with the four
 shifted-solve round-trips every iteration relies on.
 """
@@ -37,18 +39,20 @@ for c, a in CELLS:
 
 inst = make_instance(N, 0.9, 0.1)
 print("n=%d c=0.9 a=0.1: shift %.3e, tol %g" % (N, gamma_select(inst), cfg.tol_residual))
-print("      %-36s %s" % ("sda-ls", "modified-sda-ls"))
-print("k     residual  H rank  E/F ranks  seconds   residual  H rank  E/F ranks  seconds")
+print("      %-46s %s" % ("sda-ls", "modified-sda-ls"))
+print("k     " + "   ".join(["increment residual  H rank  E/F ranks  seconds"] * 2))
 reps = [runs[(0.9, 0.1, name)] for name, _ in SOLVERS]
 for k in range(max(r.iterations for r in reps) + 1):
     cols = []
     for r in reps:
         if k <= r.iterations:
             e, f = r.extras["operator_rank_history"][k]
-            cols.append("%.2e  %-6d  %2d, %-5d  %.3f" % (
-                r.residual_history[k], max(r.rank_history[k]), e, f, r.iter_times[k]))
+            res = dict(zip(r.residual_levels, r.residual_history))
+            cols.append("%.2e  %-8s  %-6d  %2d, %-5d  %.3f" % (
+                r.extras["increments"][k], "%.2e" % res[k] if k in res else "-",
+                max(r.rank_history[k]), e, f, r.iter_times[k]))
         else:
-            cols.append(" " * 34)
+            cols.append(" " * 44)
     print("%-5d %s   %s" % (k, cols[0], cols[1]))
 
 print()

@@ -37,6 +37,7 @@ class DenseSdaState:
     H: np.ndarray
     gamma: float
     k: int = 0
+    increment: float = 1.0
 
     @property
     def ranks(self):
@@ -76,7 +77,7 @@ def dense_sda_init(A, B, C, E, gamma):
 
 
 def dense_sda_step(st):
-    """One doubling step on the dense quadruple."""
+    """One doubling step on the dense quadruple; records ||H1 - H||_F / ||H1||_F."""
     n = st.E.shape[0]
     eye = np.eye(n)
     lu_gh = sla.lu_factor(eye - st.G @ st.H)
@@ -85,6 +86,8 @@ def dense_sda_step(st):
     F1 = st.F @ sla.lu_solve(lu_hg, st.F)
     G1 = st.G + st.E @ sla.lu_solve(lu_gh, st.G @ st.F)
     H1 = st.H + st.F @ sla.lu_solve(lu_hg, st.H @ st.E)
+    h1 = np.linalg.norm(H1)
+    st.increment = float(np.linalg.norm(H1 - st.H) / h1) if h1 else 0.0
     st.E, st.F, st.G, st.H = E1, F1, G1, H1
     st.k += 1
     return st

@@ -64,7 +64,7 @@ def msda_init(inst, config=None, flops=None):
     ph = inst.u[:, None]
     sq = np.sqrt(2.0 * st.gamma)
     none = np.zeros((inst.n, 0))
-    st.Q1, st.Sig, st.Q2 = extend_triple(
+    st.Q1, st.Sig, st.Q2, st.increment = extend_triple(
         none, np.zeros(0), none, sq * st.solver.solve("W", ph, flops=st.flops),
         np.eye(1), sq * st.solver.solve("E", ph, flops=st.flops), config, st.flops)
     return st
@@ -92,8 +92,8 @@ def msda_step(st, config=None):
     flops.add("inner_core", 6.0 * Sig.size)
     ZE = st.Eimp.apply(st.Q2)
     ZF = st.Fimp.apply(st.Q1)
-    st.Q1, st.Sig, st.Q2 = extend_triple(st.Q1, Sig, st.Q2, ZF, np.diag(sig_c), ZE,
-                                         config, flops)
+    st.Q1, st.Sig, st.Q2, st.increment = extend_triple(
+        st.Q1, Sig, st.Q2, ZF, np.diag(sig_c), ZE, config, flops)
     st.Eimp.push_symmetric(ZE, dup)
     st.Fimp.push_symmetric(ZF, dup)
     st.k += 1

@@ -186,7 +186,7 @@ class _RankOneShifted:
         self.u = u
         self.v = v
         self._du = self.inv_d * u
-        self._dv = self.inv_d * v
+        self._dv = self._du if v is u else self.inv_d * v
         self.denom = 1.0 - v @ self._du
         self.denom_t = 1.0 - u @ self._dv
         if min(abs(self.denom), abs(self.denom_t)) < SMW_DENOM_TOL:
@@ -250,8 +250,10 @@ class ShiftedSolver:
         if 1.0 + s < 0 or 1.0 + t < 0:
             raise NearCriticalError("Schur correction lost positivity")
         rs, rt = np.sqrt(1.0 + s), np.sqrt(1.0 + t)
-        self._w = _RankOneShifted(inst.delta + gamma, rs * u, rs * v)
-        self._v = _RankOneShifted(inst.d + gamma, rt * v, rt * u)
+        # a balanced instance (u is v) shares one array between both sides
+        rsu, rtv = rs * u, rt * v
+        self._w = _RankOneShifted(inst.delta + gamma, rsu, rsu if v is u else rs * v)
+        self._v = _RankOneShifted(inst.d + gamma, rtv, rtv if u is v else rt * u)
 
     def _pick(self, which):
         try:
@@ -296,11 +298,9 @@ class BaseOperators:
         self._ops = {}
         for name, sm in (("E", solver._v), ("F", solver._w)):
             a = 1.0 - g2 * sm.inv_d
-            p = -(g2 / sm.denom) * (sm.inv_d * sm.u)
-            w = sm.inv_d * sm.v
-            pt = -(g2 / sm.denom_t) * (sm.inv_d * sm.v)
-            wt = sm.inv_d * sm.u
-            self._ops[name] = (a[:, None], p, w, pt, wt)
+            p = -(g2 / sm.denom) * sm._du
+            pt = -(g2 / sm.denom_t) * sm._dv
+            self._ops[name] = (a[:, None], p, sm._dv, pt, sm._du)
 
     def apply(self, name, block, transpose=False):
         a, p, w, pt, wt = self._ops[name]

@@ -146,6 +146,9 @@ def test_criterion_06_quadratic_convergence_and_iteration_bound(grid):
         floor = int(np.argmin(hist))
         tail = hist[:floor + 1]
         assert len(tail) >= 4, key
+        # the last four computed residuals come from consecutive doublings
+        levels = lrep.residual_levels[floor - 3:floor + 1]
+        assert levels == list(range(levels[-1] - 3, levels[-1] + 1)), key
         cs = [tail[i + 1] / tail[i] ** 2 for i in range(len(tail) - 4, len(tail) - 1)]
         assert all(np.isfinite(c) for c in cs), key
         # dense doubling operator decays at least as fast

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from transport_nare.dense_sda import dense_sda_init, dense_sda_solve, dense_sda_step
 from transport_nare.modified_sda_ls import msda_solve
 from transport_nare.sda_ls import (
+    GATE_INCREMENT,
     SolverConfig,
     extend_triple,
     sda_ls_init,
@@ -219,12 +220,20 @@ def test_extend_triple_matches_dense_property(n, m, w, inside, data):
     # m = 0 is the init case; one case puts Z1 inside span(Q1)
     Z1 = Q1 @ draw((m, w)) if inside and m else draw((n, w))
     Z2, C = draw((n, w)), draw((w, w))
-    left, s, right = extend_triple(Q1, core, Q2, Z1, C, Z2,
-                                   SolverConfig(trunc_rel=0.0), FlopModel())
+    left, s, right, inc = extend_triple(Q1, core, Q2, Z1, C, Z2,
+                                        SolverConfig(trunc_rel=0.0), FlopModel())
     base, upd = Q1 @ np.diag(core) @ Q2.T, Z1 @ C @ Z2.T
     # relative to the size of the summed terms: the result itself may cancel
     scale = max(np.linalg.norm(base) + np.linalg.norm(upd), 1e-300)
     assert np.linalg.norm(left @ np.diag(s) @ right.T - (base + upd)) <= 1e-12 * scale
+    # the increment is ||added term|| / ||result||; the added term leaves out
+    # the directions of Z1 and Z2 below QR_NULL_REL times their largest
+    # column, which C can turn into all of Z1 C Z2^T, so its error counts
+    # against ||Z1|| ||C|| ||Z2||; np.linalg.norm sums squares, which
+    # underflow for entries below about 1e-154
+    inc_scale = np.prod([np.linalg.norm(Z) for Z in (Z1, C, Z2)])
+    inc_err = abs(inc * np.linalg.norm(s) - np.linalg.norm(upd))
+    assert inc_err <= 1e-12 * inc_scale + 1e-150
     X = LowRankBilinear(left, s, right)
     assert X.orthonormality_defect() <= 1e-13
     assert np.all(s >= 0.0) and np.all(np.diff(s) <= 0.0)
@@ -327,6 +336,8 @@ def test_solve_partial_large_scale_rank_stays_low():
     H, rep = sda_ls_solve(inst, config=cfg)
     assert rep.termination == "max_iter"
     assert rep.max_rank_seen <= 40
+    # no increment meets the gate in eight doublings: residuals at 0 and 8 only
+    assert rep.residual_levels == [0, 8]
     hist = rep.residual_history
     assert hist[-1] < hist[0]
 
@@ -358,7 +369,7 @@ def test_solve_report_contents():
     assert rep.max_rank_seen >= H.rank
     d = rep.to_dict()
     json.dumps(d)
-    assert d["schema_version"] == 1
+    assert d["schema_version"] == 2
     assert d["total_flops"] > 0
     # E/F correction ranks per doubling, kept apart from the H/G ranks
     ops = d["extras"]["operator_rank_history"]
@@ -403,18 +414,28 @@ def test_report_contract(solve, kwargs, termination):
     else:
         assert stagnated(rep.residual_history, cfg.tol_residual)
         assert not stagnated(rep.residual_history[:-1], cfg.tol_residual)
-    # every history holds the level-0 entry in front of one per doubling
-    histories = [rep.residual_history, rep.rank_history, rep.iter_times]
+    # every other history holds the level-0 entry in front of one per doubling
+    inc = rep.extras["increments"]
+    histories = [rep.rank_history, rep.iter_times, inc]
     histories += [rep.extras[key] for key in LEVEL_EXTRAS[rep.algorithm]]
     for seq in histories:
         assert len(seq) == rep.iterations + 1
+    assert inc[0] == pytest.approx(1.0, rel=1e-14)
+    # residuals at level 0, then on every level from the first whose increment
+    # meets the gate; the last level always has one
+    first = next((k for k in range(1, rep.iterations + 1) if inc[k] <= GATE_INCREMENT),
+                 rep.iterations)
+    assert rep.residual_levels == [0] + list(range(first, rep.iterations + 1))
+    assert len(rep.residual_history) == len(rep.residual_levels)
     assert rep.gamma > 0
     assert not rep.warnings
     d = rep.to_dict()
     json.dumps(d)
-    for key in ("schema_version", "algorithm", "iterations", "termination",
-                "residual_history", "wall_time_s"):
+    assert d["schema_version"] == 2
+    for key in ("algorithm", "iterations", "termination", "residual_history",
+                "residual_levels", "wall_time_s"):
         assert key in d
+    assert d["residual_levels"] == rep.residual_levels
 
 
 def test_solve_near_critical_warns():
