@@ -11,7 +11,8 @@ the shift), and sda-ls settles between 1e-9 and 2e-9.
 The demo prints, for one cell, the relative H increment, the rank of H and
 the ranks of the E/F corrections after every doubling with its wall time, and
 the residual on the levels where the solver computed one (level 0, then every
-level from the first whose increment met the gate), then a summary of both
+level from the first whose increment met the gate).  A level's wall time
+includes the residual computed on it.  Then comes a summary of both
 solvers on all three standard cells.  It then times capped runs at
 half the size to exhibit linear growth, and finishes with the four
 shifted-solve round-trips every iteration relies on.

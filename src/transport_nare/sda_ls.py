@@ -160,9 +160,11 @@ def run_doubling(report, inst, init, step, residual, config):
     at level 0, on every level from the first whose increment is at most
     ``GATE_INCREMENT``, and at ``max_iter``; every level when ``tol_residual``
     is at least ``GATE_OPEN_TOL``.  ``residual_history`` holds the computed
-    residuals and ``residual_levels`` their levels.  A residual at tolerance
-    ends the run 'converged'; otherwise the run ends 'stagnated' at its
-    roundoff floor or 'max_iter'.
+    residuals and ``residual_levels`` their levels.  Each level's entry of
+    ``iter_times`` covers its doubling (``init`` at level 0) and the residual
+    computed on it, if any, so ``wall_time_s`` is the whole solve.  A residual
+    at tolerance ends the run 'converged'; otherwise the run ends 'stagnated'
+    at its roundoff floor or 'max_iter'.
 
     The skipped residuals are those an ungated loop would have read without
     stopping, so both loops take the same doublings and return the same X.
@@ -198,17 +200,18 @@ def run_doubling(report, inst, init, step, residual, config):
     t0 = time.perf_counter()
     st = init()
     report.gamma = st.gamma
-    record(st, time.perf_counter() - t0)
     evaluate(st)
+    record(st, time.perf_counter() - t0)
     report.termination = "max_iter"
     while st.k < config.max_iter:
         t0 = time.perf_counter()
         step(st, config)
-        record(st, time.perf_counter() - t0)
         gate_open = gate_open or st.increment <= GATE_INCREMENT
-        if not (gate_open or st.k == config.max_iter):
+        res = evaluate(st) if gate_open or st.k == config.max_iter else None
+        record(st, time.perf_counter() - t0)
+        if res is None:
             continue
-        if evaluate(st) <= config.tol_residual:
+        if res <= config.tol_residual:
             report.termination = "converged"
             break
         elif stagnated(report.residual_history, config.tol_residual):

@@ -17,9 +17,17 @@ balancing similarity that makes u = v = sqrt(u v) (so B = C and A, E turn
 symmetric), and assembles small dense realizations for the oracle solvers.
 Both forms are the one ``NareInstance`` type.  Instances are immutable value
 objects; all operations are pure.
+
+The Gauss-Legendre rule is computed in O(n) in the angle theta, x = cos(theta):
+Newton steps on P_n(cos theta), evaluated by the Stieltjes expansion in the
+interior and by the exact cosine sum at the END_NODES roots nearest each end
+(Hale and Townsend, SIAM J. Sci. Comput. 35 (2013); Bogaert, SIAM J. Sci.
+Comput. 36 (2014)), so the weights and the smallest nodes keep their relative
+accuracy at every n.
 """
 
 import io
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -102,54 +110,116 @@ class Quadrature:
         return self
 
 
-def _legendre(n, x):
-    """P_n(x) and P_n'(x) by the three-term recurrence, with buffers reused."""
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    t = np.empty_like(x)
-    for j in range(2, n + 1):
-        # ((2j-1) x p1 - (j-1) p0) / j, rounded operation by operation as written
-        np.multiply(x, 2 * j - 1, out=t)
-        t *= p1
-        p0 *= j - 1
-        np.subtract(t, p0, out=p0)
-        p0 /= j
-        p0, p1 = p1, p0
-    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+#: The END_NODES smallest angles of the half rule take the exact cosine sum of
+#: P_n; the others take the Stieltjes expansion, which needs n sin(theta) large.
+END_NODES = 10
+
+#: Terms of the Stieltjes expansion.  The first omitted one is below 1e-19 of
+#: the first at the smallest angle that uses the expansion, at every n.
+STIELTJES_TERMS = 20
+
+#: a_j = C(2j, j)/4^j comes from exact integers below this j, and above it from
+#: its asymptotic series, whose first omitted term is below 5e-18 relative.
+_SERIES_FROM = 64
+
+
+def _central_binomials(n):
+    """a_j = C(2j, j)/4^j = Gamma(j+1/2)/(sqrt(pi) j!), j = 0..n, to an ulp or two.
+
+    A running product of the ratios (2j-1)/(2j) would gather about sqrt(j)
+    roundings (1e-14 relative at j = 32768), so each a_j is taken on its own:
+    for j >= _SERIES_FROM from log(Gamma(y+1/4)/Gamma(y+3/4)) = -log(y)/2
+    - 1/(64 y^2) + 5/(2048 y^4) - 61/(49152 y^6) + ... with y = j + 1/4.
+    """
+    head = [math.comb(2 * j, j) / 4 ** j for j in range(min(n + 1, _SERIES_FROM))]
+    y = np.arange(_SERIES_FROM, n + 1) + 0.25
+    z = 1.0 / (y * y)
+    series = z * (-1.0 / 64 + z * (5.0 / 2048 - z * (61.0 / 49152)))
+    tail = np.exp(series) / np.sqrt(np.pi * y)
+    return np.concatenate((head, tail))
+
+
+def _cosine_sum(n, a, t):
+    """P_n(cos t) and its t-derivative from sum_j a_j a_{n-j} cos((n-2j) t), exact."""
+    j = np.arange(n // 2 + 1)
+    m = n - 2 * j
+    coef = a[j] * a[n - j] * np.where(m > 0, 2.0, 1.0)   # the terms j and n-j pair up
+    arg = np.multiply.outer(t, m)
+    return np.cos(arg) @ coef, -(np.sin(arg) @ (coef * m))
+
+
+def _stieltjes(n, a, t):
+    """P_n(cos t) and its t-derivative from the Stieltjes expansion.
+
+    P_n(cos t) = C_n sum_m h_m cos(alpha_m) / (2 sin t)^(m+1/2) with
+    alpha_m = (n+m+1/2) t - (m+1/2) pi/2, h_0 = 1,
+    h_m = h_{m-1} (m-1/2)^2 / (m (n+m+1/2)) and
+    C_n = (2/sqrt(pi)) Gamma(n+1)/Gamma(n+3/2) = 2/(pi (n+1/2) a_n).
+    Each alpha_m is alpha_{m-1} + t - pi/2, so its sine and cosine follow by
+    one rotation.
+    """
+    s, c = np.sin(t), np.cos(t)
+    alpha = (n + 0.5) * t - np.pi / 4
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    term = 2.0 / (np.pi * (n + 0.5) * a[n]) / np.sqrt(2.0 * s)
+    p = np.zeros_like(t)
+    dp = np.zeros_like(t)
+    for m in range(STIELTJES_TERMS):
+        p += term * ca
+        dp -= term * ((n + m + 0.5) * sa + (m + 0.5) * (c / s) * ca)
+        term *= (m + 0.5) ** 2 / ((m + 1) * (n + m + 1.5) * 2.0 * s)
+        ca, sa = ca * s + sa * c, sa * s - ca * c
+    return p, dp
+
+
+def _legendre_angle(n, a, t):
+    """P_n(cos t) and dP_n(cos t)/dt at ascending angles t in (0, pi/2]."""
+    p, dp = np.empty_like(t), np.empty_like(t)
+    p[:END_NODES], dp[:END_NODES] = _cosine_sum(n, a, t[:END_NODES])
+    p[END_NODES:], dp[END_NODES:] = _stieltjes(n, a, t[END_NODES:])
+    return p, dp
 
 
 def gauss_legendre(n):
-    """Gauss-Legendre quadrature on (0, 1), nodes sorted descending.
+    """Gauss-Legendre quadrature on (0, 1), nodes sorted descending, in O(n).
 
-    The ceil(n/2) nonnegative roots of P_n on (-1, 1) start from Tricomi's
-    guess (1 - 1/(8n^2) + 1/(8n^3)) cos(pi (4k-1)/(4n+2)) and take Newton
-    sweeps on the three-term recurrence until no root moves by more than
-    1e-15: three or four sweeps at every n tried, 2 to 16384.  One more
-    recurrence pass gives the weights 2/((1-x^2) P_n'(x)^2).  The negative roots are the mirror images,
-    so the weights mirror exactly, and for odd n the middle root is exactly 0.
-    At n = 4096 the weight sum is exact to < 1e-15.
+    The roots of P_n are found in the angle theta, x = cos(theta), on the half
+    rule 0 < theta <= pi/2: Tricomi's guess (1 - 1/(8n^2) + 1/(8n^3))
+    cos(pi (4k-1)/(4n+2)), then vectorized Newton steps until no angle moves
+    by more than 1e-10 of itself.  The relative error squares each step, so
+    this takes three steps at every n tried (3 to 3000, and 4095 to 100000;
+    two at n = 2).  P_n(cos theta) and its theta derivative come from the
+    exact cosine sum at the END_NODES smallest angles, where it costs O(n)
+    each, and from the Stieltjes expansion at the others.  The weight on (0, 1) is
+    1/(dP_n/dtheta)^2, the small node sin^2(theta/2) and its mirror one minus
+    that, so the weights mirror exactly; for odd n the middle node is exactly
+    1/2.  Against 40-digit references at n = 64 to 65536 the nodes agree to
+    1.1e-16 absolute and the weights and the smallest nodes to about 1e-15
+    relative.
     """
     if int(n) != n or n < 1:
         raise ValueError("n must be a positive integer")
+    n = int(n)
     if n == 1:
         return Quadrature(np.array([0.5]), np.array([1.0]))
-    k = np.arange(1, (n + 1) // 2 + 1)
-    x = ((1.0 - 1.0 / (8.0 * n * n) + 1.0 / (8.0 * n ** 3))
-         * np.cos(np.pi * (4 * k - 1) / (4 * n + 2)))
-    if n % 2:
-        x[-1] = 0.0                     # P_n(0) = 0 exactly, so it stays put
+    a = _central_binomials(n)
+    k = np.arange(1, n // 2 + 1)
+    t = np.arccos((1.0 - 1.0 / (8.0 * n * n) + 1.0 / (8.0 * n ** 3))
+                  * np.cos(np.pi * (4 * k - 1) / (4 * n + 2)))
     for _ in range(10):
-        p, dp = _legendre(n, x)
-        dx = p / dp
-        x -= dx
-        if np.abs(dx).max() <= 1e-15:
+        p, dp = _legendre_angle(n, a, t)
+        step = p / dp
+        t -= step
+        if np.abs(step / t).max() <= 1e-10:
             break
     else:
         raise RuntimeError("Gauss-Legendre nodes for n=%d did not converge" % n)
-    _, dp = _legendre(n, x)
-    w = 1.0 / ((1.0 - x * x) * dp * dp)  # 2/(...) halved for the map to (0,1)
-    lo = x[::-1][n % 2:]                # positive roots to mirror, ascending
-    om = np.concatenate(((x + 1.0) / 2.0, (1.0 - lo) / 2.0))
+    lo = np.sin(t / 2.0) ** 2           # ascending, below 1/2
+    if n % 2:                           # the root x = 0 of odd P_n stays put
+        t, lo = np.append(t, np.pi / 2), np.append(lo, 0.5)
+    _, dp = _legendre_angle(n, a, t)
+    w = 1.0 / (dp * dp)
+    om = np.concatenate((1.0 - lo, lo[::-1][n % 2:]))
     wt = np.concatenate((w, w[::-1][n % 2:]))
     return Quadrature(om, wt)
 

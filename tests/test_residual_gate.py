@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from transport_nare import sda_ls
 from transport_nare.dense_sda import (
     dense_residual,
     dense_sda_init,
@@ -159,3 +160,34 @@ def test_gate_stays_open_once_met():
     assert report.termination == "max_iter"
     assert report.residual_levels == [0, 2, 3, 4, 5]
     assert report.extras["increments"] == increments
+
+
+def test_level_time_includes_its_residual(monkeypatch):
+    # a scripted run on a scripted clock: init and each doubling take 1 s and
+    # each residual sleeps 100 s, so a level's time is 101 s exactly when the
+    # loop computed a residual on it, and the wall time is the whole run
+    clock = [0.0]
+    monkeypatch.setattr(sda_ls, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    increments = [1.0, 0.5, 0.5, 0.2, 0.1, 0.1]
+    st = SimpleNamespace(k=0, gamma=1.0, ranks=(1,), increment=increments[0],
+                         levels=dict)
+
+    def init():
+        clock[0] += 1.0
+        return st
+
+    def step(state, _):
+        clock[0] += 1.0
+        state.k += 1
+        state.increment = increments[state.k]
+
+    def residual(_):
+        clock[0] += 100.0
+        return 1.0
+
+    report = SolveReport(algorithm="scripted", n=1)
+    run_doubling(report, SimpleNamespace(near_singular=False), init, step,
+                 residual, SolverConfig(max_iter=5))
+    assert report.residual_levels == [0, 3, 4, 5]
+    assert report.iter_times == [101.0, 1.0, 1.0, 101.0, 101.0, 101.0]
+    assert report.to_dict()["wall_time_s"] == clock[0]

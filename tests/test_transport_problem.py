@@ -8,6 +8,7 @@ import pytest
 from transport_nare.structured_linalg import LowRankBilinear
 from transport_nare.transport_problem import (
     DENSE_CAP,
+    END_NODES,
     Quadrature,
     TransportParams,
     assemble_dense,
@@ -65,50 +66,115 @@ def test_gauss_legendre_n4096_weight_sum():
     assert_mirrored(quad)
 
 
-# (index, node, weight) on (0, 1) in descending node order, from 40-digit
-# Newton on the Legendre recurrence (mpmath), rounded to 17 digits
+def test_gauss_legendre_n65536_properties():
+    quad = gauss_legendre(65536)
+    assert abs(quad.weights.sum() - 1.0) <= 1e-14
+    assert np.all(np.diff(quad.omega) < 0.0)
+    assert_mirrored(quad)
+
+
+# (index, node, weight, mirror node) on (0, 1) in descending node order: the
+# node omega_index, its weight, and omega_{n-1-index} = 1 - omega_index taken
+# as (1 - x)/2 at full precision, so that it is accurate relative to itself.
+# Made by 50-digit mpmath Newton on the three-term recurrence for P_n, started
+# from Tricomi's guess, stopped at a step below 1e-45, and rounded to 17
+# digits.  n = 19 to 22 straddle the switch at n = 2 END_NODES, below which
+# every node comes from the exact cosine sum; indices 9 and 10 at larger n
+# are the last node from that sum and the first from the Stieltjes expansion.
 GL_REFERENCE = {
+    19: [
+        (0, 0.9962034219217922, 0.0097308941148632385, 0.0037965780782077984),
+        (4, 0.86048308866761469, 0.055783322773666997, 0.13951691133238531),
+        (9, 0.5, 0.080527224924391848, 0.5),
+    ],
+    20: [
+        (0, 0.99656429959254746, 0.0088070035695760592, 0.0034357004074525376),
+        (4, 0.8731659532300754, 0.050965059908620218, 0.1268340467699246),
+        (9, 0.53826326056674867, 0.076376693565362925, 0.46173673943325133),
+    ],
+    21: [
+        (0, 0.99687608531019475, 0.0080086141288871667, 0.0031239146898052499),
+        (4, 0.88421998173783895, 0.046722211728016931, 0.11578001826216105),
+        (9, 0.57278092708044755, 0.07226220199498503, 0.42721907291955245),
+        (10, 0.5, 0.073040566824845214, 0.5),
+    ],
+    22: [
+        (0, 0.99714729274119965, 0.0073139976491361003, 0.002852707258800354),
+        (4, 0.89390840298960408, 0.042970803108533864, 0.10609159701039592),
+        (9, 0.60393021334411064, 0.068270749173007586, 0.39606978665588936),
+        (10, 0.53486963665986111, 0.069625936427815997, 0.46513036334013889),
+    ],
     64: [
-        (0, 0.99965252086788607, 0.00089164036084821647),
-        (1, 0.99817005838597764, 0.0020735166302812338),
-        (2, 0.99550668573837216, 0.0032522289844891814),
-        (5, 0.98050439982602686, 0.0067315239483593213),
-        (16, 0.84261815652711662, 0.017736106628441192),
-        (20, 0.76563973200994727, 0.020631281621311764),
-        (31, 0.51217514633171222, 0.024345478504569860),
+        (0, 0.99965252086788607, 0.00089164036084821647, 0.00034747913211393027),
+        (1, 0.99817005838597764, 0.0020735166302812338, 0.0018299416140223603),
+        (2, 0.99550668573837216, 0.0032522289844891814, 0.0044933142616278396),
+        (5, 0.98050439982602686, 0.0067315239483593213, 0.019495600173973141),
+        (16, 0.84261815652711662, 0.017736106628441192, 0.15738184347288338),
+        (20, 0.76563973200994727, 0.020631281621311764, 0.23436026799005273),
+        (31, 0.51217514633171222, 0.024345478504569860, 0.48782485366828778),
     ],
     512: [
-        (0, 0.99999449549219093, 1.4126318686967346e-5),
-        (1, 0.99997099730342283, 3.2882865829620098e-5),
-        (2, 0.99992872318498972, 5.1665951748456618e-5),
-        (5, 0.99968920460129963, 0.00010800908898849543),
-        (20, 0.99596049659758573, 0.00038880174928434862),
-        (128, 0.85219609405791191, 0.0021755462377535329),
-        (255, 0.50153248109257970, 0.0030649525877028929),
+        (0, 0.99999449549219093, 1.4126318686967346e-5, 5.5045078090660064e-6),
+        (1, 0.99997099730342283, 3.2882865829620098e-5, 2.9002696577173182e-5),
+        (2, 0.99992872318498972, 5.1665951748456618e-5, 7.1276815010280728e-5),
+        (5, 0.99968920460129963, 0.00010800908898849543, 0.00031079539870037428),
+        (9, 0.9991070082908064, 0.00018307452001781343, 0.00089299170919360231),
+        (10, 0.99891455769678142, 0.00020182546326665994, 0.0010854423032185767),
+        (20, 0.99596049659758573, 0.00038880174928434862, 0.004039503402414275),
+        (128, 0.85219609405791191, 0.0021755462377535329, 0.14780390594208809),
+        (255, 0.50153248109257970, 0.0030649525877028929, 0.4984675189074203),
     ],
     4096: [
-        (0, 0.99999991384485191, 2.2110192569547434e-7),
-        (1, 0.99999954605371249, 5.1468307020756646e-7),
-        (2, 0.99999888436944837, 8.0869862585100964e-7),
-        (5, 0.99999513502256452, 1.6908724524289954e-6),
-        (20, 0.99993669085970720, 6.1015981726027524e-6),
-        (1024, 0.85338388550737445, 0.00027126888288779609),
-        (2047, 0.50019172418852696, 0.00038344835826076520),
+        (0, 0.99999991384485191, 2.2110192569547434e-7, 8.6155148089575814e-8),
+        (1, 0.99999954605371249, 5.1468307020756646e-7, 4.5394628750761256e-7),
+        (2, 0.99999888436944837, 8.0869862585100964e-7, 1.1156305516284607e-6),
+        (5, 0.99999513502256452, 1.6908724524289954e-6, 4.8649774354759442e-6),
+        (9, 0.99998601905022068, 2.8671107455385975e-6, 1.3980949779319939e-5),
+        (10, 0.99998300491127098, 3.1611668661325141e-6, 1.6995088729022303e-5),
+        (20, 0.99993669085970720, 6.1015981726027524e-6, 6.3309140292804347e-5),
+        (1024, 0.85338388550737445, 0.00027126888288779609, 0.14661611449262555),
+        (2047, 0.50019172418852696, 0.00038344835826076520, 0.49980827581147304),
+    ],
+    16384: [
+        (0, 0.99999999461431709, 1.3821401513881939e-8, 5.3856829081370225e-9),
+        (1, 0.99999997162315779, 3.2173591335986439e-8, 2.8376842209016175e-8),
+        (2, 0.99999993026029831, 5.0552954562132616e-8, 6.9739701688059814e-8),
+        (5, 0.99999969588277042, 1.0569920095015067e-7, 3.0411722957674898e-7),
+        (9, 0.99999912602681462, 1.7922880051218955e-7, 8.7397318538447036e-7),
+        (10, 0.99999893760681088, 1.9761120628165415e-7, 1.062393189117443e-6),
+        (20, 0.99999604237588845, 3.814348085430107e-7, 3.9576241115454579e-6),
+        (4096, 0.85351101854954823, 6.7799068220276524e-5, 0.14648898145045177),
+        (8191, 0.50004793543665224, 9.5870873010754767e-5, 0.49995206456334776),
+    ],
+    65536: [
+        (0, 0.99999999966337941, 8.6387714127463565e-10, 3.3662059104424117e-10),
+        (1, 0.99999999822636616, 2.0109415444836749e-9, 1.7736338414142702e-9),
+        (2, 0.99999999564106902, 3.1597044324903016e-9, 4.3589309794171428e-9),
+        (5, 0.99999998099180125, 6.606503726016217e-9, 1.9008198750240493e-8),
+        (9, 0.99999994537416051, 1.1202318934000571e-8, 5.4625839488487083e-8),
+        (10, 0.99999993359736407, 1.2351273969720419e-8, 6.6402635927525849e-8),
+        (20, 0.99999975263686413, 2.384082580927989e-8, 2.4736313586772389e-7),
+        (16384, 0.85354279784675013, 1.6948631855112696e-5, 0.14645720215324987),
+        (32767, 0.50001198413347218, 2.3968266939766196e-5, 0.49998801586652782),
     ],
 }
 
 
 @pytest.mark.parametrize("n", sorted(GL_REFERENCE))
 def test_gauss_legendre_matches_reference(n):
-    idx, om, w = (np.array(col) for col in zip(*GL_REFERENCE[n]))
+    idx, om, w, lo = (np.array(col) for col in zip(*GL_REFERENCE[n]))
     quad = gauss_legendre(n)
-    # nodes are found in x, not in the angle, so the smallest weights at the
-    # ends lose accuracy as n grows: 9e-14, 2e-13 and 7e-11 relative
+    # nodes are found in the angle, so the end weights and the smallest nodes
+    # keep their relative accuracy at every n; measured up to 3.3e-15 (weights,
+    # n = 4096, index 9) and 5.6e-16 (small nodes), bounded with a 3x margin
     assert np.abs(quad.omega[idx] - om).max() <= 2e-16
-    assert np.abs(quad.weights[idx] / w - 1.0).max() <= (5e-13 if n <= 512 else 2e-10)
+    assert np.abs(quad.omega[n - 1 - idx] / lo - 1.0).max() <= 2e-15
+    assert np.abs(quad.weights[idx] / w - 1.0).max() <= 1e-14
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 16])
+# 2 END_NODES - 1 to 2 END_NODES + 2 straddle the switch from the cosine sum
+# alone to the Stieltjes expansion at the inner roots
+@pytest.mark.parametrize("n", [2, 3, 7, 16] + [2 * END_NODES + i for i in range(-1, 3)])
 def test_gauss_legendre_exact_to_degree_2n_minus_1(n):
     quad = gauss_legendre(n)
     k = np.arange(2 * n)
@@ -215,8 +281,9 @@ def test_assemble_dense_structure():
     A, B, C, E = assemble_dense(inst)
     np.testing.assert_array_equal(B, np.ones((6, 6)))
     np.testing.assert_array_equal(C, np.outer(inst.q, inst.q))
-    np.testing.assert_array_equal(np.diag(A) + inst.q, inst.delta)
-    np.testing.assert_array_equal(np.diag(E) + inst.q, inst.d)
+    # diag(A) is delta - q rounded once; (delta - q) + q == delta is no identity
+    np.testing.assert_array_equal(np.diag(A), inst.delta - inst.q)
+    np.testing.assert_array_equal(np.diag(E), inst.d - inst.q)
 
 
 def test_assemble_dense_balanced_symmetric():
