@@ -12,10 +12,9 @@ the balanced instance and judges each iterate by the residual, on the
 instance it was given, of the solution it maps back to.
 
 ``audit_symmetry`` runs the general solver from the symmetric initial split on
-a balanced instance and measures how well the claimed pairings hold, both as
-raw factor differences (which orthonormal-basis rotations and small singular
-values contaminate) and as basis-independent products and operator probes
-(which is what the equality actually means numerically).
+a balanced instance and measures how well the claimed pairings hold, through
+basis-independent products, spectra and operator probes: stored factors may
+differ by any orthogonal change of basis without any loss of symmetry.
 """
 
 from dataclasses import dataclass, field
@@ -128,14 +127,10 @@ def msda_solve(inst, config=None):
 class SymmetryAudit:
     """Per-iteration symmetry deviations of the general solver on a balanced run.
 
-    Each row carries two families of measurements.  Raw factor differences
-    (``dev_q1_p2``, ``dev_q2_p1``, ``dev_core``) compare stored entries, which
-    an orthogonal change of basis or a tiny trailing singular value can inflate
-    arbitrarily without any loss of mathematical symmetry; they are reported
-    for transparency.  The gated family is basis independent: full-product
-    deviation H_k vs G_k^T, core-spectrum deviation, operator-transpose probes
-    of the implicit iterates, and the cross-factor product identity of the
-    step's rank corrections.  ``max_gated`` summarizes the second family only.
+    Every deviation in a row is basis independent: full-product deviation
+    H_k vs G_k^T, core-spectrum deviation, operator-transpose probes of the
+    implicit iterates, and the cross-factor product identity of the step's
+    rank corrections.  ``max_gated`` is the largest of them over all rows.
     """
 
     n: int
@@ -203,11 +198,6 @@ def audit_symmetry(inst, k_max=4, config=None, seed=0):
             "k": k,
             "rank_h": int(st.Sig.size),
             "rank_g": int(st.Gam.size),
-            "dev_q1_p2": float(np.linalg.norm(st.Q1[:, :mm] - st.P2[:, :mm])
-                               / np.sqrt(mm)),
-            "dev_q2_p1": float(np.linalg.norm(st.Q2[:, :mm] - st.P1[:, :mm])
-                               / np.sqrt(mm)),
-            "dev_core": float(np.max(np.abs(st.Sig[:mm] - st.Gam[:mm])) / sig1),
             "dev_product": float(np.linalg.norm(H - G.T) / max(h_norm, 1e-300)),
             "dev_spectrum": float(
                 np.max(np.abs(np.sort(st.Sig[:mm]) - np.sort(st.Gam[:mm]))) / sig1),
@@ -222,9 +212,9 @@ def audit_symmetry(inst, k_max=4, config=None, seed=0):
         N2 = st.P2.T @ st.Q1
         _, _, WE, WF = step_core(st.Sig, st.Gam, N1, N2)
         ZE1 = st.Eimp.apply(st.P1)
-        ZE2 = st.Eimp.apply_transpose(st.Q2)
+        ZE2 = st.Eimp.apply(st.Q2, transpose=True)
         ZF1 = st.Fimp.apply(st.Q1)
-        ZF2 = st.Fimp.apply_transpose(st.P2)
+        ZF2 = st.Fimp.apply(st.P2, transpose=True)
         upd_e = (ZE1 @ WE) @ ZE2.T
         upd_f = (ZF1 @ WF) @ ZF2.T
         dev = 0.0

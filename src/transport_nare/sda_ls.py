@@ -372,9 +372,9 @@ def sda_ls_step(st, config=None):
     SigC, GamC, WE, WF = step_core(st.Sig, st.Gam, N1, N2)
     flops.add("inner_core", 4.0 * m * l * (m + l) + 2.0 * (m ** 3 + l ** 3))
     ZE1 = st.Eimp.apply(st.P1)
-    ZE2 = st.Eimp.apply_transpose(st.Q2)
+    ZE2 = st.Eimp.apply(st.Q2, transpose=True)
     ZF1 = st.Fimp.apply(st.Q1)
-    ZF2 = st.Fimp.apply_transpose(st.P2)
+    ZF2 = st.Fimp.apply(st.P2, transpose=True)
     E1 = ZE1 @ WE
     F1 = ZF1 @ WF
     flops.add("rank_update", 2.0 * n * l * m + 2.0 * n * m * l)

@@ -187,9 +187,9 @@ class _RankOneShifted:
         self.v = v
         self._du = self.inv_d * u
         self._dv = self._du if v is u else self.inv_d * v
+        # v^T D^-1 u = u^T D^-1 v: one denominator serves both orientations
         self.denom = 1.0 - v @ self._du
-        self.denom_t = 1.0 - u @ self._dv
-        if min(abs(self.denom), abs(self.denom_t)) < SMW_DENOM_TOL:
+        if abs(self.denom) < SMW_DENOM_TOL:
             raise NearCriticalError(
                 "Sherman-Morrison denominator %.3e is numerically singular; "
                 "the instance is at or near the critical parameter pair" % self.denom)
@@ -201,7 +201,7 @@ class _RankOneShifted:
     def solve_t(self, b):
         # transpose system: diag(dd) - v u^T
         y = self.inv_d[:, None] * b
-        return y + self._dv[:, None] * ((self.u @ y) / self.denom_t)
+        return y + self._dv[:, None] * ((self.u @ y) / self.denom)
 
     def matvec(self, b):
         dd = 1.0 / self.inv_d
@@ -290,6 +290,8 @@ class BaseOperators:
     E0 = I - 2*gamma*V^-1 and F0 = I - 2*gamma*W^-1 are themselves diagonal plus
     rank-one, so each application is one diagonal scale and one rank-one
     correction (about 5n flops per column) instead of a full shifted solve.
+    Each is stored as (a, p, w) for diag(a) + p w^T; the transpose swaps p
+    and w.
     """
 
     def __init__(self, solver):
@@ -298,19 +300,17 @@ class BaseOperators:
         self._ops = {}
         for name, sm in (("E", solver._v), ("F", solver._w)):
             a = 1.0 - g2 * sm.inv_d
-            p = -(g2 / sm.denom) * sm._du
-            pt = -(g2 / sm.denom_t) * sm._dv
-            self._ops[name] = (a[:, None], p, sm._dv, pt, sm._du)
+            self._ops[name] = (a[:, None], -(g2 / sm.denom) * sm._du, sm._dv)
 
     def apply(self, name, block, transpose=False):
-        a, p, w, pt, wt = self._ops[name]
+        a, p, w = self._ops[name]
         if transpose:
-            return a * block + pt[:, None] * (wt @ block)[None, :]
+            p, w = w, p
         return a * block + p[:, None] * (w @ block)[None, :]
 
     def dense(self, name):
         """Exact dense image of the fused operator (test oracle)."""
-        a, p, w, _, _ = self._ops[name]
+        a, p, w = self._ops[name]
         return np.diag(a[:, 0]) + np.outer(p, w)
 
 
@@ -336,7 +336,7 @@ class ImplicitIterate:
     """
 
     def __init__(self, base, name, flops=None, trunc_rel=0.0):
-        a, p, w, _, _ = base._ops[name]
+        a, p, w = base._ops[name]
         self.n = base.n
         self.level = 0
         self.flops = flops
@@ -427,12 +427,9 @@ class ImplicitIterate:
             corr = self.U @ (self.V.T @ block)
         return self.d[:, None] * block + corr
 
-    def apply_transpose(self, block):
-        return self.apply(block, transpose=True)
-
 
 # ---------------------------------------------------------------------------
-# orthogonalization and deterministic truncated SVD
+# orthogonalization and truncated SVD
 # ---------------------------------------------------------------------------
 
 def orthonormalize_against(Q, Z, flops=None):
@@ -445,7 +442,8 @@ def orthonormalize_against(Q, Z, flops=None):
     keep resurrecting roundoff directions once the basis saturates and the
     combined basis stops being orthonormal.
 
-    Returns (Q_new, S, R) with Z ~= Q @ S + Q_new @ R.
+    Returns (Q_new, S, R) with Z ~= Q @ S + Q_new @ R: R is un-pivoted to
+    Z's column order, and Q_new keeps the column signs LAPACK gives it.
     """
     n, m = Z.shape
     nq = Q.shape[1]
@@ -471,12 +469,10 @@ def orthonormalize_against(Q, Z, flops=None):
     r = min(int(np.sum(diag > thresh)), max_new)
     if r == 0:
         return empty
-    # undo column pivoting and fix signs so the factorization is deterministic
-    sgn = np.sign(np.diag(Rf)[:r])
-    sgn[sgn == 0] = 1.0
-    Qh = Qf[:, :r] * sgn[None, :]
+    # undo the column pivoting
+    Qh = Qf[:, :r]
     R = np.zeros((r, m))
-    R[:, piv] = sgn[:, None] * Rf[:r, :]
+    R[:, piv] = Rf[:r, :]
     if nq == 0:
         return Qh, S, R
     # Cleanup pass.  A direction whose pivot sits near the Gram-Schmidt noise
@@ -495,22 +491,16 @@ def orthonormalize_against(Q, Z, flops=None):
         return empty
     T = np.zeros((r2, r))
     T[:, piv2] = Tf[:r2, :]
-    sgn2 = np.sign(np.diag(Tf)[:r2])
-    sgn2[sgn2 == 0] = 1.0
-    Uh = Uf[:, :r2] * sgn2[None, :]
-    TR = (sgn2[:, None] * T) @ R
-    return Uh, S + C2 @ R, TR
+    return Uf[:, :r2], S + C2 @ R, T @ R
 
 
 def truncated_svd(M, trunc_rel, flops=None):
-    """Deterministic truncated SVD of a small core matrix.
+    """Truncated SVD of a small core matrix.
 
-    Returns (U, s, V) with M ~= U @ diag(s) @ V.T.  Exact zeros are always
-    dropped; otherwise singular values below trunc_rel * s[0] are discarded
-    (values exactly at the threshold are kept).  Signs are fixed so that the
-    largest-magnitude entry of each concatenated pair [u; v] is positive, a
-    convention that commutes with transposition -- the symmetry audit relies on
-    svd(M) and svd(M.T) agreeing factor-for-factor.
+    Returns (U, s, V) with M ~= U @ diag(s) @ V.T, the factors as LAPACK
+    gives them.  Exact zeros are always dropped; otherwise singular values
+    below trunc_rel * s[0] are discarded (values exactly at the threshold are
+    kept).
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if flops is not None:
@@ -521,15 +511,7 @@ def truncated_svd(M, trunc_rel, flops=None):
     keep = s > 0.0
     if s.size and s[0] > 0.0 and trunc_rel > 0.0:
         keep &= s >= trunc_rel * s[0]
-    U, s, V = U[:, keep], s[keep], Vt[keep].T
-    if s.size:
-        stacked = np.vstack([U, V])
-        idx = np.argmax(np.abs(stacked), axis=0)
-        sgn = np.sign(stacked[idx, np.arange(s.size)])
-        sgn[sgn == 0] = 1.0
-        U = U * sgn[None, :]
-        V = V * sgn[None, :]
-    return U, s, V
+    return U[:, keep], s[keep], Vt[keep].T
 
 
 # ---------------------------------------------------------------------------

@@ -115,8 +115,8 @@ def test_init_matches_dense_h0_g0():
 def test_init_balanced_pairs_factors():
     binst = balance(make_instance(12, 0.9, 0.1))
     st = sda_ls_init(binst)
-    # balanced solves are self-transpose to the bit, so the paired raw
-    # factors coincide exactly and survive the deterministic QR/SVD intact
+    # balanced solves are self-transpose to the bit, so both triples are built
+    # from identical inputs by the same QR and SVD calls and come out identical
     np.testing.assert_array_equal(st.Q1, st.P2)
     np.testing.assert_array_equal(st.Q2, st.P1)
     np.testing.assert_array_equal(st.Sig, st.Gam)

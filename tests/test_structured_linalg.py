@@ -328,7 +328,7 @@ def test_implicit_level_zero_delegates():
     X = np.random.default_rng(0).standard_normal((8, 3))
     np.testing.assert_allclose(imp.apply(X), base.apply("F", X),
                                rtol=1e-14, atol=1e-15)
-    np.testing.assert_allclose(imp.apply_transpose(X),
+    np.testing.assert_allclose(imp.apply(X, transpose=True),
                                base.apply("F", X, transpose=True),
                                rtol=1e-14, atol=1e-15)
 
@@ -361,7 +361,7 @@ def test_implicit_six_levels_match_dense_recursion(symmetric):
     X = np.random.default_rng(13).standard_normal((16, 3))
     scale = np.abs(M @ X).max()
     np.testing.assert_allclose(imp.apply(X), M @ X, rtol=0, atol=1e-12 * scale)
-    np.testing.assert_allclose(imp.apply_transpose(X), M.T @ X, rtol=0,
+    np.testing.assert_allclose(imp.apply(X, transpose=True), M.T @ X, rtol=0,
                                atol=1e-12 * scale)
 
 
@@ -374,7 +374,7 @@ def test_implicit_apply_cost_is_flat_in_level():
     assert fm.snapshot(0)["implicit_apply"] == (1 + 4 * imp.rank) * 16 * 3
     assert imp.rank <= 16
     applies = fm.iteration_events(0, "implicit_block_apply")
-    imp.apply_transpose(np.ones((16, 2)))
+    imp.apply(np.ones((16, 2)), transpose=True)
     assert fm.iteration_events(0, "implicit_block_apply") == applies + 1
 
 
@@ -399,7 +399,7 @@ def test_push_update_matches_dense_property(n, r, m, data):
     scale = max(np.linalg.norm(E) ** 2 + np.linalg.norm(u @ v.T), 1e-300)
     eye = np.eye(n)
     assert np.linalg.norm(imp.apply(eye) - want) <= 1e-12 * scale
-    assert np.linalg.norm(imp.apply_transpose(eye) - want.T) <= 1e-12 * scale
+    assert np.linalg.norm(imp.apply(eye, transpose=True) - want.T) <= 1e-12 * scale
 
 
 @settings(max_examples=60, deadline=None)
@@ -525,7 +525,7 @@ def test_orthonormalize_empty_inputs():
 
 
 # ---------------------------------------------------------------------------
-# deterministic truncated SVD
+# truncated SVD
 # ---------------------------------------------------------------------------
 
 def test_truncated_svd_reconstruction_and_order():
@@ -547,15 +547,6 @@ def test_truncated_svd_threshold_is_inclusive():
     assert s.size == 2
     _, s, _ = truncated_svd(np.diag([1.0, 0.99e-6]), 1e-6)
     assert s.tolist() == [1.0]
-
-
-def test_truncated_svd_sign_convention_commutes_with_transpose():
-    M = np.random.default_rng(21).standard_normal((5, 5))
-    U, s, V = truncated_svd(M, 0.0)
-    Ut, st, Vt = truncated_svd(M.T, 0.0)
-    np.testing.assert_allclose(st, s, rtol=1e-14)
-    np.testing.assert_allclose(Ut, V, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(Vt, U, rtol=0, atol=1e-13)
 
 
 def test_truncated_svd_empty():

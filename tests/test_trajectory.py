@@ -1,10 +1,11 @@
 """Doubling-trajectory guard: a kernel swap that shifts the trajectory fails here.
 
-Both large-scale solvers on the three converge-512 cells (n = 512, tol 1e-9),
-the benchmark's converged workload.  Doubling counts and terminations are
-asserted exactly; the largest factor rank seen (H and G for sda-ls, H for
-modified-sda-ls) within one, since roundoff-level changes to a kernel may move
-a singular value across the truncation threshold.  The number of residual
+Both large-scale solvers on the three cells of each benchmark workload: the
+converged one (n = 512, tol 1e-9) and the capped one (n = 4096, 8 doublings).
+Doubling counts and terminations are asserted exactly; the largest factor rank
+seen (H and G for sda-ls, H for modified-sda-ls) within one, since
+roundoff-level changes to a kernel may move a singular value across the
+truncation threshold.  On the converged cells the number of residual
 evaluations is asserted exactly too: level 0, then every level from the first
 whose H increment meets the gate (an ungated loop evaluates all 22 or 25).
 """
@@ -35,3 +36,19 @@ def test_converge_512_trajectory(solve, c, alpha, doublings, max_rank, residuals
     assert len(rep.residual_history) == residuals
     assert rep.residual_levels == [0] + list(range(doublings - residuals + 2,
                                                    doublings + 1))
+
+
+@pytest.mark.parametrize("solve,c,alpha,max_rank", [
+    (sda_ls_solve, 0.5, 0.5, 11),
+    (sda_ls_solve, 0.9, 0.1, 12),
+    (sda_ls_solve, 0.999, 0.001, 13),
+    (msda_solve, 0.5, 0.5, 11),
+    (msda_solve, 0.9, 0.1, 12),
+    (msda_solve, 0.999, 0.001, 12),
+], ids=["sda-ls-0.5", "sda-ls-0.9", "sda-ls-0.999",
+        "msda-0.5", "msda-0.9", "msda-0.999"])
+def test_capped_4096_trajectory(solve, c, alpha, max_rank):
+    _, rep = solve(make_instance(4096, c, alpha), config=SolverConfig(max_iter=8))
+    assert rep.termination == "max_iter"
+    assert rep.iterations == 8
+    assert abs(rep.max_rank_seen - max_rank) <= 1
