@@ -40,7 +40,7 @@ print("symmetry audit (balanced run, n=32, no truncation, k <= 4):")
 audit = audit_symmetry(make_instance(32, 0.9, 0.1), k_max=4,
                        config=SolverConfig(trunc_rel=0.0))
 for row in audit.rows:
-    print("  k=%d rank=%-3d product=%.1e spectrum=%.1e op_probe=%.1e rank_update=%.1e"
+    print("  k=%d rank=%-3d product=%.1e spectrum=%.1e operator=%.1e rank_update=%.1e"
           % (row["k"], row["rank_h"], row["dev_product"], row["dev_spectrum"],
-             row["dev_op_probe"], row["dev_rank_update"]))
+             row["dev_operator"], row["dev_rank_update"]))
 print("  max gated deviation: %.2e" % audit.max_gated())

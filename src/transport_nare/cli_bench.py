@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -75,19 +76,15 @@ def _load_instance(args):
     return make_instance(args.n, args.c, args.alpha)
 
 
+def _requested(args):
+    """The config options as given on the command line, None where omitted."""
+    return {f.name: getattr(args, f.name) for f in fields(SolverConfig)}
+
+
 def _config(args):
-    kw = {}
-    if args.tol is not None:
-        if args.tol <= 0:
-            raise UsageError("--tol must be positive for solving")
-        kw["tol_residual"] = args.tol
-    if args.trunc_rel is not None:
-        kw["trunc_rel"] = args.trunc_rel
-    if args.max_iter is not None:
-        kw["max_iter"] = args.max_iter
-    if args.max_rank is not None:
-        kw["max_rank"] = args.max_rank
-    return SolverConfig(**kw)
+    """SolverConfig from the given options; it checks their ranges itself."""
+    return SolverConfig(**{k: v for k, v in _requested(args).items()
+                           if v is not None})
 
 
 def _add_instance_args(p):
@@ -98,11 +95,11 @@ def _add_instance_args(p):
 
 
 def _add_config_args(p):
-    p.add_argument("--tol", type=float, default=None, help="residual tolerance")
-    p.add_argument("--trunc-rel", type=float, default=None,
+    p.add_argument("--tol", dest="tol_residual", type=float, help="residual tolerance")
+    p.add_argument("--trunc-rel", type=float,
                    help="relative truncation threshold (0 disables truncation)")
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--max-rank", type=int, default=None)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--max-rank", type=int)
 
 
 def build_parser():
@@ -201,8 +198,6 @@ def cmd_verify(args):
         raise UsageError("verify needs the dense oracle; n <= %d" % DENSE_CAP)
     config = _config(args)
     tol = config.tol_residual
-    base = {"tol": args.tol, "trunc_rel": args.trunc_rel,
-            "max_iter": args.max_iter, "max_rank": args.max_rank}
     loose = max(100.0 * tol, 1e-10)
 
     checks = []
@@ -238,7 +233,7 @@ def cmd_verify(args):
             "schema_version": 1,
             "n": n, "c": inst.params.c, "alpha": inst.params.alpha,
             "algorithm": args.algo,
-            "requested": base,
+            "requested": _requested(args),
             "checks": [{"name": a, "value": float(b), "bound": float(c),
                         "pass": bool(np.isfinite(b) and b <= c)}
                        for a, b, c in checks],

@@ -121,9 +121,8 @@ def dense_sda_solve(inst, config=None):
         lambda st, _: dense_sda_step(st),
         lambda st: dense_residual(A, B, C, E, st.H),
         config)
-    report.extras["dual_residual"] = float(
-        np.linalg.norm(st.G @ B @ st.G - st.G @ A - E @ st.G + C)
-        / np.linalg.norm(C))
+    # the dual equation is the primal one with A and E, B and C swapped
+    report.extras["dual_residual"] = float(dense_residual(E, C, B, A, st.G))
     report.extras["min_entry_x"] = float(st.H.min())
     report.extras["min_entry_y"] = float(st.G.min())
     return st.H, st.G, report

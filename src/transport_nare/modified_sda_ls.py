@@ -13,7 +13,7 @@ instance it was given, of the solution it maps back to.
 
 ``audit_symmetry`` runs the general solver from the symmetric initial split on
 a balanced instance and measures how well the claimed pairings hold, through
-basis-independent products, spectra and operator probes: stored factors may
+basis-independent products, spectra and dense images: stored factors may
 differ by any orthogonal change of basis without any loss of symmetry.
 """
 
@@ -29,11 +29,12 @@ from .sda_ls import (
     SolverConfig,
     SolveReport,
     extend_triple,
+    init_triple,
     low_rank_state,
     run_doubling,
     sda_ls_init,
     sda_ls_step,
-    step_core,
+    step_products,
 )
 
 __all__ = [
@@ -61,11 +62,9 @@ def msda_init(inst, config=None, flops=None):
     config = config or SolverConfig()
     st = low_rank_state(inst, config, flops)
     ph = inst.u[:, None]
-    sq = np.sqrt(2.0 * st.gamma)
-    none = np.zeros((inst.n, 0))
-    st.Q1, st.Sig, st.Q2, st.increment = extend_triple(
-        none, np.zeros(0), none, sq * st.solver.solve("W", ph, flops=st.flops),
-        np.eye(1), sq * st.solver.solve("E", ph, flops=st.flops), config, st.flops)
+    st.Q1, st.Sig, st.Q2, st.increment = init_triple(
+        st, st.solver.solve("W", ph, flops=st.flops),
+        st.solver.solve("E", ph, flops=st.flops), config)
     return st
 
 
@@ -128,9 +127,9 @@ class SymmetryAudit:
     """Per-iteration symmetry deviations of the general solver on a balanced run.
 
     Every deviation in a row is basis independent: full-product deviation
-    H_k vs G_k^T, core-spectrum deviation, operator-transpose probes of the
-    implicit iterates, and the cross-factor product identity of the step's
-    rank corrections.  ``max_gated`` is the largest of them over all rows.
+    H_k vs G_k^T, core-spectrum deviation, the relative asymmetry of the dense
+    images of E_k and F_k, and that of the step's two rank corrections.
+    ``max_gated`` is the largest of them over all rows.
     """
 
     n: int
@@ -138,7 +137,7 @@ class SymmetryAudit:
     rows: list = field(default_factory=list)
 
     def max_gated(self):
-        keys = ("dev_product", "dev_spectrum", "dev_op_probe", "dev_rank_update")
+        keys = ("dev_product", "dev_spectrum", "dev_operator", "dev_rank_update")
         worst = 0.0
         for row in self.rows:
             for key in keys:
@@ -147,7 +146,7 @@ class SymmetryAudit:
 
     def to_dict(self):
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "n": self.n,
             "c": self.params[0],
             "alpha": self.params[1],
@@ -156,73 +155,46 @@ class SymmetryAudit:
         }
 
 
-def _probe_operator_symmetry(imp, n, rng, probes=4):
-    """max over random probes of |u^T (M v) - v^T (M u)| / scales.
-
-    On a balanced instance each outer iterate is a symmetric matrix in exact
-    arithmetic, so its bilinear form must be symmetric; this checks the
-    operator as a map without touching stored factors.
-    """
-    U = rng.standard_normal((n, probes))
-    V = rng.standard_normal((n, probes))
-    MV = imp.apply(V)
-    MU = imp.apply(U)
-    num = np.abs(np.einsum("ij,ij->j", U, MV) - np.einsum("ij,ij->j", MU, V))
-    den = (np.linalg.norm(U, axis=0) * np.linalg.norm(MV, axis=0)
-           + np.linalg.norm(MU, axis=0) * np.linalg.norm(V, axis=0))
-    return float(np.max(num / np.maximum(den, 1e-300)))
+def _asymmetry(M):
+    """||M - M^T||_F / ||M||_F."""
+    return float(np.linalg.norm(M - M.T) / max(np.linalg.norm(M), 1e-300))
 
 
-def audit_symmetry(inst, k_max=4, config=None, seed=0):
+def audit_symmetry(inst, k_max=4, config=None):
     """Run the general solver on the balanced instance, measure how the G-side
     tracks the transposed H-side for k_max steps.
 
-    Only intended at moderate size (n <= AUDIT_MAX_N): the product deviations
-    are formed densely.
+    Only intended at moderate size (n <= AUDIT_MAX_N): H_k, G_k and the outer
+    iterates are formed densely.
     """
     binst = balance(inst)
     n = binst.n
     if n > AUDIT_MAX_N:
         raise ValueError("symmetry audit is a diagnostic; n <= %d" % AUDIT_MAX_N)
     config = config or SolverConfig()
-    rng = np.random.default_rng(seed)
     st = sda_ls_init(binst, config=config)
     audit = SymmetryAudit(n=n, params=(binst.params.c, binst.params.alpha))
+    eye = np.eye(n)
     for k in range(k_max + 1):
         H = st.H.dense()
-        G = st.G.dense()
-        h_norm = np.linalg.norm(H)
-        sig1 = st.Sig[0]
         mm = min(st.Sig.size, st.Gam.size)
-        row = {
+        # each outer iterate is a symmetric matrix on a balanced instance, and
+        # so are the step's rank corrections (E P1) WE (E^T Q2)^T and
+        # (F Q1) WF (F^T P2)^T; all are compared as full products
+        *_, ZE2, _, ZF2, E1, F1 = step_products(st)
+        audit.rows.append({
             "k": k,
             "rank_h": int(st.Sig.size),
             "rank_g": int(st.Gam.size),
-            "dev_product": float(np.linalg.norm(H - G.T) / max(h_norm, 1e-300)),
+            "dev_product": float(
+                np.linalg.norm(H - st.G.dense().T) / max(np.linalg.norm(H), 1e-300)),
             "dev_spectrum": float(
-                np.max(np.abs(np.sort(st.Sig[:mm]) - np.sort(st.Gam[:mm]))) / sig1),
-            "dev_op_probe": max(_probe_operator_symmetry(st.Eimp, n, rng),
-                                _probe_operator_symmetry(st.Fimp, n, rng)),
-        }
-        # rank-correction identity: each outer iterate stays symmetric, so the
-        # step's assembled low-rank corrections (E P1) WE (E^T Q2)^T and
-        # (F Q1) WF (F^T P2)^T must each equal their own transposes; measured
-        # as full products, which is basis independent.
-        N1 = st.Q2.T @ st.P1
-        N2 = st.P2.T @ st.Q1
-        _, _, WE, WF = step_core(st.Sig, st.Gam, N1, N2)
-        ZE1 = st.Eimp.apply(st.P1)
-        ZE2 = st.Eimp.apply(st.Q2, transpose=True)
-        ZF1 = st.Fimp.apply(st.Q1)
-        ZF2 = st.Fimp.apply(st.P2, transpose=True)
-        upd_e = (ZE1 @ WE) @ ZE2.T
-        upd_f = (ZF1 @ WF) @ ZF2.T
-        dev = 0.0
-        for upd in (upd_e, upd_f):
-            un = max(np.linalg.norm(upd), 1e-300)
-            dev = max(dev, np.linalg.norm(upd - upd.T) / un)
-        row["dev_rank_update"] = float(dev)
-        audit.rows.append(row)
+                np.max(np.abs(np.sort(st.Sig[:mm]) - np.sort(st.Gam[:mm])))
+                / st.Sig[0]),
+            "dev_operator": max(_asymmetry(st.Eimp.apply(eye)),
+                                _asymmetry(st.Fimp.apply(eye))),
+            "dev_rank_update": max(_asymmetry(E1 @ ZE2.T), _asymmetry(F1 @ ZF2.T)),
+        })
         if k < k_max:
             sda_ls_step(st, config)
     return audit

@@ -282,18 +282,19 @@ def extend_triple(Q1, core, Q2, Z1, C, Z2, config, flops):
     small middle matrix M = [S1; R1] C [S2; R2]^T plus diag(core) in its
     leading block, and SVD-truncates M at ``config.trunc_rel``.  Every
     doubling step and both inits (from an empty triple) go through here.  The
-    rank cap is checked before any QR allocates.  Returns the new triple and
-    its relative increment ||M - diag(core)+0||_F / ||s||_2, the norm of the
-    added term over that of the result (1 from an empty triple): an O(w^2)
-    by-product on which ``run_doubling`` gates its residuals.  Lives in this
-    module, not ``structured_linalg``, so that its kernel calls resolve
-    through this module's names, which perfbench's span tracer patches.
+    rank cap is checked before any QR allocates, against min(n, m + w) since
+    the bases never grow past n.  Returns the new triple and its relative
+    increment ||M - diag(core)+0||_F / ||s||_2, the norm of the added term
+    over that of the result (1 from an empty triple): an O(w^2) by-product on
+    which ``run_doubling`` gates its residuals.  Lives in this module, not
+    ``structured_linalg``, so that its kernel calls resolve through this
+    module's names, which perfbench's span tracer patches.
     """
     m, n = core.size, Z1.shape[0]
-    if m + Z1.shape[1] > config.max_rank:
-        raise RankOverflowError(
-            "step %d would grow rank %d to %d past max_rank=%d"
-            % (flops.k, m, m + Z1.shape[1], config.max_rank))
+    grown = min(n, m + Z1.shape[1])
+    if grown > config.max_rank:
+        raise RankOverflowError("step %d would grow rank %d to %d past max_rank=%d"
+                                % (flops.k, m, grown, config.max_rank))
     Qh1, S1, R1 = orthonormalize_against(Q1, Z1, flops=flops)
     Qh2, S2, R2 = orthonormalize_against(Q2, Z2, flops=flops)
     M = np.vstack([S1, R1]) @ C @ np.vstack([S2, R2]).T
@@ -307,41 +308,52 @@ def extend_triple(Q1, core, Q2, Z1, C, Z2, config, flops):
     return np.hstack([Q1, Qh1]) @ U1, s, np.hstack([Q2, Qh2]) @ U2, increment
 
 
-def sda_ls_init(inst, config=None, flops=None):
-    """Initial truncated factors and implicit operators.
+def init_triple(st, z1, z2, config):
+    """Level-0 triple of 2*gamma * z1 z2^T, with sqrt(2*gamma) on each side.
 
-    Takes the rank-one factorizations B = u u^T and C = v v^T and splits
-    2*gamma as sqrt(2*gamma) on each side, which on a balanced instance makes
-    the four initial factor blocks pairwise identical; the symmetry audit
-    starts from exactly that.
+    The even split makes the four initial factor blocks of a balanced instance
+    pairwise identical; the symmetry audit starts from exactly that.
     """
+    sq = np.sqrt(2.0 * st.gamma)
+    none = np.zeros((st.inst.n, 0))
+    return extend_triple(none, np.zeros(0), none, sq * z1, np.eye(1), sq * z2,
+                         config, st.flops)
+
+
+def sda_ls_init(inst, config=None, flops=None):
+    """Initial triples of B = u u^T and C = v v^T, and the implicit operators."""
     config = config or SolverConfig()
     st = low_rank_state(inst, config, flops)
-    solver, flops = st.solver, st.flops
+    solve, flops = st.solver.solve, st.flops
     b, c = inst.u[:, None], inst.v[:, None]
-    sq = np.sqrt(2.0 * st.gamma)
-    none, one = np.zeros((inst.n, 0)), np.eye(1)
-    st.Q1, st.Sig, st.Q2, st.increment = extend_triple(
-        none, np.zeros(0), none, sq * solver.solve("W", b, flops=flops), one,
-        sq * solver.solve("E", b, transpose=True, flops=flops), config, flops)
-    st.P1, st.Gam, st.P2, _ = extend_triple(
-        none, np.zeros(0), none, sq * solver.solve("E", c, flops=flops), one,
-        sq * solver.solve("W", c, transpose=True, flops=flops), config, flops)
+    st.Q1, st.Sig, st.Q2, st.increment = init_triple(
+        st, solve("W", b, flops=flops), solve("E", b, transpose=True, flops=flops),
+        config)
+    st.P1, st.Gam, st.P2, _ = init_triple(
+        st, solve("E", c, flops=flops), solve("W", c, transpose=True, flops=flops),
+        config)
     return st
 
 
-def step_core(Sig, Gam, N1, N2):
-    """Small inner matrices of one doubling step.
+def step_products(st):
+    """Small cores and large products of one doubling step.
 
-    N1 = Q2^T P1 and N2 = P2^T Q1 are the cross-Gram blocks.  Returns the two
+    With the cross-Gram blocks N1 = Q2^T P1 and N2 = P2^T Q1, returns the two
     corrected cores
         SigC = (I - Sig N1 Gam N2)^-1 Sig,
         GamC = (I - Gam N2 Sig N1)^-1 Gam,
-    and the mixing weights WE, WF that turn the large implicit products into
-    the next level's low-rank corrections.  Shared with the symmetry audit,
-    which checks identities on exactly these quantities.
+    the four implicit products E P1, E^T Q2, F Q1, F^T P2 and the left
+    factors (E P1) WE and (F Q1) WF of the next level's rank corrections
+    (E P1) WE (E^T Q2)^T and (F Q1) WF (F^T P2)^T.  Shared with the symmetry
+    audit, which checks that those corrections stay symmetric.
     """
+    flops = st.flops
+    n = st.inst.n
+    Sig, Gam = st.Sig, st.Gam
     m, l = Sig.size, Gam.size
+    N1 = st.Q2.T @ st.P1
+    N2 = st.P2.T @ st.Q1
+    flops.add("cross_gram", 4.0 * n * m * l)
     SN1 = Sig[:, None] * N1            # m x l
     GN2 = Gam[:, None] * N2            # l x m
     Achk = np.eye(m) - SN1 @ GN2
@@ -350,37 +362,29 @@ def step_core(Sig, Gam, N1, N2):
     GamC = np.linalg.solve(Bchk, np.diag(Gam))
     WE = np.linalg.solve(Bchk, Gam[:, None] * (N2 * Sig[None, :]))   # l x m
     WF = np.linalg.solve(Achk, Sig[:, None] * (N1 * Gam[None, :]))   # m x l
-    return SigC, GamC, WE, WF
-
-
-def sda_ls_step(st, config=None):
-    """One doubling step on the truncated factors.
-
-    Computes the inner corrected cores and the four large implicit products
-    E P1, E^T Q2, F Q1, F^T P2, extends and re-truncates the H and G triples
-    with ``extend_triple``, and pushes the new rank corrections onto the
-    implicit operators.  A rank overflow raises before the state changes.
-    """
-    config = config or SolverConfig()
-    flops = st.flops
-    flops.k = st.k + 1
-    n = st.inst.n
-    m, l = st.Sig.size, st.Gam.size
-    N1 = st.Q2.T @ st.P1
-    N2 = st.P2.T @ st.Q1
-    flops.add("cross_gram", 4.0 * n * m * l)
-    SigC, GamC, WE, WF = step_core(st.Sig, st.Gam, N1, N2)
     flops.add("inner_core", 4.0 * m * l * (m + l) + 2.0 * (m ** 3 + l ** 3))
     ZE1 = st.Eimp.apply(st.P1)
     ZE2 = st.Eimp.apply(st.Q2, transpose=True)
     ZF1 = st.Fimp.apply(st.Q1)
     ZF2 = st.Fimp.apply(st.P2, transpose=True)
-    E1 = ZE1 @ WE
-    F1 = ZF1 @ WF
     flops.add("rank_update", 2.0 * n * l * m + 2.0 * n * m * l)
+    return SigC, GamC, ZE1, ZE2, ZF1, ZF2, ZE1 @ WE, ZF1 @ WF
+
+
+def sda_ls_step(st, config=None):
+    """One doubling step on the truncated factors.
+
+    Takes the cores and products of ``step_products``, extends and
+    re-truncates the H and G triples with ``extend_triple``, and pushes the
+    new rank corrections onto the implicit operators.  A rank overflow raises
+    before the state changes.
+    """
+    config = config or SolverConfig()
+    st.flops.k = st.k + 1
+    SigC, GamC, ZE1, ZE2, ZF1, ZF2, E1, F1 = step_products(st)
     # both triples are built before either is stored: an overflow leaves st as it was
-    H = extend_triple(st.Q1, st.Sig, st.Q2, ZF1, SigC, ZE2, config, flops)
-    G = extend_triple(st.P1, st.Gam, st.P2, ZE1, GamC, ZF2, config, flops)
+    H = extend_triple(st.Q1, st.Sig, st.Q2, ZF1, SigC, ZE2, config, st.flops)
+    G = extend_triple(st.P1, st.Gam, st.P2, ZE1, GamC, ZF2, config, st.flops)
     (st.Q1, st.Sig, st.Q2, st.increment), (st.P1, st.Gam, st.P2, _) = H, G
     st.Eimp.push_update(E1, ZE2)
     st.Fimp.push_update(F1, ZF2)

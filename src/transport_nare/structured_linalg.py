@@ -179,7 +179,7 @@ class FlopModel:
 # ---------------------------------------------------------------------------
 
 class _RankOneShifted:
-    """Solves with diag(dd) - u v^T via one Sherman-Morrison correction."""
+    """Sherman-Morrison solves with diag(dd) - u v^T; its transpose swaps u and v."""
 
     def __init__(self, dd, u, v):
         self.inv_d = 1.0 / dd
@@ -194,22 +194,14 @@ class _RankOneShifted:
                 "Sherman-Morrison denominator %.3e is numerically singular; "
                 "the instance is at or near the critical parameter pair" % self.denom)
 
-    def solve(self, b):
+    def solve(self, b, transpose=False):
+        du, v = (self._dv, self.u) if transpose else (self._du, self.v)
         y = self.inv_d[:, None] * b
-        return y + self._du[:, None] * ((self.v @ y) / self.denom)
+        return y + du[:, None] * ((v @ y) / self.denom)
 
-    def solve_t(self, b):
-        # transpose system: diag(dd) - v u^T
-        y = self.inv_d[:, None] * b
-        return y + self._dv[:, None] * ((self.u @ y) / self.denom)
-
-    def matvec(self, b):
-        dd = 1.0 / self.inv_d
-        return dd[:, None] * b - np.outer(self.u, self.v @ b)
-
-    def matvec_t(self, b):
-        dd = 1.0 / self.inv_d
-        return dd[:, None] * b - np.outer(self.v, self.u @ b)
+    def matvec(self, b, transpose=False):
+        u, v = (self.v, self.u) if transpose else (self.u, self.v)
+        return (1.0 / self.inv_d)[:, None] * b - np.outer(u, v @ b)
 
 
 def gamma_select(inst):
@@ -268,13 +260,12 @@ class ShiftedSolver:
         op = self._pick(which)
         if flops is not None:
             flops.add("smw_solve", 5 * block.size)
-        return op.solve_t(block) if transpose else op.solve(block)
+        return op.solve(block, transpose)
 
     def apply(self, which, block, transpose=False):
         """Multiply by the shifted operator itself (round-trip checks)."""
-        op = self._pick(which)
         block = np.atleast_2d(np.asarray(block, dtype=float))
-        return op.matvec_t(block) if transpose else op.matvec(block)
+        return self._pick(which).matvec(block, transpose)
 
     def roundtrip_error(self, which, probes=10, seed=0):
         """max_j ||Op(solve(Op, x_j)) - x_j|| / ||x_j|| over random probes."""
@@ -436,9 +427,10 @@ def orthonormalize_against(Q, Z, flops=None):
     """Extend the orthonormal basis Q by the fresh directions of Z.
 
     Two-pass classical Gram-Schmidt against Q, then a pivoted QR of the
-    remainder.  Remainder directions whose pivot falls below ``QR_NULL_REL`` times
-    the block scale are numerical noise and are dropped; the basis is also never
-    grown past the full dimension n.  Without the drop rule, no-truncation runs
+    remainder, each column divided by its 2-norm in Z.  Directions whose
+    scaled pivot falls below ``QR_NULL_REL`` are numerical noise and are
+    dropped (each column is judged by its own size, not the block's); the
+    basis is never grown past n.  Without the drop rule, no-truncation runs
     keep resurrecting roundoff directions once the basis saturates and the
     combined basis stops being orthonormal.
 
@@ -448,37 +440,39 @@ def orthonormalize_against(Q, Z, flops=None):
     n, m = Z.shape
     nq = Q.shape[1]
     max_new = n - nq
+    # with an empty Q the projections subtract exact zeros
     S = Q.T @ Z
-    Zp = Z
-    if nq:      # with an empty Q the projections subtract exact zeros
-        Zp = Z - Q @ S
-        S2 = Q.T @ Zp
-        Zp = Zp - Q @ S2
-        S = S + S2
+    Zp = Z - Q @ S
+    S2 = Q.T @ Zp
+    Zp = Zp - Q @ S2
+    S = S + S2
     if flops is not None:
         flops.add("orthogonalize", 8.0 * n * nq * m + 2.0 * n * m * m)
     empty = (np.zeros((n, 0)), S, np.zeros((0, m)))
     if m == 0 or max_new <= 0:
         return empty
-    colscale = float(np.linalg.norm(Z, axis=0).max(initial=0.0))
-    if colscale == 0.0:
-        return empty
-    Qf, Rf, piv = sla.qr(Zp, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(Rf))
-    thresh = QR_NULL_REL * max(diag[0] if diag.size else 0.0, colscale)
-    r = min(int(np.sum(diag > thresh)), max_new)
+    # each column's own 2-norm, recomputed by hypot where its squares
+    # underflowed (entries below about 1e-154); remainders below the smallest
+    # normal number carry no relative precision, hence the floor
+    scale = np.linalg.norm(Z, axis=0)
+    low = scale < 1e-150
+    scale[low] = np.hypot.reduce(Z[:, low], axis=0)
+    scale = np.maximum(scale, np.finfo(float).tiny / QR_NULL_REL)
+    Qf, Rf, piv = sla.qr(Zp / scale, mode="economic", pivoting=True)
+    r = min(int(np.sum(np.abs(np.diag(Rf)) > QR_NULL_REL)), max_new)
     if r == 0:
         return empty
-    # undo the column pivoting
+    # undo the column pivoting and scaling
     Qh = Qf[:, :r]
     R = np.zeros((r, m))
     R[:, piv] = Rf[:r, :]
+    R *= scale
     if nq == 0:
         return Qh, S, R
-    # Cleanup pass.  A direction whose pivot sits near the Gram-Schmidt noise
-    # floor (about eps * colscale) is contaminated by an in-span component of
-    # relative size eps * colscale / pivot, which can reach percent level at
-    # the admission threshold and silently destroys basis orthonormality.
+    # Cleanup pass.  A direction whose scaled pivot sits near the Gram-Schmidt
+    # noise floor (about eps) is contaminated by an in-span component of
+    # relative size eps / pivot, which can reach percent level at the
+    # admission threshold and silently destroys basis orthonormality.
     # Re-project against Q, re-factor, and drop directions that lost most of
     # their length to the projection (they were noise, not content).
     C2 = Q.T @ Qh

@@ -111,19 +111,19 @@ def test_solve_nonconvergence_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_solver_error_is_nonconvergence(tmp_path, command):
-    # without truncation the rank doubles each step and passes max_rank = 200
-    # at step 10; the command reports that in one line and exits 2
+    # a step can double the rank, which passes max_rank = 8 at step 4; the
+    # command reports that in one line and exits 2
     src = os.path.dirname(os.path.dirname(cli_bench.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "transport_nare.cli_bench", command,
-         "--n", "128", "--c", "0.9", "--alpha", "0.1", "--trunc-rel", "0",
+         "--n", "128", "--c", "0.9", "--alpha", "0.1", "--max-rank", "8",
          "--algo", "sda-ls"],
         capture_output=True, text=True, cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [
-        "error: step 10 would grow rank 128 to 256 past max_rank=200"]
+        "error: step 4 would grow rank 6 to 12 past max_rank=8"]
 
 
 @pytest.mark.parametrize("n, c, alpha, code", [

@@ -278,7 +278,7 @@ def test_audit_initial_symmetry_is_exact():
                            config=SolverConfig(trunc_rel=0.0))
     row = audit.rows[0]
     assert row["k"] == 0
-    for key in ("dev_product", "dev_spectrum"):
+    for key in ("dev_product", "dev_spectrum", "dev_operator", "dev_rank_update"):
         assert row[key] <= 1e-14, key
 
 
@@ -298,10 +298,11 @@ def test_audit_row_contents_and_serialization():
     audit = audit_symmetry(make_instance(8, 0.9, 0.1), k_max=2)
     for row in audit.rows:
         for key in ("k", "rank_h", "rank_g", "dev_product", "dev_spectrum",
-                    "dev_op_probe", "dev_rank_update"):
+                    "dev_operator", "dev_rank_update"):
             assert key in row
     d = audit.to_dict()
     json.dumps(d)
+    assert d["schema_version"] == 2
     assert d["n"] == 8
     assert d["max_gated_deviation"] == audit.max_gated()
 

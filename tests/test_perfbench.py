@@ -38,11 +38,11 @@ def test_perfbench_selftest():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("solve,step,orth,svd", [
-    (sda_ls_solve, "sda_ls.step", 4, 2),
-    (msda_solve, "modified_sda_ls.step", 2, 1),
+@pytest.mark.parametrize("solve,step,orth,svd,applies,pushes", [
+    (sda_ls_solve, "sda_ls.step", 4, 2, 4, 2),
+    (msda_solve, "modified_sda_ls.step", 2, 1, 2, 0),
 ], ids=["sda-ls", "modified-sda-ls"])
-def test_step_kernel_spans_attributed(solve, step, orth, svd):
+def test_step_kernel_spans_attributed(solve, step, orth, svd, applies, pushes):
     spans = load_spans()
     rec = spans.Recorder()
     with spans.instrument(rec):
@@ -54,3 +54,5 @@ def test_step_kernel_spans_attributed(solve, step, orth, svd):
         kids = Counter(span[0] for span in rec.spans if span[3] == i)
         assert kids["structured_linalg.orthonormalize"] == orth, kids
         assert kids["structured_linalg.truncated_svd"] == svd, kids
+        assert kids["structured_linalg.implicit_apply"] == applies, kids
+        assert kids["structured_linalg.push_update"] == pushes, kids

@@ -227,16 +227,69 @@ def test_extend_triple_matches_dense_property(n, m, w, inside, data):
     scale = max(np.linalg.norm(base) + np.linalg.norm(upd), 1e-300)
     assert np.linalg.norm(left @ np.diag(s) @ right.T - (base + upd)) <= 1e-12 * scale
     # the increment is ||added term|| / ||result||; the added term leaves out
-    # the directions of Z1 and Z2 below QR_NULL_REL times their largest
-    # column, which C can turn into all of Z1 C Z2^T, so its error counts
-    # against ||Z1|| ||C|| ||Z2||; np.linalg.norm sums squares, which
-    # underflow for entries below about 1e-154
+    # the remainder directions of Z1 and Z2 below QR_NULL_REL times the
+    # 2-norm of their own column, which C can turn into all of Z1 C Z2^T, so
+    # its error counts against ||Z1|| ||C|| ||Z2||; np.linalg.norm sums
+    # squares, which underflow for entries below about 1e-154
     inc_scale = np.prod([np.linalg.norm(Z) for Z in (Z1, C, Z2)])
     inc_err = abs(inc * np.linalg.norm(s) - np.linalg.norm(upd))
     assert inc_err <= 1e-12 * inc_scale + 1e-150
     X = LowRankBilinear(left, s, right)
     assert X.orthonormality_defect() <= 1e-13
     assert np.all(s >= 0.0) and np.all(np.diff(s) <= 0.0)
+
+
+_A, _B = np.array([1.0, 2.0, 0.0, -1.0]), np.array([0.0, 1.0, -1.0, 2.0])
+_NOISE = np.array([1.0, 0.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("Z1, C, Z2", [
+    ([[0.0, 1e-15], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], np.eye(2)),
+    (np.ones((2, 2)), np.diag([1.0, 0.0]), np.diag([1.37e-102, 1.0])),
+    ([[1.0, 1e-20], [1.0, -1e-20]], np.diag([1e-20, 1.0]), np.eye(2)),
+    (np.column_stack([_A, 2.0 * _A + 1e-17 * _NOISE, 1e-20 * _B]),
+     np.diag([0.0, 0.0, 1.0]), np.eye(4, 3)),
+], ids=["tiny-entry", "tiny-z2-column", "tiny-orthogonal-column", "tiny-last-column"])
+def test_extend_triple_keeps_small_columns(Z1, C, Z2):
+    # each column is judged against its own size: a column far smaller than
+    # the others is content, and C can make it all of Z1 C Z2^T
+    Z1, C, Z2 = (np.asarray(M, dtype=float) for M in (Z1, C, Z2))
+    none = np.zeros((Z1.shape[0], 0))
+    left, s, right, _ = extend_triple(none, np.zeros(0), none, Z1, C, Z2,
+                                      SolverConfig(trunc_rel=0.0), FlopModel())
+    upd = Z1 @ C @ Z2.T
+    err = np.linalg.norm(left @ np.diag(s) @ right.T - upd)
+    assert err <= 1e-12 * np.linalg.norm(upd), err / np.linalg.norm(upd)
+    assert LowRankBilinear(left, s, right).orthonormality_defect() <= 1e-13
+
+
+def test_extend_triple_drops_subnormal_remainder():
+    # a column of subnormal entries has no relative precision left: its
+    # remainder is noise and must not take the one free direction from the
+    # remainder of the first column (a draw of the property test above)
+    n = 4
+    Q1 = np.eye(n, 3)
+    Q2 = np.linalg.qr(np.ones((n, 3)) - np.eye(n, 3))[0]
+    Z1, C = np.ones((n, 2)), np.ones((2, 2))
+    Z2 = np.full((n, 2), 5e-324)
+    Z2[0, 0] = 1.0
+    left, s, right, _ = extend_triple(Q1, np.ones(3), Q2, Z1, C, Z2,
+                                      SolverConfig(trunc_rel=0.0), FlopModel())
+    base, upd = Q1 @ Q2.T, Z1 @ C @ Z2.T
+    err = np.linalg.norm(left @ np.diag(s) @ right.T - (base + upd))
+    assert err <= 1e-12 * (np.linalg.norm(base) + np.linalg.norm(upd))
+
+
+def test_extend_triple_cap_counts_at_most_n():
+    # at full rank the bases cannot grow, so a cap of n is never passed
+    n = 4
+    Z1, Z2 = np.ones((n, 2)), np.arange(2.0 * n).reshape(n, 2)
+    left, s, right, _ = extend_triple(
+        np.eye(n), np.ones(n), np.eye(n), Z1, np.eye(2), Z2,
+        SolverConfig(trunc_rel=0.0, max_rank=n), FlopModel())
+    assert s.size == n
+    assert np.allclose(left @ np.diag(s) @ right.T, np.eye(n) + Z1 @ Z2.T,
+                       rtol=0.0, atol=1e-13)
 
 
 def test_extend_triple_cap_raises_before_qr():

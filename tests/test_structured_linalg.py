@@ -485,6 +485,16 @@ def test_orthonormalize_drops_in_span_content():
     assert Uh.shape[1] == 0
 
 
+def test_orthonormalize_drops_tiny_in_span_content():
+    # each column is judged by its own 2-norm, also where its squares underflow
+    Q = random_basis(20, 5, 2)
+    Z = Q @ np.random.default_rng(3).standard_normal((5, 3))
+    for scale in (1e-100, 1e-200):
+        Uh, S, R = orthonormalize_against(Q, scale * Z)
+        assert Uh.shape[1] == 0, scale
+        np.testing.assert_allclose(Q @ S, scale * Z, rtol=0, atol=1e-13 * scale)
+
+
 def test_orthonormalize_max_new_cap():
     # never grow past dimension n
     Qbig = random_basis(8, 8, 7)
