@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .structured_linalg import gamma_select
-from .transport_problem import DENSE_CAP, assemble_dense
+from .transport_problem import assemble_dense
 from .sda_ls import SolverConfig, SolveReport, run_doubling
 
 __all__ = [
@@ -103,22 +103,17 @@ def dense_sda_solve(inst, config=None):
     """Solve the dense equation; returns (X, Y, SolveReport).
 
     X solves X C X - X E - A X + B = 0 (limit of H_k) and Y the dual
-    Y B Y - Y A - E Y + C = 0 (limit of G_k).  Rejects instances above
-    DENSE_CAP rows; this is an oracle, not the large-scale path.
+    Y B Y - Y A - E Y + C = 0 (limit of G_k).  ``assemble_dense`` rejects
+    instances above DENSE_CAP rows; this is an oracle, not the large-scale path.
     """
     config = config or SolverConfig()
-    n = inst.n
-    if n > DENSE_CAP:
-        raise ValueError(
-            "dense solver capped at n=%d (got n=%d); use the low-rank solvers"
-            % (DENSE_CAP, n))
     A, B, C, E = assemble_dense(inst)
     gamma = gamma_select(inst)
-    report = SolveReport(algorithm="dense-sda", n=n)
+    report = SolveReport(algorithm="dense-sda", n=inst.n)
     st = run_doubling(
         report, inst,
         lambda: dense_sda_init(A, B, C, E, gamma),
-        lambda st, _: dense_sda_step(st),
+        dense_sda_step,
         lambda st: dense_residual(A, B, C, E, st.H),
         config)
     # the dual equation is the primal one with A and E, B and C swapped

@@ -26,11 +26,11 @@ from .structured_linalg import residual_norm
 from .structured_linalg import orthonormalize_against, truncated_svd  # noqa: F401
 from .transport_problem import balance, unbalance_solution
 from .sda_ls import (
+    LowRankState,
     SolverConfig,
     SolveReport,
     extend_triple,
     init_triple,
-    low_rank_state,
     run_doubling,
     sda_ls_init,
     sda_ls_step,
@@ -56,19 +56,17 @@ class CoreSingularError(RuntimeError):
 
 
 def msda_init(inst, config=None, flops=None):
-    """Initial rank-one factors on a balanced instance; the G side stays unset."""
+    """Initial rank-one factors on a balanced instance; ``G`` stays None."""
     if not np.array_equal(inst.u, inst.v):
         raise ValueError("msda operates on balanced instances; call balance() first")
-    config = config or SolverConfig()
-    st = low_rank_state(inst, config, flops)
+    st = LowRankState(inst, config, flops)
     ph = inst.u[:, None]
-    st.Q1, st.Sig, st.Q2, st.increment = init_triple(
-        st, st.solver.solve("W", ph, flops=st.flops),
-        st.solver.solve("E", ph, flops=st.flops), config)
+    st.H, st.increment = init_triple(st, st.solver.solve("W", ph, flops=st.flops),
+                                     st.solver.solve("E", ph, flops=st.flops))
     return st
 
 
-def msda_step(st, config=None):
+def msda_step(st):
     """One doubling step of the balanced iteration.
 
     With G_k = H_k^T the inner correction collapses to the diagonal
@@ -76,10 +74,9 @@ def msda_step(st, config=None):
     products of the general step pair up: only F Q1 and E Q2 are needed, and
     one ``extend_triple`` call updates H.
     """
-    config = config or SolverConfig()
     flops = st.flops
     flops.k = st.k + 1
-    Sig = st.Sig
+    Sig = st.H.core
     om2 = 1.0 - Sig ** 2
     if np.any(np.abs(om2) < CORE_SINGULAR_TOL):
         raise CoreSingularError(
@@ -88,10 +85,10 @@ def msda_step(st, config=None):
     sig_c = Sig / om2
     dup = Sig * sig_c
     flops.add("inner_core", 6.0 * Sig.size)
-    ZE = st.Eimp.apply(st.Q2)
-    ZF = st.Fimp.apply(st.Q1)
-    st.Q1, st.Sig, st.Q2, st.increment = extend_triple(
-        st.Q1, Sig, st.Q2, ZF, np.diag(sig_c), ZE, config, flops)
+    ZE = st.Eimp.apply(st.H.right)
+    ZF = st.Fimp.apply(st.H.left)
+    # no local keeps the old triple alive through the outer updates (peak memory)
+    st.H, st.increment = extend_triple(st.H, ZF, np.diag(sig_c), ZE, st.config, flops)
     st.Eimp.push_symmetric(ZE, dup)
     st.Fimp.push_symmetric(ZF, dup)
     st.k += 1
@@ -171,30 +168,30 @@ def audit_symmetry(inst, k_max=4, config=None):
     n = binst.n
     if n > AUDIT_MAX_N:
         raise ValueError("symmetry audit is a diagnostic; n <= %d" % AUDIT_MAX_N)
-    config = config or SolverConfig()
     st = sda_ls_init(binst, config=config)
     audit = SymmetryAudit(n=n, params=(binst.params.c, binst.params.alpha))
     eye = np.eye(n)
     for k in range(k_max + 1):
-        H = st.H.dense()
-        mm = min(st.Sig.size, st.Gam.size)
-        # each outer iterate is a symmetric matrix on a balanced instance, and
-        # so are the step's rank corrections (E P1) WE (E^T Q2)^T and
-        # (F Q1) WF (F^T P2)^T; all are compared as full products
-        *_, ZE2, _, ZF2, E1, F1 = step_products(st)
-        audit.rows.append({
+        H, G = st.H, st.G
+        Hd = H.dense()
+        mm = min(H.rank, G.rank)
+        row = {
             "k": k,
-            "rank_h": int(st.Sig.size),
-            "rank_g": int(st.Gam.size),
+            "rank_h": H.rank,
+            "rank_g": G.rank,
             "dev_product": float(
-                np.linalg.norm(H - st.G.dense().T) / max(np.linalg.norm(H), 1e-300)),
+                np.linalg.norm(Hd - G.dense().T) / max(np.linalg.norm(Hd), 1e-300)),
             "dev_spectrum": float(
-                np.max(np.abs(np.sort(st.Sig[:mm]) - np.sort(st.Gam[:mm])))
-                / st.Sig[0]),
+                np.max(np.abs(np.sort(H.core[:mm]) - np.sort(G.core[:mm])))
+                / H.core[0]),
             "dev_operator": max(_asymmetry(st.Eimp.apply(eye)),
                                 _asymmetry(st.Fimp.apply(eye))),
-            "dev_rank_update": max(_asymmetry(E1 @ ZE2.T), _asymmetry(F1 @ ZF2.T)),
-        })
-        if k < k_max:
-            sda_ls_step(st, config)
+        }
+        # each outer iterate is a symmetric matrix on a balanced instance, and
+        # so are the step's rank corrections (E P1) WE (E^T Q2)^T and
+        # (F Q1) WF (F^T P2)^T; all are compared as full products.  The step
+        # returns the corrections it pushed; the last level takes no step.
+        *_, ZE2, _, ZF2, E1, F1 = sda_ls_step(st) if k < k_max else step_products(st)
+        row["dev_rank_update"] = max(_asymmetry(E1 @ ZE2.T), _asymmetry(F1 @ ZF2.T))
+        audit.rows.append(row)
     return audit

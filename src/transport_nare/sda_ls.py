@@ -147,8 +147,9 @@ def stagnated(history, tol):
 def run_doubling(report, inst, init, step, residual, config):
     """The doubling loop shared by all solvers; returns the final state.
 
-    ``init()`` builds the level-0 state, ``step(st, config)`` advances it one
-    doubling and ``residual(st)`` gives its normalized residual.  The state
+    ``init()`` builds the level-0 state, ``step(st)`` advances it one doubling
+    in place under the settings the state was built with (its return value
+    is ignored) and ``residual(st)`` gives its normalized residual.  The state
     carries ``k``, ``gamma``, ``ranks``, ``increment`` (the relative H
     increment of its last doubling, 1 at level 0) and ``levels()``, a dict of
     per-level values that accumulate as lists in ``report.extras``.  Every
@@ -205,7 +206,7 @@ def run_doubling(report, inst, init, step, residual, config):
     report.termination = "max_iter"
     while st.k < config.max_iter:
         t0 = time.perf_counter()
-        step(st, config)
+        step(st)
         gate_open = gate_open or st.increment <= GATE_INCREMENT
         res = evaluate(st) if gate_open or st.k == config.max_iter else None
         record(st, time.perf_counter() - t0)
@@ -224,63 +225,47 @@ def run_doubling(report, inst, init, step, residual, config):
 class LowRankState:
     """Mutable per-solve state of the low-rank iterations.
 
-    Holds the H-side factor triple (Q1, Sig, Q2), the G-side triple (P1, Gam,
-    P2), the outer iterates E_k, F_k and the flop counters.  The balanced
-    iteration, where G_k = H_k^T, leaves the G side unset.  ``increment`` is
+    Owns the ``SolverConfig`` that every step runs under (the defaults when
+    none is given), the flop counters, the shifted solver, the outer iterates
+    E_k, F_k (``Eimp``, ``Fimp``) and the H_k and G_k factor triples ``H``
+    and ``G`` (``LowRankBilinear``, set by the inits).  The balanced
+    iteration, where G_k = H_k^T, leaves ``G`` None.  ``increment`` is
     ||H_k - H_{k-1}||_F / ||H_k||_F of the last H update (1 at level 0).
     """
 
-    def __init__(self, inst, solver, Eimp, Fimp, flops):
+    def __init__(self, inst, config=None, flops=None):
         self.inst = inst
-        self.solver = solver
-        self.Eimp = Eimp
-        self.Fimp = Fimp
-        self.flops = flops
+        self.config = config or SolverConfig()
+        self.flops = flops if flops is not None else FlopModel()
+        self.flops.k = 0
+        self.solver = ShiftedSolver(inst, gamma_select(inst))
+        base = BaseOperators(self.solver)
+        trunc_rel = self.config.trunc_rel
+        self.Eimp = ImplicitIterate(base, "E", flops=self.flops, trunc_rel=trunc_rel)
+        self.Fimp = ImplicitIterate(base, "F", flops=self.flops, trunc_rel=trunc_rel)
+        self.H = self.G = None
         self.k = 0
         self.increment = 1.0
-        self.Q1 = self.Q2 = self.P1 = self.P2 = None
-        self.Sig = self.Gam = None
 
     @property
     def gamma(self):
         return self.solver.gamma
 
     @property
-    def H(self):
-        return LowRankBilinear(self.Q1, self.Sig, self.Q2)
-
-    @property
-    def G(self):
-        return LowRankBilinear(self.P1, self.Gam, self.P2)
-
-    @property
     def ranks(self):
-        if self.Gam is None:
-            return (self.Sig.size,)
-        return (self.Sig.size, self.Gam.size)
+        return tuple(X.rank for X in (self.H, self.G) if X is not None)
 
     def levels(self):
         return {"operator_rank_history": (self.Eimp.rank, self.Fimp.rank)}
 
 
-def low_rank_state(inst, config, flops):
-    """Level-0 state without factors: the shifted solver and both outer iterates."""
-    flops = flops if flops is not None else FlopModel()
-    flops.k = 0
-    solver = ShiftedSolver(inst, gamma_select(inst))
-    base = BaseOperators(solver)
-    Eimp = ImplicitIterate(base, "E", flops=flops, trunc_rel=config.trunc_rel)
-    Fimp = ImplicitIterate(base, "F", flops=flops, trunc_rel=config.trunc_rel)
-    return LowRankState(inst, solver, Eimp, Fimp, flops)
+def extend_triple(X, Z1, C, Z2, config, flops):
+    """Truncated orthonormal triple of X + Z1 C Z2^T, X = Q1 diag(core) Q2^T.
 
-
-def extend_triple(Q1, core, Q2, Z1, C, Z2, config, flops):
-    """Truncated orthonormal triple of Q1 diag(core) Q2^T + Z1 C Z2^T.
-
-    Extends both orthonormal bases by the fresh directions of Z1 and Z2
-    (Zi = Qi Si + Qhi Ri), so the sum is [Q1, Qh1] M [Q2, Qh2]^T with the
-    small middle matrix M = [S1; R1] C [S2; R2]^T plus diag(core) in its
-    leading block, and SVD-truncates M at ``config.trunc_rel``.  Every
+    Extends both orthonormal bases of the triple X by the fresh directions of
+    Z1 and Z2 (Zi = Qi Si + Qhi Ri), so the sum is [Q1, Qh1] M [Q2, Qh2]^T
+    with the small middle matrix M = [S1; R1] C [S2; R2]^T plus diag(core) in
+    its leading block, and SVD-truncates M at ``config.trunc_rel``.  Every
     doubling step and both inits (from an empty triple) go through here.  The
     rank cap is checked before any QR allocates, against min(n, m + w) since
     the bases never grow past n.  Returns the new triple and its relative
@@ -290,6 +275,7 @@ def extend_triple(Q1, core, Q2, Z1, C, Z2, config, flops):
     ``structured_linalg``, so that its kernel calls resolve through this
     module's names, which perfbench's span tracer patches.
     """
+    Q1, core, Q2 = X.left, X.core, X.right
     m, n = core.size, Z1.shape[0]
     grown = min(n, m + Z1.shape[1])
     if grown > config.max_rank:
@@ -305,54 +291,53 @@ def extend_triple(Q1, core, Q2, Z1, C, Z2, config, flops):
     flops.add("factor_assembly", 2.0 * w ** 3 + 4.0 * n * w * s.size)
     size = np.linalg.norm(s)
     increment = float(added / size) if size else 0.0
-    return np.hstack([Q1, Qh1]) @ U1, s, np.hstack([Q2, Qh2]) @ U2, increment
+    return (LowRankBilinear(np.hstack([Q1, Qh1]) @ U1, s, np.hstack([Q2, Qh2]) @ U2),
+            increment)
 
 
-def init_triple(st, z1, z2, config):
+def init_triple(st, z1, z2):
     """Level-0 triple of 2*gamma * z1 z2^T, with sqrt(2*gamma) on each side.
 
-    The even split makes the four initial factor blocks of a balanced instance
+    Returns the triple and its increment, as ``extend_triple`` does.  The even
+    split makes the four initial factor blocks of a balanced instance
     pairwise identical; the symmetry audit starts from exactly that.
     """
     sq = np.sqrt(2.0 * st.gamma)
     none = np.zeros((st.inst.n, 0))
-    return extend_triple(none, np.zeros(0), none, sq * z1, np.eye(1), sq * z2,
-                         config, st.flops)
+    return extend_triple(LowRankBilinear(none, np.zeros(0), none), sq * z1,
+                         np.eye(1), sq * z2, st.config, st.flops)
 
 
 def sda_ls_init(inst, config=None, flops=None):
     """Initial triples of B = u u^T and C = v v^T, and the implicit operators."""
-    config = config or SolverConfig()
-    st = low_rank_state(inst, config, flops)
+    st = LowRankState(inst, config, flops)
     solve, flops = st.solver.solve, st.flops
     b, c = inst.u[:, None], inst.v[:, None]
-    st.Q1, st.Sig, st.Q2, st.increment = init_triple(
-        st, solve("W", b, flops=flops), solve("E", b, transpose=True, flops=flops),
-        config)
-    st.P1, st.Gam, st.P2, _ = init_triple(
-        st, solve("E", c, flops=flops), solve("W", c, transpose=True, flops=flops),
-        config)
+    st.H, st.increment = init_triple(
+        st, solve("W", b, flops=flops), solve("E", b, transpose=True, flops=flops))
+    st.G, _ = init_triple(
+        st, solve("E", c, flops=flops), solve("W", c, transpose=True, flops=flops))
     return st
 
 
 def step_products(st):
     """Small cores and large products of one doubling step.
 
-    With the cross-Gram blocks N1 = Q2^T P1 and N2 = P2^T Q1, returns the two
-    corrected cores
+    With H = Q1 diag(Sig) Q2^T, G = P1 diag(Gam) P2^T and the cross-Gram
+    blocks N1 = Q2^T P1 and N2 = P2^T Q1, returns the two corrected cores
         SigC = (I - Sig N1 Gam N2)^-1 Sig,
         GamC = (I - Gam N2 Sig N1)^-1 Gam,
     the four implicit products E P1, E^T Q2, F Q1, F^T P2 and the left
     factors (E P1) WE and (F Q1) WF of the next level's rank corrections
-    (E P1) WE (E^T Q2)^T and (F Q1) WF (F^T P2)^T.  Shared with the symmetry
-    audit, which checks that those corrections stay symmetric.
+    (E P1) WE (E^T Q2)^T and (F Q1) WF (F^T P2)^T.
     """
     flops = st.flops
     n = st.inst.n
-    Sig, Gam = st.Sig, st.Gam
+    H, G = st.H, st.G
+    Sig, Gam = H.core, G.core
     m, l = Sig.size, Gam.size
-    N1 = st.Q2.T @ st.P1
-    N2 = st.P2.T @ st.Q1
+    N1 = H.right.T @ G.left
+    N2 = G.right.T @ H.left
     flops.add("cross_gram", 4.0 * n * m * l)
     SN1 = Sig[:, None] * N1            # m x l
     GN2 = Gam[:, None] * N2            # l x m
@@ -363,33 +348,33 @@ def step_products(st):
     WE = np.linalg.solve(Bchk, Gam[:, None] * (N2 * Sig[None, :]))   # l x m
     WF = np.linalg.solve(Achk, Sig[:, None] * (N1 * Gam[None, :]))   # m x l
     flops.add("inner_core", 4.0 * m * l * (m + l) + 2.0 * (m ** 3 + l ** 3))
-    ZE1 = st.Eimp.apply(st.P1)
-    ZE2 = st.Eimp.apply(st.Q2, transpose=True)
-    ZF1 = st.Fimp.apply(st.Q1)
-    ZF2 = st.Fimp.apply(st.P2, transpose=True)
+    ZE1 = st.Eimp.apply(G.left)
+    ZE2 = st.Eimp.apply(H.right, transpose=True)
+    ZF1 = st.Fimp.apply(H.left)
+    ZF2 = st.Fimp.apply(G.right, transpose=True)
     flops.add("rank_update", 2.0 * n * l * m + 2.0 * n * m * l)
     return SigC, GamC, ZE1, ZE2, ZF1, ZF2, ZE1 @ WE, ZF1 @ WF
 
 
-def sda_ls_step(st, config=None):
-    """One doubling step on the truncated factors.
+def sda_ls_step(st):
+    """One doubling step on the truncated factors; returns the products used.
 
     Takes the cores and products of ``step_products``, extends and
     re-truncates the H and G triples with ``extend_triple``, and pushes the
     new rank corrections onto the implicit operators.  A rank overflow raises
-    before the state changes.
+    before the state changes.  The products are returned for the symmetry
+    audit, which checks that the step's rank corrections stay symmetric.
     """
-    config = config or SolverConfig()
     st.flops.k = st.k + 1
-    SigC, GamC, ZE1, ZE2, ZF1, ZF2, E1, F1 = step_products(st)
+    products = SigC, GamC, ZE1, ZE2, ZF1, ZF2, E1, F1 = step_products(st)
     # both triples are built before either is stored: an overflow leaves st as it was
-    H = extend_triple(st.Q1, st.Sig, st.Q2, ZF1, SigC, ZE2, config, st.flops)
-    G = extend_triple(st.P1, st.Gam, st.P2, ZE1, GamC, ZF2, config, st.flops)
-    (st.Q1, st.Sig, st.Q2, st.increment), (st.P1, st.Gam, st.P2, _) = H, G
+    H, increment = extend_triple(st.H, ZF1, SigC, ZE2, st.config, st.flops)
+    G, _ = extend_triple(st.G, ZE1, GamC, ZF2, st.config, st.flops)
+    st.H, st.G, st.increment = H, G, increment
     st.Eimp.push_update(E1, ZE2)
     st.Fimp.push_update(F1, ZF2)
     st.k += 1
-    return st
+    return products
 
 
 def sda_ls_solve(inst, config=None):

@@ -312,10 +312,14 @@ def unbalance_solution(Xb, inst):
 
 
 def assemble_dense(inst, cap=DENSE_CAP):
-    """Dense (A, B, C, E) realization of an instance, for n up to ``cap``."""
+    """Dense (A, B, C, E) realization of an instance, for n up to ``cap``.
+
+    The one check of the dense size limit: every dense path assembles here.
+    """
     n = inst.n
     if n > cap:
-        raise ValueError("dense assembly capped at n=%d (requested %d)" % (cap, n))
+        raise ValueError("dense assembly capped at n=%d (got n=%d); use the "
+                         "low-rank solvers" % (cap, n))
     u, v = inst.u, inst.v
     A = np.diag(inst.delta) - np.outer(u, v)
     E = np.diag(inst.d) - np.outer(v, u)

@@ -92,7 +92,7 @@ def test_criterion_03_no_truncation_iterate_equivalence():
                 assert dev <= 1e-10, (n, c, alpha, k, dev)
                 if k < kmax:
                     dense_sda_step(dstate)
-                    sda_ls_step(lstate, cfg)
+                    sda_ls_step(lstate)
 
 
 def test_criterion_04_symmetry_audit():

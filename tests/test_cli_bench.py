@@ -98,7 +98,7 @@ def test_solve_dense_cap_is_usage_error(tmp_path, capsys):
     rc = run(["solve", "--n", "600", "--c", "0.5", "--alpha", "0.5",
               "--algo", "dense-sda", "--out", str(tmp_path)])
     assert rc == 1
-    assert "dense-sda" in capsys.readouterr().err
+    assert "error: dense assembly capped at n=512 (got n=600)" in capsys.readouterr().err
 
 
 def test_solve_nonconvergence_exit_code(tmp_path, capsys):

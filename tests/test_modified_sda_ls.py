@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from transport_nare import modified_sda_ls, sda_ls
 from transport_nare.dense_sda import dense_sda_init, dense_sda_solve, dense_sda_step
 from transport_nare.modified_sda_ls import (
     AUDIT_MAX_N,
@@ -15,7 +16,13 @@ from transport_nare.modified_sda_ls import (
     msda_solve,
     msda_step,
 )
-from transport_nare.sda_ls import SolverConfig, sda_ls_init, sda_ls_solve, sda_ls_step
+from transport_nare.sda_ls import (
+    SolverConfig,
+    sda_ls_init,
+    sda_ls_solve,
+    sda_ls_step,
+    step_products,
+)
 from transport_nare.structured_linalg import (
     RankOverflowError,
     ShiftedSolver,
@@ -61,8 +68,8 @@ def test_init_scalar_values():
     assert abs(sq * sol.solve("E", one)[0, 0] - sq / 6.0) <= 1e-15
     st = msda_init(SCALAR_B)
     assert st.ranks == (1,)
-    assert abs(st.Sig[0] - 6.0 / 35.0) <= 1e-15
-    assert abs(abs(st.Q1[0, 0]) - 1.0) <= 1e-15
+    assert abs(st.H.core[0] - 6.0 / 35.0) <= 1e-15
+    assert abs(abs(st.H.left[0, 0]) - 1.0) <= 1e-15
     assert abs(st.H.entry(0, 0) - 6.0 / 35.0) <= 1e-15
 
 
@@ -102,8 +109,8 @@ def test_step_matches_general_solver_on_balanced():
     general = sda_ls_init(binst, config=cfg)
     modified = msda_init(binst, config=cfg)
     for k in range(1, 6):
-        sda_ls_step(general, cfg)
-        msda_step(modified, cfg)
+        sda_ls_step(general)
+        msda_step(modified)
         assert modified.ranks[0] == general.ranks[0]
         Hg = general.H.dense()
         diff = np.linalg.norm(modified.H.dense() - Hg)
@@ -118,7 +125,7 @@ def test_iterates_match_dense_to_convergence(n):
     cfg = SolverConfig(trunc_rel=0.0)
     st = msda_init(binst, config=cfg)
     for _ in range(10):
-        msda_step(st, cfg)
+        msda_step(st)
         dense_sda_step(dense)
         err = np.linalg.norm(st.H.dense() - dense.H)
         assert err <= 1e-10 * np.linalg.norm(dense.H)
@@ -126,7 +133,7 @@ def test_iterates_match_dense_to_convergence(n):
 
 def test_step_zero_core_squares_silently():
     st = msda_init(balance(make_instance(16, 0.5, 0.5)))
-    st.Sig = np.zeros_like(st.Sig)
+    st.H.core = np.zeros_like(st.H.core)
     msda_step(st)
     assert st.ranks == (0,)
     assert np.linalg.norm(st.H.dense()) == 0.0
@@ -135,7 +142,7 @@ def test_step_zero_core_squares_silently():
 
 def test_step_detects_singular_core():
     st = msda_init(balance(make_instance(4, 0.5, 0.5)))
-    st.Sig = np.array([1.0])
+    st.H.core = np.array([1.0])
     with pytest.raises(CoreSingularError):
         msda_step(st)
 
@@ -143,13 +150,13 @@ def test_step_detects_singular_core():
 def test_step_rank_cap_precedes_growth():
     cfg = SolverConfig(max_rank=4)
     st = msda_init(balance(make_instance(16, 0.5, 0.5)), config=cfg)
-    msda_step(st, cfg)         # 1 -> 2
-    msda_step(st, cfg)         # 2 -> 4
-    before = (st.Q1, st.Sig, st.Q2)
+    msda_step(st)              # 1 -> 2
+    msda_step(st)              # 2 -> 4
+    before = st.H
     with pytest.raises(RankOverflowError):
-        msda_step(st, cfg)     # would need 8
+        msda_step(st)          # would need 8
     assert st.k == 2 and st.ranks == (4,)
-    assert all(a is b for a, b in zip((st.Q1, st.Sig, st.Q2), before))
+    assert st.H is before
     assert st.Eimp.level == 2 and st.Fimp.level == 2
 
 
@@ -305,6 +312,20 @@ def test_audit_row_contents_and_serialization():
     assert d["schema_version"] == 2
     assert d["n"] == 8
     assert d["max_gated_deviation"] == audit.max_gated()
+
+
+@pytest.mark.parametrize("k_max", [0, 3])
+def test_audit_computes_step_products_once_per_level(monkeypatch, k_max):
+    # each level's products serve both its row and its step
+    calls = []
+
+    def counted(st):
+        calls.append(st.k)
+        return step_products(st)
+    monkeypatch.setattr(sda_ls, "step_products", counted)
+    monkeypatch.setattr(modified_sda_ls, "step_products", counted)
+    audit_symmetry(make_instance(16, 0.9, 0.1), k_max=k_max)
+    assert calls == list(range(k_max + 1))
 
 
 def test_audit_size_limit():

@@ -72,8 +72,7 @@ def parts(algo, inst, config):
         return st, msda_step, lambda: residual_norm(inst, solution())[1], solution
     A, B, C, E = assemble_dense(inst)
     st = dense_sda_init(A, B, C, E, gamma_select(inst))
-    return (st, lambda s, _: dense_sda_step(s),
-            lambda: dense_residual(A, B, C, E, st.H), lambda: st.H)
+    return st, dense_sda_step, lambda: dense_residual(A, B, C, E, st.H), lambda: st.H
 
 
 def ungated(algo, inst, config):
@@ -82,7 +81,7 @@ def ungated(algo, inst, config):
     history = [residual()]
     termination = "max_iter"
     while st.k < config.max_iter:
-        step(st, config)
+        step(st)
         history.append(residual())
         if history[-1] <= config.tol_residual:
             termination = "converged"
@@ -150,7 +149,7 @@ def test_gate_stays_open_once_met():
     st = SimpleNamespace(k=0, gamma=1.0, ranks=(1,), increment=increments[0],
                          levels=dict)
 
-    def step(state, _):
+    def step(state):
         state.k += 1
         state.increment = increments[state.k]
 
@@ -176,7 +175,7 @@ def test_level_time_includes_its_residual(monkeypatch):
         clock[0] += 1.0
         return st
 
-    def step(state, _):
+    def step(state):
         clock[0] += 1.0
         state.k += 1
         state.increment = increments[state.k]

@@ -91,9 +91,9 @@ def test_stagnation_rule():
 def test_init_scalar_factorization():
     st = sda_ls_init(SCALAR)
     assert st.ranks == (1, 1)
-    assert abs(st.Sig[0] - 6.0 / 35.0) <= 1e-15
-    assert abs(st.Gam[0] - 6.0 / 35.0) <= 1e-15
-    assert abs(abs(st.Q1[0, 0]) - 1.0) <= 1e-15
+    assert abs(st.H.core[0] - 6.0 / 35.0) <= 1e-15
+    assert abs(st.G.core[0] - 6.0 / 35.0) <= 1e-15
+    assert abs(abs(st.H.left[0, 0]) - 1.0) <= 1e-15
     assert abs(st.H.entry(0, 0) - 6.0 / 35.0) <= 1e-15
 
 
@@ -117,9 +117,9 @@ def test_init_balanced_pairs_factors():
     st = sda_ls_init(binst)
     # balanced solves are self-transpose to the bit, so both triples are built
     # from identical inputs by the same QR and SVD calls and come out identical
-    np.testing.assert_array_equal(st.Q1, st.P2)
-    np.testing.assert_array_equal(st.Q2, st.P1)
-    np.testing.assert_array_equal(st.Sig, st.Gam)
+    np.testing.assert_array_equal(st.H.left, st.G.right)
+    np.testing.assert_array_equal(st.H.right, st.G.left)
+    np.testing.assert_array_equal(st.H.core, st.G.core)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def test_step_no_truncation_matches_dense(n, c, alpha):
     oracle = dense_states(inst, 6)
     st = sda_ls_init(inst, config=cfg)
     for k in range(1, 7):
-        sda_ls_step(st, cfg)
+        sda_ls_step(st)
         Hd, Gd = oracle[k]
         assert np.linalg.norm(st.H.dense() - Hd) <= 1e-10 * np.linalg.norm(Hd)
         assert np.linalg.norm(st.G.dense() - Gd) <= 1e-10 * np.linalg.norm(Gd)
@@ -148,8 +148,8 @@ def test_step_no_truncation_matches_dense(n, c, alpha):
 
 def test_step_zero_cores_squares_silently():
     st = sda_ls_init(make_instance(16, 0.5, 0.5))
-    st.Sig = np.zeros_like(st.Sig)
-    st.Gam = np.zeros_like(st.Gam)
+    st.H.core = np.zeros_like(st.H.core)
+    st.G.core = np.zeros_like(st.G.core)
     sda_ls_step(st)
     assert st.ranks == (0, 0)
     assert np.linalg.norm(st.H.dense()) == 0.0
@@ -178,10 +178,12 @@ def test_step_rank_cap_precedes_growth():
     inst = make_instance(16, 0.5, 0.5)
     cfg = SolverConfig(max_rank=4)
     st = sda_ls_init(inst, config=cfg)
-    sda_ls_step(st, cfg)       # 1 -> 2
-    sda_ls_step(st, cfg)       # 2 -> 4
+    # the steps take no config: the cap is the one the state was built with
+    assert st.config is cfg
+    sda_ls_step(st)            # 1 -> 2
+    sda_ls_step(st)            # 2 -> 4
     with pytest.raises(RankOverflowError):
-        sda_ls_step(st, cfg)   # would need 8
+        sda_ls_step(st)        # would need 8
     assert st.k == 2 and st.ranks == (4, 4)
     assert st.Eimp.level == 2 and st.Fimp.level == 2
 
@@ -190,15 +192,14 @@ def test_step_rank_cap_on_g_leaves_h_untouched():
     # H fits (3 + 3 <= 7) but G does not (4 + 4 > 7): neither side is stored
     cfg = SolverConfig(max_rank=7)
     st = sda_ls_init(make_instance(16, 0.5, 0.5), config=cfg)
-    sda_ls_step(st, cfg)
-    sda_ls_step(st, cfg)
-    st.Q1, st.Sig, st.Q2 = st.Q1[:, :3], st.Sig[:3], st.Q2[:, :3]
-    before = (st.Q1, st.Sig, st.Q2, st.P1, st.Gam, st.P2)
+    sda_ls_step(st)
+    sda_ls_step(st)
+    st.H = LowRankBilinear(st.H.left[:, :3], st.H.core[:3], st.H.right[:, :3])
+    before = (st.H, st.G)
     with pytest.raises(RankOverflowError):
-        sda_ls_step(st, cfg)
+        sda_ls_step(st)
     assert st.k == 2 and st.ranks == (3, 4)
-    after = (st.Q1, st.Sig, st.Q2, st.P1, st.Gam, st.P2)
-    assert all(a is b for a, b in zip(after, before))
+    assert st.H is before[0] and st.G is before[1]
     assert st.Eimp.level == 2 and st.Fimp.level == 2
 
 
@@ -220,8 +221,9 @@ def test_extend_triple_matches_dense_property(n, m, w, inside, data):
     # m = 0 is the init case; one case puts Z1 inside span(Q1)
     Z1 = Q1 @ draw((m, w)) if inside and m else draw((n, w))
     Z2, C = draw((n, w)), draw((w, w))
-    left, s, right, inc = extend_triple(Q1, core, Q2, Z1, C, Z2,
-                                        SolverConfig(trunc_rel=0.0), FlopModel())
+    X, inc = extend_triple(LowRankBilinear(Q1, core, Q2), Z1, C, Z2,
+                           SolverConfig(trunc_rel=0.0), FlopModel())
+    left, s, right = X.left, X.core, X.right
     base, upd = Q1 @ np.diag(core) @ Q2.T, Z1 @ C @ Z2.T
     # relative to the size of the summed terms: the result itself may cancel
     scale = max(np.linalg.norm(base) + np.linalg.norm(upd), 1e-300)
@@ -234,7 +236,6 @@ def test_extend_triple_matches_dense_property(n, m, w, inside, data):
     inc_scale = np.prod([np.linalg.norm(Z) for Z in (Z1, C, Z2)])
     inc_err = abs(inc * np.linalg.norm(s) - np.linalg.norm(upd))
     assert inc_err <= 1e-12 * inc_scale + 1e-150
-    X = LowRankBilinear(left, s, right)
     assert X.orthonormality_defect() <= 1e-13
     assert np.all(s >= 0.0) and np.all(np.diff(s) <= 0.0)
 
@@ -255,12 +256,12 @@ def test_extend_triple_keeps_small_columns(Z1, C, Z2):
     # the others is content, and C can make it all of Z1 C Z2^T
     Z1, C, Z2 = (np.asarray(M, dtype=float) for M in (Z1, C, Z2))
     none = np.zeros((Z1.shape[0], 0))
-    left, s, right, _ = extend_triple(none, np.zeros(0), none, Z1, C, Z2,
-                                      SolverConfig(trunc_rel=0.0), FlopModel())
+    X, _ = extend_triple(LowRankBilinear(none, np.zeros(0), none), Z1, C, Z2,
+                         SolverConfig(trunc_rel=0.0), FlopModel())
     upd = Z1 @ C @ Z2.T
-    err = np.linalg.norm(left @ np.diag(s) @ right.T - upd)
+    err = np.linalg.norm(X.dense() - upd)
     assert err <= 1e-12 * np.linalg.norm(upd), err / np.linalg.norm(upd)
-    assert LowRankBilinear(left, s, right).orthonormality_defect() <= 1e-13
+    assert X.orthonormality_defect() <= 1e-13
 
 
 def test_extend_triple_drops_subnormal_remainder():
@@ -273,10 +274,10 @@ def test_extend_triple_drops_subnormal_remainder():
     Z1, C = np.ones((n, 2)), np.ones((2, 2))
     Z2 = np.full((n, 2), 5e-324)
     Z2[0, 0] = 1.0
-    left, s, right, _ = extend_triple(Q1, np.ones(3), Q2, Z1, C, Z2,
-                                      SolverConfig(trunc_rel=0.0), FlopModel())
+    X, _ = extend_triple(LowRankBilinear(Q1, np.ones(3), Q2), Z1, C, Z2,
+                         SolverConfig(trunc_rel=0.0), FlopModel())
     base, upd = Q1 @ Q2.T, Z1 @ C @ Z2.T
-    err = np.linalg.norm(left @ np.diag(s) @ right.T - (base + upd))
+    err = np.linalg.norm(X.dense() - (base + upd))
     assert err <= 1e-12 * (np.linalg.norm(base) + np.linalg.norm(upd))
 
 
@@ -284,19 +285,19 @@ def test_extend_triple_cap_counts_at_most_n():
     # at full rank the bases cannot grow, so a cap of n is never passed
     n = 4
     Z1, Z2 = np.ones((n, 2)), np.arange(2.0 * n).reshape(n, 2)
-    left, s, right, _ = extend_triple(
-        np.eye(n), np.ones(n), np.eye(n), Z1, np.eye(2), Z2,
+    X, _ = extend_triple(
+        LowRankBilinear(np.eye(n), np.ones(n), np.eye(n)), Z1, np.eye(2), Z2,
         SolverConfig(trunc_rel=0.0, max_rank=n), FlopModel())
-    assert s.size == n
-    assert np.allclose(left @ np.diag(s) @ right.T, np.eye(n) + Z1 @ Z2.T,
-                       rtol=0.0, atol=1e-13)
+    assert X.rank == n
+    assert np.allclose(X.dense(), np.eye(n) + Z1 @ Z2.T, rtol=0.0, atol=1e-13)
 
 
 def test_extend_triple_cap_raises_before_qr():
     fm = FlopModel()
     with pytest.raises(RankOverflowError):
-        extend_triple(np.eye(6, 3), np.ones(3), np.eye(6, 3), np.ones((6, 2)),
-                      np.eye(2), np.ones((6, 2)), SolverConfig(max_rank=4), fm)
+        extend_triple(LowRankBilinear(np.eye(6, 3), np.ones(3), np.eye(6, 3)),
+                      np.ones((6, 2)), np.eye(2), np.ones((6, 2)),
+                      SolverConfig(max_rank=4), fm)
     assert not fm.flops
 
 
@@ -320,10 +321,10 @@ def test_factored_resolvent_identity():
     n = inst.n
     H, G = st.H.dense(), st.G.dense()
     dense_inv = np.linalg.inv(np.eye(n) - H @ G)
-    M = (st.Sig[:, None] * (st.Q2.T @ st.P1)) * st.Gam[None, :]
-    N2 = st.P2.T @ st.Q1
+    M = (st.H.core[:, None] * (st.H.right.T @ st.G.left)) * st.G.core[None, :]
+    N2 = st.G.right.T @ st.H.left
     small = np.linalg.inv(np.eye(M.shape[0]) - N2 @ M)
-    fact = np.eye(n) + st.Q1 @ (M @ small) @ st.P2.T
+    fact = np.eye(n) + st.H.left @ (M @ small) @ st.G.right.T
     assert np.linalg.norm(fact - dense_inv) <= 1e-10 * np.linalg.norm(dense_inv)
 
 
