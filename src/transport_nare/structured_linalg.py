@@ -14,7 +14,7 @@ solvers can be compared on counted work rather than wall time.
 import csv
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 __all__ = [
     "NearCriticalError",
@@ -306,6 +306,73 @@ class BaseOperators:
 
 
 # ---------------------------------------------------------------------------
+# Householder QR of a column stack
+# ---------------------------------------------------------------------------
+
+#: Block size LAPACK's ilaenv gives its QR routines, and the T buffer (65 x 64)
+#: that dormqr adds to its workspace.  Every workspace is sized from them, so
+#: no lwork=-1 query runs; a test checks the sizes against LAPACK's own query.
+_QR_NB = 32
+_ORMQR_T = 65 * 64
+
+
+def _lwork(width):
+    """dgeqp3's optimal workspace on ``width`` columns; it covers dgeqrf's and dorgqr's."""
+    return 2 * width + (width + 1) * _QR_NB
+
+
+def _lapack(routine, lwork, *args, **kwargs):
+    """Call a LAPACK QR routine with workspace ``lwork``; its outputs before info."""
+    *out, info = routine(*args, lwork=lwork, **kwargs)
+    if info < 0:
+        raise ValueError("illegal value in %d-th argument of internal %s"
+                         % (-info, routine.__name__))
+    return out
+
+
+class _StackQR:
+    """Householder QR of the column stack [blocks...], factored where it is built.
+
+    The blocks are copied once into a Fortran-ordered n x w array that this
+    object owns (``a``), and dgeqrf (dgeqp3 with ``pivoting``, its 0-based
+    permutation in ``piv``) overwrites it with R and the reflectors.  The
+    workspace is passed in: a size query would push the stack through f2py
+    once more, and that copy page-faults at n = 4096.  Q is never formed
+    whole: ``q`` builds its leading columns and ``q_times`` applies the thin
+    Q through the reflectors.  A non-finite stack raises ValueError, as
+    ``scipy.linalg.qr`` does.
+    """
+
+    def __init__(self, blocks, pivoting=False):
+        n, w = blocks[0].shape[0], sum(b.shape[1] for b in blocks)
+        self.a = np.concatenate(blocks, axis=1, out=np.empty((n, w), order="F"))
+        if not np.isfinite(self.a).all():
+            raise ValueError("array must not contain infs or NaNs")
+        lwork = _lwork(w)
+        if pivoting:
+            self.a, jpvt, self.tau, _ = _lapack(lapack.dgeqp3, lwork, self.a, overwrite_a=1)
+            self.piv = jpvt - 1
+        else:
+            self.a, self.tau, _ = _lapack(lapack.dgeqrf, lwork, self.a, overwrite_a=1)
+
+    def r(self):
+        """R, min(n, w) x w, equal to ``scipy.linalg.qr``'s economic R."""
+        return np.triu(self.a[:self.tau.size])
+
+    def q(self, cols):
+        """The leading ``cols`` columns of Q, formed from that many reflectors."""
+        return _lapack(lapack.dorgqr, _lwork(cols), self.a[:, :cols], self.tau[:cols])[0]
+
+    def q_times(self, c):
+        """Thin Q (n x min(n, w)) times ``c``, applied through the reflectors."""
+        k = self.tau.size
+        out = np.zeros((self.a.shape[0], c.shape[1]), order="F")
+        out[:k] = c
+        return _lapack(lapack.dormqr, _lwork(c.shape[1]) + _ORMQR_T, "L", "N",
+                       self.a[:, :k], self.tau, out, overwrite_c=1)[0]
+
+
+# ---------------------------------------------------------------------------
 # outer doubling iterate
 # ---------------------------------------------------------------------------
 
@@ -315,8 +382,8 @@ class ImplicitIterate:
     Level 0 is the fused base operator diag(a) + p w^T.  Squaring keeps that
     shape, (D + U V^T)^2 = D^2 + (D U + U V^T U) V^T + U (D V)^T, so level k
     holds the vector d_k = a^(2^k) and two n x r factors, recompressed after
-    each update by a plain economic QR of both stacks and an SVD of the small
-    core truncated at ``trunc_rel``.  The stacks need no basis extension or
+    each update by a plain QR of both stacks (``_StackQR``) and an SVD of the
+    small core truncated at ``trunc_rel``.  The stacks need no basis extension or
     drop rule: Q R reproduces a rank-deficient stack too, and the truncated
     SVD of the core sets the new rank.  A block apply costs O(n r) per column at
     every level.
@@ -347,34 +414,37 @@ class ImplicitIterate:
         self.level += 1
 
     def push_update(self, u, v):
-        """Advance one level: new operator = old @ old + u @ v.T."""
+        """Advance one level: new operator = old @ old + u @ v.T.
+
+        The stacks [D U + U (V^T U), U, u] and [V, D V, v] are each factored
+        in place, and the new factors Q_l (Uc diag(sc)) and Q_r Vc are applied
+        through the reflectors, so neither n x w Q is formed.
+        """
         if self.s is not None:
             raise ValueError("a symmetric iterate advances by push_symmetric")
         self._advance(u, v)
         d, U, V = self.d, self.U, self.V
         r = U.shape[1]
-        # each stack is freed once factored: both alive at once raise the peak
-        left = np.hstack([d[:, None] * U + U @ (V.T @ U), U, u])
-        Ql, Rl = sla.qr(left, mode="economic")
-        del left
-        right = np.hstack([V, d[:, None] * V, v])
-        Qr, Rr = sla.qr(right, mode="economic")
-        del right
-        Uc, sc, Vc = truncated_svd(Rl @ Rr.T, self.trunc_rel, flops=self.flops)
-        self.U = Ql @ (Uc * sc[None, :])
-        self.V = Qr @ Vc
+        left = _StackQR([d[:, None] * U + U @ (V.T @ U), U, u])
+        right = _StackQR([V, d[:, None] * V, v])
+        Uc, sc, Vc = truncated_svd(left.r() @ right.r().T, self.trunc_rel, flops=self.flops)
+        self.U = left.q_times(Uc * sc[None, :])
+        self.V = right.q_times(Vc)
         self.d = d * d
         if self.flops is not None:
             w = 2 * r + u.shape[1]
             self.flops.add("implicit_update", self.n * r * (4.0 * r + 2.0) + 2.0 * w ** 3
                            + 4.0 * self.n * w * w
-                           + 2.0 * self.n * (Ql.shape[1] + Qr.shape[1]) * sc.size)
+                           + 4.0 * self.n * min(self.n, w) * sc.size)
 
     def push_symmetric(self, z, dup):
         """Advance a symmetric iterate one level: old @ old + z diag(dup) z^T.
 
         The first call reads the level-0 correction p w^T, where p is a
-        multiple of w on a balanced instance, as (p.w) w w^T / (w.w).
+        multiple of w on a balanced instance, as (p.w) w w^T / (w.w).  The
+        stack [D U, U, z] is factored in place and the new U = Q W, with W
+        the kept eigenvectors of the small core, is applied through the
+        reflectors, so the n x w Q is never formed.
         """
         if self.s is None and self.level > 0:
             raise ValueError("push_symmetric continues a symmetric iterate only")
@@ -387,13 +457,14 @@ class ImplicitIterate:
         r = U.shape[1]
         # K = [D U, U, z] = Q R; with U^T U = I the update is Q C Q^T, where
         # C = R0 S R1^T + R1 S R0^T + R1 S^2 R1^T + R2 diag(dup) R2^T
-        Q, R = sla.qr(np.hstack([d[:, None] * U, U, z]), mode="economic")
+        K = _StackQR([d[:, None] * U, U, z])
+        R = K.r()
         R0, R1s, R2 = R[:, :r], R[:, r:2 * r] * s[None, :], R[:, 2 * r:]
         C = R0 @ R1s.T
         lam, W = np.linalg.eigh(C + C.T + R1s @ R1s.T + (R2 * dup[None, :]) @ R2.T)
         big = np.abs(lam).max(initial=0.0)
         keep = (lam != 0.0) & (np.abs(lam) >= self.trunc_rel * big)
-        self.U, self.s = Q @ W[:, keep], lam[keep]
+        self.U, self.s = K.q_times(W[:, keep]), lam[keep]
         self.d = d * d
         if self.flops is not None:
             m, w = R.shape
@@ -434,6 +505,10 @@ def orthonormalize_against(Q, Z, flops=None):
     keep resurrecting roundoff directions once the basis saturates and the
     combined basis stops being orthonormal.
 
+    Both pivoted QRs factor their remainder in place, and only the kept
+    directions of Q are formed, from that many reflectors (r of the main QR,
+    r2 of the cleanup).
+
     Returns (Q_new, S, R) with Z ~= Q @ S + Q_new @ R: R is un-pivoted to
     Z's column order, and Q_new keeps the column signs LAPACK gives it.
     """
@@ -458,14 +533,15 @@ def orthonormalize_against(Q, Z, flops=None):
     low = scale < 1e-150
     scale[low] = np.hypot.reduce(Z[:, low], axis=0)
     scale = np.maximum(scale, np.finfo(float).tiny / QR_NULL_REL)
-    Qf, Rf, piv = sla.qr(Zp / scale, mode="economic", pivoting=True)
+    F = _StackQR([Zp / scale], pivoting=True)
+    Rf = F.r()
     r = min(int(np.sum(np.abs(np.diag(Rf)) > QR_NULL_REL)), max_new)
     if r == 0:
         return empty
     # undo the column pivoting and scaling
-    Qh = Qf[:, :r]
+    Qh = F.q(r)
     R = np.zeros((r, m))
-    R[:, piv] = Rf[:r, :]
+    R[:, F.piv] = Rf[:r, :]
     R *= scale
     if nq == 0:
         return Qh, S, R
@@ -476,16 +552,16 @@ def orthonormalize_against(Q, Z, flops=None):
     # Re-project against Q, re-factor, and drop directions that lost most of
     # their length to the projection (they were noise, not content).
     C2 = Q.T @ Qh
-    Uf, Tf, piv2 = sla.qr(Qh - Q @ C2, mode="economic", pivoting=True)
-    tdiag = np.abs(np.diag(Tf))
-    r2 = int(np.sum(tdiag > 0.1))
+    G = _StackQR([Qh - Q @ C2], pivoting=True)
+    Tf = G.r()
+    r2 = int(np.sum(np.abs(np.diag(Tf)) > 0.1))
     if flops is not None:
         flops.add("orthogonalize", 4.0 * n * r * (r + nq))
     if r2 == 0:
         return empty
     T = np.zeros((r2, r))
-    T[:, piv2] = Tf[:r2, :]
-    return Uf[:, :r2], S + C2 @ R, T @ R
+    T[:, G.piv] = Tf[:r2, :]
+    return G.q(r2), S + C2 @ R, T @ R
 
 
 def truncated_svd(M, trunc_rel, flops=None):
@@ -513,12 +589,13 @@ def truncated_svd(M, trunc_rel, flops=None):
 # ---------------------------------------------------------------------------
 
 def residual_stacks(inst, X):
-    """Stacks U_hat, V_hat with U_hat @ V_hat.T == X C X - X E - A X + B.
+    """Column blocks of U_hat, V_hat with U_hat @ V_hat.T == X C X - X E - A X + B.
 
     With A = diag(delta) - u v^T, B = u u^T, C = v v^T and E = diag(d) - v u^T
     the width is 2*rank + 2: both diagonal actions ride on the factor blocks,
     the quadratic term (X v)(X^T v)^T is rank one, and the two remaining
-    rank-one pieces, (X v) u^T from -X E and B, share u and merge.
+    rank-one pieces, (X v) u^T from -X E and B, share u and merge.  Returns
+    two lists of n-row blocks; U_hat and V_hat are their ``np.hstack``.
     """
     u, v = inst.u, inst.v
     L, sig, R = X.left, X.core, X.right
@@ -527,9 +604,8 @@ def residual_stacks(inst, X):
     xtv = R @ (LS.T @ v)                    # X^T v
     # -A X folded through the left factor: (-delta .* LS + u (v^T LS)) R^T
     W1 = -(inst.delta[:, None] * LS) + u[:, None] * (v @ LS)[None, :]
-    U_hat = np.column_stack([W1, -LS, xv, xv + u])
-    V_hat = np.column_stack([R, inst.d[:, None] * R, xtv, u])
-    return U_hat, V_hat
+    return ([W1, -LS, xv[:, None], (xv + u)[:, None]],
+            [R, inst.d[:, None] * R, xtv[:, None], u[:, None]])
 
 
 def residual_norm(inst, X, flops=None):
@@ -538,8 +614,9 @@ def residual_norm(inst, X, flops=None):
     Every term is a short combination of outer products of available n-vectors
     with the factor columns of X, so the residual is ||U_hat @ V_hat.T||_F with
     stacks of width 2*rank+2.  With U_hat = Q R that is ||V_hat @ R.T||_F: one
-    R-only QR and one product, no Q formed.  A Gram-matrix evaluation would
-    cancel catastrophically at machine-level residuals.
+    QR of U_hat's blocks, of which only R is read, and one product, no Q
+    formed.  A Gram-matrix evaluation would cancel catastrophically at
+    machine-level residuals.
 
     Returns (absolute_norm, normalized_norm); the normalization divides by
     ||B||_F = u^T u, which is n for the original u = e and sum(q) after
@@ -548,10 +625,10 @@ def residual_norm(inst, X, flops=None):
     if X.n != inst.n:
         raise ValueError("solution dimension does not match the instance")
     b_fro = float(inst.u @ inst.u)
-    U_hat, V_hat = residual_stacks(inst, X)
+    U_blocks, V_blocks = residual_stacks(inst, X)
+    R = _StackQR(U_blocks).r()
+    del U_blocks        # freed before V_hat is formed, to lower the peak
     if flops is not None:
-        w = U_hat.shape[1]
-        flops.add("residual", 4.0 * inst.n * w * w)
-    R = np.linalg.qr(U_hat, mode="r")
-    absnorm = float(np.linalg.norm(V_hat @ R.T))
+        flops.add("residual", 4.0 * inst.n * R.shape[1] ** 2)
+    absnorm = float(np.linalg.norm(np.hstack(V_blocks) @ R.T))
     return absnorm, absnorm / b_fro

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from transport_nare import structured_linalg
 from transport_nare.structured_linalg import (
     BaseOperators,
     FlopModel,
@@ -17,6 +19,7 @@ from transport_nare.structured_linalg import (
     residual_norm,
     residual_stacks,
     truncated_svd,
+    _StackQR,
 )
 from transport_nare.sda_ls import sda_ls_solve
 from transport_nare.modified_sda_ls import msda_solve
@@ -450,6 +453,96 @@ def test_implicit_update_shape_check():
 
 
 # ---------------------------------------------------------------------------
+# in-place QR kernel
+# ---------------------------------------------------------------------------
+
+def qr_stacks():
+    """Tall, square, wide (n < w at n = 1..3) and rank-deficient stacks."""
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((40, 3))
+    stacks = {"tall": [rng.standard_normal((50, 4)), rng.standard_normal((50, 3))],
+              "blocked": [rng.standard_normal((300, 140))],   # LAPACK's blocked path
+              "square": [rng.standard_normal((6, 2)), rng.standard_normal((6, 4))],
+              "deficient": [a, 2.0 * a[:, :1] - a[:, 2:], np.zeros((40, 1)), a[:, ::-1]]}
+    for n in (1, 2, 3):
+        stacks["wide%d" % n] = [rng.standard_normal((n, 2)), rng.standard_normal((n, 2))]
+    return stacks
+
+
+QR_STACKS = qr_stacks()
+
+
+@pytest.mark.parametrize("pivoting", [False, True], ids=["plain", "pivoted"])
+@pytest.mark.parametrize("name", list(QR_STACKS))
+def test_stack_qr_matches_scipy(name, pivoting):
+    blocks = QR_STACKS[name]
+    stack = np.hstack(blocks)
+    n, w = stack.shape
+    F = _StackQR(blocks, pivoting=pivoting)
+    if pivoting:
+        Q, R, piv = sla.qr(stack, mode="economic", pivoting=True)
+        np.testing.assert_array_equal(F.piv, piv)
+    else:
+        Q, R = sla.qr(stack, mode="economic")
+    assert np.array_equal(F.r(), R), name
+    k = min(n, w)
+    for cols in sorted({1, k // 2 + 1, k}):
+        Qc = F.q(cols)
+        assert np.abs(Qc - Q[:, :cols]).max() <= 1e-14, (name, cols)
+        assert np.abs(Qc.T @ Qc - np.eye(cols)).max() <= 1e-14, (name, cols)
+    C = np.random.default_rng(22).standard_normal((k, 3))
+    assert np.abs(F.q_times(C) - Q @ C).max() <= 1e-14 * np.abs(C).sum(axis=0).max()
+    assert F.q_times(C[:, :0]).shape == (n, 0)
+
+
+@pytest.mark.parametrize("routine", ["dgeqrf", "dgeqp3"])
+def test_stack_qr_factors_its_own_stack_in_place(routine, monkeypatch):
+    seen = []
+    real = getattr(structured_linalg.lapack, routine)
+
+    def spy(a, **kwargs):
+        seen.append(a)
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(structured_linalg.lapack, routine, spy)
+    blocks = [np.ones((30, 2)), np.arange(30.0)[:, None]]
+    F = _StackQR(blocks, pivoting=routine == "dgeqp3")
+    (stack,) = seen
+    assert stack.flags.f_contiguous and np.shares_memory(F.a, stack)
+    assert not any(np.shares_memory(stack, b) for b in blocks)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("pivoting", [False, True], ids=["plain", "pivoted"])
+def test_stack_qr_rejects_non_finite_stacks(bad, pivoting):
+    block = np.ones((5, 3))
+    block[2, 1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _StackQR([np.eye(5, 2), block], pivoting=pivoting)
+
+
+def test_stack_qr_reports_illegal_arguments(monkeypatch):
+    monkeypatch.setattr(structured_linalg.lapack, "dgeqrf",
+                        lambda a, **kw: (a, None, None, -4))
+    with pytest.raises(ValueError, match="4-th argument"):
+        _StackQR([np.eye(3)])
+
+
+@pytest.mark.parametrize("n,w", [(4096, 18), (512, 60), (300, 140), (1, 3), (3, 1)])
+def test_stack_qr_workspace_covers_lapack_query(n, w):
+    # the kernel never queries; its workspaces must cover each routine's query
+    lapack = structured_linalg.lapack
+    lwork = structured_linalg._lwork
+    a = np.zeros((n, w), order="F")
+    k = min(n, w)
+    assert lwork(w) >= lapack.dgeqrf(a, lwork=-1)[2][0]
+    assert lwork(w) >= lapack.dgeqp3(a, lwork=-1)[3][0]
+    assert lwork(k) >= lapack.dorgqr(a[:, :k], np.zeros(k), lwork=-1)[1][0]
+    ormqr = lapack.dormqr("L", "N", a[:, :k], np.zeros(k), a, -1)[1][0]
+    assert lwork(w) + structured_linalg._ORMQR_T >= ormqr
+
+
+# ---------------------------------------------------------------------------
 # block orthogonalization
 # ---------------------------------------------------------------------------
 
@@ -619,9 +712,9 @@ def test_residual_matches_dense_sweep(n, r, seed):
 
 def two_qr_residual_norm(inst, X):
     """Reference formula: R factors of both stacks, norm of R_u R_v^T."""
-    U_hat, V_hat = residual_stacks(inst, X)
-    _, ru = np.linalg.qr(U_hat)
-    _, rv = np.linalg.qr(V_hat)
+    U_blocks, V_blocks = residual_stacks(inst, X)
+    _, ru = np.linalg.qr(np.hstack(U_blocks))
+    _, rv = np.linalg.qr(np.hstack(V_blocks))
     return float(np.linalg.norm(ru @ rv.T))
 
 
