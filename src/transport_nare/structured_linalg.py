@@ -309,21 +309,25 @@ class BaseOperators:
 # Householder QR of a column stack
 # ---------------------------------------------------------------------------
 
-#: Block size LAPACK's ilaenv gives its QR routines, and the T buffer (65 x 64)
-#: that dormqr adds to its workspace.  Every workspace is sized from them, so
-#: no lwork=-1 query runs; a test checks the sizes against LAPACK's own query.
+#: Block size LAPACK's ilaenv gives dgeqp3 and dorgqr.  Their workspaces are
+#: sized from it, so no lwork=-1 query runs; a test checks the sizes against
+#: LAPACK's own query.
 _QR_NB = 32
-_ORMQR_T = 65 * 64
+
+#: Block size of the compact-WY QR (dgeqrt) of the unpivoted stacks, capped
+#: by the stack's shape.  8 measured best, or tied with 16, at n = 4096 on
+#: widths 33 to 76.
+_QRT_NB = 8
 
 
 def _lwork(width):
-    """dgeqp3's optimal workspace on ``width`` columns; it covers dgeqrf's and dorgqr's."""
+    """dgeqp3's optimal workspace on ``width`` columns; it covers dorgqr's."""
     return 2 * width + (width + 1) * _QR_NB
 
 
-def _lapack(routine, lwork, *args, **kwargs):
-    """Call a LAPACK QR routine with workspace ``lwork``; its outputs before info."""
-    *out, info = routine(*args, lwork=lwork, **kwargs)
+def _lapack(routine, *args, **kwargs):
+    """Call a LAPACK QR routine; its outputs before info."""
+    *out, info = routine(*args, **kwargs)
     if info < 0:
         raise ValueError("illegal value in %d-th argument of internal %s"
                          % (-info, routine.__name__))
@@ -331,45 +335,55 @@ def _lapack(routine, lwork, *args, **kwargs):
 
 
 class _StackQR:
-    """Householder QR of the column stack [blocks...], factored where it is built.
+    """Householder QR of a column stack, factored in the array it was built in.
 
-    The blocks are copied once into a Fortran-ordered n x w array that this
-    object owns (``a``), and dgeqrf (dgeqp3 with ``pivoting``, its 0-based
-    permutation in ``piv``) overwrites it with R and the reflectors.  The
-    workspace is passed in: a size query would push the stack through f2py
-    once more, and that copy page-faults at n = 4096.  Q is never formed
-    whole: ``q`` builds its leading columns and ``q_times`` applies the thin
-    Q through the reflectors.  A non-finite stack raises ValueError, as
-    ``scipy.linalg.qr`` does.
+    The caller writes the stack into a Fortran-ordered n x w array (``a``)
+    and hands it over; LAPACK overwrites it with R and the reflectors, so
+    the stack is never copied.  An unpivoted stack is factored by dgeqrt,
+    whose recursive level-3 panel and compact-WY block reflectors (``t``)
+    stay fast at the widths here, where dgeqrf would run its unblocked
+    level-2 code (its blocked path starts at 128 columns); ``q_times``
+    applies the thin Q through them with dgemqrt.  A pivoted stack is
+    factored by dgeqp3 (its 0-based permutation in ``piv``), and ``q``
+    forms the leading Q columns from its reflectors with dorgqr.  Q is
+    never formed whole.  dgeqrt and dgemqrt keep their workspace internal,
+    and dgeqp3's and dorgqr's is passed in: a size query would push the
+    stack through f2py once more, and that copy page-faults at n = 4096.
+    A non-finite stack raises ValueError, as ``scipy.linalg.qr`` does.
     """
 
-    def __init__(self, blocks, pivoting=False):
-        n, w = blocks[0].shape[0], sum(b.shape[1] for b in blocks)
-        self.a = np.concatenate(blocks, axis=1, out=np.empty((n, w), order="F"))
-        if not np.isfinite(self.a).all():
+    def __init__(self, a, pivoting=False):
+        if not a.flags.f_contiguous:
+            raise ValueError("the stack must be a Fortran-ordered array")
+        if not np.isfinite(a).all():
             raise ValueError("array must not contain infs or NaNs")
-        lwork = _lwork(w)
+        n, w = a.shape
         if pivoting:
-            self.a, jpvt, self.tau, _ = _lapack(lapack.dgeqp3, lwork, self.a, overwrite_a=1)
+            self.a, jpvt, self.tau, _ = _lapack(lapack.dgeqp3, a, lwork=_lwork(w),
+                                                overwrite_a=1)
             self.piv = jpvt - 1
         else:
-            self.a, self.tau, _ = _lapack(lapack.dgeqrf, lwork, self.a, overwrite_a=1)
+            nb = max(1, min(_QRT_NB, n, w))
+            self.a, self.t = _lapack(lapack.dgeqrt, nb, a, overwrite_a=1)
 
     def r(self):
-        """R, min(n, w) x w, equal to ``scipy.linalg.qr``'s economic R."""
-        return np.triu(self.a[:self.tau.size])
+        """R, min(n, w) x w, equal to ``scipy.linalg.qr``'s economic R
+        (pivoted), or to it up to roundoff (unpivoted)."""
+        return np.triu(self.a[:min(self.a.shape)])
 
     def q(self, cols):
-        """The leading ``cols`` columns of Q, formed from that many reflectors."""
-        return _lapack(lapack.dorgqr, _lwork(cols), self.a[:, :cols], self.tau[:cols])[0]
+        """The leading ``cols`` columns of Q of a pivoted stack, formed from
+        that many reflectors."""
+        return _lapack(lapack.dorgqr, self.a[:, :cols], self.tau[:cols],
+                       lwork=_lwork(cols))[0]
 
     def q_times(self, c):
-        """Thin Q (n x min(n, w)) times ``c``, applied through the reflectors."""
-        k = self.tau.size
+        """Thin Q (n x min(n, w)) of an unpivoted stack times ``c``, applied
+        through the block reflectors."""
+        k = self.t.shape[1]
         out = np.zeros((self.a.shape[0], c.shape[1]), order="F")
         out[:k] = c
-        return _lapack(lapack.dormqr, _lwork(c.shape[1]) + _ORMQR_T, "L", "N",
-                       self.a[:, :k], self.tau, out, overwrite_c=1)[0]
+        return _lapack(lapack.dgemqrt, self.a[:, :k], self.t, out, overwrite_c=1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +396,8 @@ class ImplicitIterate:
     Level 0 is the fused base operator diag(a) + p w^T.  Squaring keeps that
     shape, (D + U V^T)^2 = D^2 + (D U + U V^T U) V^T + U (D V)^T, so level k
     holds the vector d_k = a^(2^k) and two n x r factors, recompressed after
-    each update by a plain QR of both stacks (``_StackQR``) and an SVD of the
+    each update by a plain QR of both stacks (``_StackQR``, blocked dgeqrt,
+    each stack written straight into the array it factors) and an SVD of the
     small core truncated at ``trunc_rel``.  The stacks need no basis extension or
     drop rule: Q R reproduces a rank-deficient stack too, and the truncated
     SVD of the core sets the new rank.  A block apply costs O(n r) per column at
@@ -416,23 +431,32 @@ class ImplicitIterate:
     def push_update(self, u, v):
         """Advance one level: new operator = old @ old + u @ v.T.
 
-        The stacks [D U + U (V^T U), U, u] and [V, D V, v] are each factored
-        in place, and the new factors Q_l (Uc diag(sc)) and Q_r Vc are applied
-        through the reflectors, so neither n x w Q is formed.
+        The stacks [D U + U (V^T U), U, u] and [V, D V, v] are each written
+        into a Fortran-ordered array and factored there (U (V^T U) is
+        written into its columns and D U added in place), and the new
+        factors Q_l (Uc diag(sc)) and Q_r Vc are applied through the block
+        reflectors, so neither n x w Q is formed.
         """
         if self.s is not None:
             raise ValueError("a symmetric iterate advances by push_symmetric")
         self._advance(u, v)
         d, U, V = self.d, self.U, self.V
         r = U.shape[1]
-        left = _StackQR([d[:, None] * U + U @ (V.T @ U), U, u])
-        right = _StackQR([V, d[:, None] * V, v])
+        w = 2 * r + u.shape[1]
+        a = np.empty((self.n, w), order="F")
+        np.matmul(U, V.T @ U, out=a[:, :r])
+        a[:, :r] += d[:, None] * U
+        a[:, r:2 * r], a[:, 2 * r:] = U, u
+        left = _StackQR(a)
+        a = np.empty((self.n, w), order="F")
+        a[:, :r], a[:, 2 * r:] = V, v
+        np.multiply(d[:, None], V, out=a[:, r:2 * r])
+        right = _StackQR(a)
         Uc, sc, Vc = truncated_svd(left.r() @ right.r().T, self.trunc_rel, flops=self.flops)
         self.U = left.q_times(Uc * sc[None, :])
         self.V = right.q_times(Vc)
         self.d = d * d
         if self.flops is not None:
-            w = 2 * r + u.shape[1]
             self.flops.add("implicit_update", self.n * r * (4.0 * r + 2.0) + 2.0 * w ** 3
                            + 4.0 * self.n * w * w
                            + 4.0 * self.n * min(self.n, w) * sc.size)
@@ -442,9 +466,10 @@ class ImplicitIterate:
 
         The first call reads the level-0 correction p w^T, where p is a
         multiple of w on a balanced instance, as (p.w) w w^T / (w.w).  The
-        stack [D U, U, z] is factored in place and the new U = Q W, with W
-        the kept eigenvectors of the small core, is applied through the
-        reflectors, so the n x w Q is never formed.
+        stack [D U, U, z] is written into a Fortran-ordered array and
+        factored there, and the new U = Q W, with W the kept eigenvectors of
+        the small core, is applied through the block reflectors, so the
+        n x w Q is never formed.
         """
         if self.s is None and self.level > 0:
             raise ValueError("push_symmetric continues a symmetric iterate only")
@@ -457,7 +482,10 @@ class ImplicitIterate:
         r = U.shape[1]
         # K = [D U, U, z] = Q R; with U^T U = I the update is Q C Q^T, where
         # C = R0 S R1^T + R1 S R0^T + R1 S^2 R1^T + R2 diag(dup) R2^T
-        K = _StackQR([d[:, None] * U, U, z])
+        a = np.empty((self.n, 2 * r + z.shape[1]), order="F")
+        np.multiply(d[:, None], U, out=a[:, :r])
+        a[:, r:2 * r], a[:, 2 * r:] = U, z
+        K = _StackQR(a)
         R = K.r()
         R0, R1s, R2 = R[:, :r], R[:, r:2 * r] * s[None, :], R[:, 2 * r:]
         C = R0 @ R1s.T
@@ -505,9 +533,9 @@ def orthonormalize_against(Q, Z, flops=None):
     keep resurrecting roundoff directions once the basis saturates and the
     combined basis stops being orthonormal.
 
-    Both pivoted QRs factor their remainder in place, and only the kept
-    directions of Q are formed, from that many reflectors (r of the main QR,
-    r2 of the cleanup).
+    Both pivoted QRs (dgeqp3) factor their remainder in the array it is
+    written in, and only the kept directions of Q are formed, from that many
+    reflectors (r of the main QR, r2 of the cleanup).
 
     Returns (Q_new, S, R) with Z ~= Q @ S + Q_new @ R: R is un-pivoted to
     Z's column order, and Q_new keeps the column signs LAPACK gives it.
@@ -526,14 +554,15 @@ def orthonormalize_against(Q, Z, flops=None):
     empty = (np.zeros((n, 0)), S, np.zeros((0, m)))
     if m == 0 or max_new <= 0:
         return empty
-    # each column's own 2-norm, recomputed by hypot where its squares
-    # underflowed (entries below about 1e-154); remainders below the smallest
-    # normal number carry no relative precision, hence the floor
-    scale = np.linalg.norm(Z, axis=0)
+    # each column's own 2-norm, its squares summed without an n x m
+    # temporary and recomputed by hypot where they underflowed (entries below
+    # about 1e-154); remainders below the smallest normal number carry no
+    # relative precision, hence the floor
+    scale = np.sqrt(np.einsum("ij,ij->j", Z, Z))
     low = scale < 1e-150
     scale[low] = np.hypot.reduce(Z[:, low], axis=0)
     scale = np.maximum(scale, np.finfo(float).tiny / QR_NULL_REL)
-    F = _StackQR([Zp / scale], pivoting=True)
+    F = _StackQR(np.asfortranarray(Zp / scale), pivoting=True)
     Rf = F.r()
     r = min(int(np.sum(np.abs(np.diag(Rf)) > QR_NULL_REL)), max_new)
     if r == 0:
@@ -552,7 +581,7 @@ def orthonormalize_against(Q, Z, flops=None):
     # Re-project against Q, re-factor, and drop directions that lost most of
     # their length to the projection (they were noise, not content).
     C2 = Q.T @ Qh
-    G = _StackQR([Qh - Q @ C2], pivoting=True)
+    G = _StackQR(np.asfortranarray(Qh - Q @ C2), pivoting=True)
     Tf = G.r()
     r2 = int(np.sum(np.abs(np.diag(Tf)) > 0.1))
     if flops is not None:
@@ -589,23 +618,40 @@ def truncated_svd(M, trunc_rel, flops=None):
 # ---------------------------------------------------------------------------
 
 def residual_stacks(inst, X):
-    """Column blocks of U_hat, V_hat with U_hat @ V_hat.T == X C X - X E - A X + B.
+    """Yield U_hat, then V_hat, with U_hat @ V_hat.T == X C X - X E - A X + B.
 
     With A = diag(delta) - u v^T, B = u u^T, C = v v^T and E = diag(d) - v u^T
     the width is 2*rank + 2: both diagonal actions ride on the factor blocks,
     the quadratic term (X v)(X^T v)^T is rank one, and the two remaining
-    rank-one pieces, (X v) u^T from -X E and B, share u and merge.  Returns
-    two lists of n-row blocks; U_hat and V_hat are their ``np.hstack``.
+    rank-one pieces, (X v) u^T from -X E and B, share u and merge.  U_hat is
+    written straight into a Fortran-ordered array, ready for ``_StackQR`` to
+    factor in place; V_hat is formed only when asked for, after the caller is
+    done with U_hat, so the two are never live together.
     """
     u, v = inst.u, inst.v
     L, sig, R = X.left, X.core, X.right
+    r = sig.size
     LS = L * sig[None, :]
     xv = LS @ (R.T @ v)                     # X v, for both X C X and X E
     xtv = R @ (LS.T @ v)                    # X^T v
-    # -A X folded through the left factor: (-delta .* LS + u (v^T LS)) R^T
-    W1 = -(inst.delta[:, None] * LS) + u[:, None] * (v @ LS)[None, :]
-    return ([W1, -LS, xv[:, None], (xv + u)[:, None]],
-            [R, inst.d[:, None] * R, xtv[:, None], u[:, None]])
+    vLS = v @ LS
+    U_hat = np.empty((inst.n, 2 * r + 2), order="F")
+    W1, NLS = U_hat[:, :r], U_hat[:, r:2 * r]
+    NLS[...] = LS
+    del LS
+    # -A X folded through the left factor: (-delta .* LS + u (v^T LS)) R^T.
+    # The blocks are built from LS's copy in place, the outer product added
+    # through the C-ordered transposed view: a ufunc writing across layouts
+    # runs buffered, and each fresh n x r temporary faults in new pages.
+    np.multiply(NLS, -inst.delta[:, None], out=W1)
+    np.add(W1.T, vLS[:, None] * u, out=W1.T)
+    np.negative(NLS, out=NLS)
+    U_hat[:, 2 * r] = xv
+    U_hat[:, 2 * r + 1] = xv + u
+    del W1, NLS, xv
+    yield U_hat
+    del U_hat
+    yield np.hstack([R, inst.d[:, None] * R, xtv[:, None], u[:, None]])
 
 
 def residual_norm(inst, X, flops=None):
@@ -613,10 +659,11 @@ def residual_norm(inst, X, flops=None):
 
     Every term is a short combination of outer products of available n-vectors
     with the factor columns of X, so the residual is ||U_hat @ V_hat.T||_F with
-    stacks of width 2*rank+2.  With U_hat = Q R that is ||V_hat @ R.T||_F: one
-    QR of U_hat's blocks, of which only R is read, and one product, no Q
-    formed.  A Gram-matrix evaluation would cancel catastrophically at
-    machine-level residuals.
+    stacks of width 2*rank+2 (``residual_stacks``).  With U_hat = Q R that is
+    ||V_hat @ R.T||_F: one QR of U_hat, factored in the array it is written
+    in and of which only R is read, and one product, no Q formed.  A
+    Gram-matrix evaluation would cancel catastrophically at machine-level
+    residuals.
 
     Returns (absolute_norm, normalized_norm); the normalization divides by
     ||B||_F = u^T u, which is n for the original u = e and sum(q) after
@@ -625,10 +672,9 @@ def residual_norm(inst, X, flops=None):
     if X.n != inst.n:
         raise ValueError("solution dimension does not match the instance")
     b_fro = float(inst.u @ inst.u)
-    U_blocks, V_blocks = residual_stacks(inst, X)
-    R = _StackQR(U_blocks).r()
-    del U_blocks        # freed before V_hat is formed, to lower the peak
+    stacks = residual_stacks(inst, X)
+    R = _StackQR(next(stacks)).r()
     if flops is not None:
         flops.add("residual", 4.0 * inst.n * R.shape[1] ** 2)
-    absnorm = float(np.linalg.norm(np.hstack(V_blocks) @ R.T))
+    absnorm = float(np.linalg.norm(next(stacks) @ R.T))
     return absnorm, absnorm / b_fro

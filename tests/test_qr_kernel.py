@@ -1,8 +1,9 @@
 """Every QR factorization in the package runs through one kernel.
 
-``structured_linalg._StackQR`` factors each stack in place with no workspace
-query and forms only the Q columns its callers keep; a QR called anywhere
-else would bring back the query's copy of the stack or a whole Q.
+``structured_linalg._StackQR`` factors each stack in the array it was built
+in, with no workspace query, and forms only the Q columns its callers keep;
+a QR called anywhere else would bring back the query's copy of the stack or
+a whole Q.
 """
 
 import ast
@@ -18,8 +19,8 @@ KERNEL = {"structured_linalg.py": "_StackQR"}
 
 #: scipy.linalg.qr and numpy.linalg.qr (attribute or imported name ``qr``)
 #: and LAPACK's QR routines, with or without their type prefix.
-QR_NAME = re.compile(r"qr|[sdcz]?(geqrf|geqp3|geqr2|geqrt|orgqr|ormqr|org2r|orm2r|"
-                     r"ungqr|unmqr)(_lwork)?")
+QR_NAME = re.compile(r"qr|[sdcz]?(geqrf|geqp3|geqr2|geqrt|gemqrt|tpqrt|tpmqrt|orgqr|"
+                     r"ormqr|org2r|orm2r|ungqr|unmqr)(_lwork)?")
 
 
 def qr_references(source, kernel=None):
@@ -57,9 +58,10 @@ def test_detector_flags_qr_outside_the_kernel():
               "class K:\n    def f(self, a):\n        return lapack.dgeqrf(a)\n"
               "def g(a):\n    sla.qr(a)\n    np.linalg.qr(a, mode='r')\n"
               "    lapack.dorgqr(a, a)\n    sla.get_lapack_funcs('geqp3')\n"
+              "    lapack.dgemqrt(a, a, a)\n"
               "    return a.qrs, 'dormqr is not a name'\n")
     assert qr_references(source, kernel="K") == [
-        (3, "qr"), (8, "qr"), (9, "qr"), (10, "dorgqr"), (11, "geqp3")]
+        (3, "qr"), (8, "qr"), (9, "qr"), (10, "dorgqr"), (11, "geqp3"), (12, "dgemqrt")]
     assert (6, "dgeqrf") in qr_references(source)
 
 
@@ -74,5 +76,5 @@ def test_kernel_still_holds_the_qr_calls():
     for module, kernel in KERNEL.items():
         source = (SRC / module).read_text()
         names = {name for _, name in qr_references(source)}
-        assert {"dgeqrf", "dgeqp3", "dorgqr", "dormqr"} <= names, module
+        assert names == {"dgeqrt", "dgemqrt", "dgeqp3", "dorgqr"}, module
         assert not qr_references(source, kernel), module
