@@ -8,9 +8,11 @@ O(n) times a polynomial in the truncated ranks.  Each step performs four large
 implicit-operator block products; the balanced variant in ``modified_sda_ls``
 gets away with two, which is the comparison the flop instrumentation exists
 to make.  ``extend_triple`` is the one kernel that adds a low-rank term to a
-factor triple and re-truncates it; both inits, both H/G updates here and the
-single H update of the balanced step call it.  The configuration, the report
-and the ``run_doubling`` loop that all three solvers share live here too.
+factor triple and re-truncates it, by one stack QR per side and an SVD of the
+small core, as the outer iterates are updated; both inits, both H/G updates
+here and the single H update of the balanced step call it.  The
+configuration, the report and the ``run_doubling`` loop that all three
+solvers share live here too.
 """
 
 import time
@@ -262,18 +264,22 @@ class LowRankState:
 def extend_triple(X, Z1, C, Z2, config, flops):
     """Truncated orthonormal triple of X + Z1 C Z2^T, X = Q1 diag(core) Q2^T.
 
-    Extends both orthonormal bases of the triple X by the fresh directions of
-    Z1 and Z2 (Zi = Qi Si + Qhi Ri), so the sum is [Q1, Qh1] M [Q2, Qh2]^T
-    with the small middle matrix M = [S1; R1] C [S2; R2]^T plus diag(core) in
-    its leading block, and SVD-truncates M at ``config.trunc_rel``.  Every
-    doubling step and both inits (from an empty triple) go through here.  The
-    rank cap is checked before any QR allocates, against min(n, m + w) since
-    the bases never grow past n.  Returns the new triple and its relative
-    increment ||M - diag(core)+0||_F / ||s||_2, the norm of the added term
-    over that of the result (1 from an empty triple): an O(w^2) by-product on
-    which ``run_doubling`` gates its residuals.  Lives in this module, not
-    ``structured_linalg``, so that its kernel calls resolve through this
-    module's names, which perfbench's span tracer patches.
+    Factors the stacks [Q1, Z1] = Qf1 R1 and [Q2, Z2] = Qf2 R2 where they
+    are written (``orthonormalize_against``), so the sum is Qf1 M Qf2^T with
+    the small core M = R1[:, m:] C R2[:, m:]^T + R1[:, :m] diag(core)
+    R2[:, :m]^T, SVD-truncates M at ``config.trunc_rel`` and applies the new
+    factors Qf1 U1 and Qf2 U2 through the block reflectors: no n-wide basis
+    is formed, and the truncated SVD alone sets the rank.  R1, R2, M and the
+    left factorization are released as soon as they are read (peak memory).
+    Every doubling step and both inits (from an empty triple) go through
+    here.  The rank cap is checked before any QR allocates, against
+    min(n, m + w), the most columns Qf1 can have.  Returns the new triple
+    and its relative increment ||Z1 C Z2^T||_F / ||s||_2, the norm of the
+    added term (the first term of M) over that of the result (1 from an
+    empty triple): an O(w^3) by-product on which ``run_doubling`` gates its
+    residuals.  Lives in this module, not ``structured_linalg``, so that its
+    kernel calls resolve through this module's names, which perfbench's span
+    tracer patches.
     """
     Q1, core, Q2 = X.left, X.core, X.right
     m, n = core.size, Z1.shape[0]
@@ -281,18 +287,22 @@ def extend_triple(X, Z1, C, Z2, config, flops):
     if grown > config.max_rank:
         raise RankOverflowError("step %d would grow rank %d to %d past max_rank=%d"
                                 % (flops.k, m, grown, config.max_rank))
-    Qh1, S1, R1 = orthonormalize_against(Q1, Z1, flops=flops)
-    Qh2, S2, R2 = orthonormalize_against(Q2, Z2, flops=flops)
-    M = np.vstack([S1, R1]) @ C @ np.vstack([S2, R2]).T
+    F1 = orthonormalize_against(Q1, Z1, flops=flops)
+    F2 = orthonormalize_against(Q2, Z2, flops=flops)
+    R1, R2 = F1.r(), F2.r()
+    M = R1[:, m:] @ C @ R2[:, m:].T
     added = np.linalg.norm(M)
-    M[:m, :m] += np.diag(core)
+    M += (R1[:, :m] * core[None, :]) @ R2[:, :m].T
+    del R1, R2
     U1, s, U2 = truncated_svd(M, config.trunc_rel, flops=flops)
-    w = M.shape[0]
-    flops.add("factor_assembly", 2.0 * w ** 3 + 4.0 * n * w * s.size)
+    k = M.shape[0]
+    del M
+    flops.add("factor_assembly", 2.0 * k ** 3 + 4.0 * n * k * s.size)
     size = np.linalg.norm(s)
     increment = float(added / size) if size else 0.0
-    return (LowRankBilinear(np.hstack([Q1, Qh1]) @ U1, s, np.hstack([Q2, Qh2]) @ U2),
-            increment)
+    left = F1.q_times(U1)
+    del F1, U1
+    return LowRankBilinear(left, s, F2.q_times(U2)), increment
 
 
 def init_triple(st, z1, z2):

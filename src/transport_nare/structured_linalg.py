@@ -30,10 +30,6 @@ __all__ = [
     "residual_norm",
 ]
 
-#: relative threshold below which a pivot in the block-QR remainder is treated
-#: as numerically null and the corresponding direction is discarded.
-QR_NULL_REL = 1e-14
-
 #: |1 - v^T D^-1 u| below this means the Sherman-Morrison denominator vanished,
 #: which for transport instances happens only toward the critical parameter pair.
 SMW_DENOM_TOL = 1e-14
@@ -309,20 +305,10 @@ class BaseOperators:
 # Householder QR of a column stack
 # ---------------------------------------------------------------------------
 
-#: Block size LAPACK's ilaenv gives dgeqp3 and dorgqr.  Their workspaces are
-#: sized from it, so no lwork=-1 query runs; a test checks the sizes against
-#: LAPACK's own query.
-_QR_NB = 32
-
-#: Block size of the compact-WY QR (dgeqrt) of the unpivoted stacks, capped
-#: by the stack's shape.  8 measured best, or tied with 16, at n = 4096 on
-#: widths 33 to 76.
+#: Block size of the compact-WY QR (dgeqrt) of the stacks, capped by the
+#: stack's shape.  8 measured best, or tied with 16, at n = 4096 on widths
+#: 33 to 76.
 _QRT_NB = 8
-
-
-def _lwork(width):
-    """dgeqp3's optimal workspace on ``width`` columns; it covers dorgqr's."""
-    return 2 * width + (width + 1) * _QR_NB
 
 
 def _lapack(routine, *args, **kwargs):
@@ -338,48 +324,35 @@ class _StackQR:
     """Householder QR of a column stack, factored in the array it was built in.
 
     The caller writes the stack into a Fortran-ordered n x w array (``a``)
-    and hands it over; LAPACK overwrites it with R and the reflectors, so
-    the stack is never copied.  An unpivoted stack is factored by dgeqrt,
-    whose recursive level-3 panel and compact-WY block reflectors (``t``)
-    stay fast at the widths here, where dgeqrf would run its unblocked
-    level-2 code (its blocked path starts at 128 columns); ``q_times``
-    applies the thin Q through them with dgemqrt.  A pivoted stack is
-    factored by dgeqp3 (its 0-based permutation in ``piv``), and ``q``
-    forms the leading Q columns from its reflectors with dorgqr.  Q is
-    never formed whole.  dgeqrt and dgemqrt keep their workspace internal,
-    and dgeqp3's and dorgqr's is passed in: a size query would push the
-    stack through f2py once more, and that copy page-faults at n = 4096.
-    A non-finite stack raises ValueError, as ``scipy.linalg.qr`` does.
+    and hands it over; dgeqrt overwrites it with R and the reflectors, so
+    the stack is never copied.  Its recursive level-3 panel and compact-WY
+    block reflectors (``t``) stay fast at the widths here, where dgeqrf
+    would run its unblocked level-2 code (its blocked path starts at 128
+    columns), and it keeps its workspace internal: no size query pushes the
+    stack through f2py once more.  ``q_times`` applies the thin Q through
+    the block reflectors with dgemqrt, so Q is never formed.  The QR is
+    unpivoted: Q R reproduces a rank-deficient stack too, and every caller
+    sets its rank afterwards from a small core.  A non-finite stack raises
+    ValueError, as ``scipy.linalg.qr`` does.
     """
 
-    def __init__(self, a, pivoting=False):
+    def __init__(self, a):
         if not a.flags.f_contiguous:
             raise ValueError("the stack must be a Fortran-ordered array")
         if not np.isfinite(a).all():
             raise ValueError("array must not contain infs or NaNs")
         n, w = a.shape
-        if pivoting:
-            self.a, jpvt, self.tau, _ = _lapack(lapack.dgeqp3, a, lwork=_lwork(w),
-                                                overwrite_a=1)
-            self.piv = jpvt - 1
-        else:
-            nb = max(1, min(_QRT_NB, n, w))
-            self.a, self.t = _lapack(lapack.dgeqrt, nb, a, overwrite_a=1)
+        nb = max(1, min(_QRT_NB, n, w))
+        self.a, self.t = _lapack(lapack.dgeqrt, nb, a, overwrite_a=1)
 
     def r(self):
-        """R, min(n, w) x w, equal to ``scipy.linalg.qr``'s economic R
-        (pivoted), or to it up to roundoff (unpivoted)."""
+        """R, min(n, w) x w, equal to ``scipy.linalg.qr``'s economic R up to
+        roundoff."""
         return np.triu(self.a[:min(self.a.shape)])
 
-    def q(self, cols):
-        """The leading ``cols`` columns of Q of a pivoted stack, formed from
-        that many reflectors."""
-        return _lapack(lapack.dorgqr, self.a[:, :cols], self.tau[:cols],
-                       lwork=_lwork(cols))[0]
-
     def q_times(self, c):
-        """Thin Q (n x min(n, w)) of an unpivoted stack times ``c``, applied
-        through the block reflectors."""
+        """Thin Q (n x min(n, w)) times ``c``, applied through the block
+        reflectors."""
         k = self.t.shape[1]
         out = np.zeros((self.a.shape[0], c.shape[1]), order="F")
         out[:k] = c
@@ -398,10 +371,9 @@ class ImplicitIterate:
     holds the vector d_k = a^(2^k) and two n x r factors, recompressed after
     each update by a plain QR of both stacks (``_StackQR``, blocked dgeqrt,
     each stack written straight into the array it factors) and an SVD of the
-    small core truncated at ``trunc_rel``.  The stacks need no basis extension or
-    drop rule: Q R reproduces a rank-deficient stack too, and the truncated
-    SVD of the core sets the new rank.  A block apply costs O(n r) per column at
-    every level.
+    small core truncated at ``trunc_rel``, the same update ``extend_triple``
+    makes to the H/G triples.  A block apply costs O(n r) per column at every
+    level.
 
     ``push_symmetric`` keeps a symmetric iterate in the one-factor form
     diag(d) + U diag(s) U^T with orthonormal U, which needs one QR per level
@@ -519,78 +491,28 @@ class ImplicitIterate:
 
 
 # ---------------------------------------------------------------------------
-# orthogonalization and truncated SVD
+# basis extension and truncated SVD
 # ---------------------------------------------------------------------------
 
 def orthonormalize_against(Q, Z, flops=None):
-    """Extend the orthonormal basis Q by the fresh directions of Z.
+    """Householder QR of the stack [Q, Z], factored where it is written.
 
-    Two-pass classical Gram-Schmidt against Q, then a pivoted QR of the
-    remainder, each column divided by its 2-norm in Z.  Directions whose
-    scaled pivot falls below ``QR_NULL_REL`` are numerical noise and are
-    dropped (each column is judged by its own size, not the block's); the
-    basis is never grown past n.  Without the drop rule, no-truncation runs
-    keep resurrecting roundoff directions once the basis saturates and the
-    combined basis stops being orthonormal.
-
-    Both pivoted QRs (dgeqp3) factor their remainder in the array it is
-    written in, and only the kept directions of Q are formed, from that many
-    reflectors (r of the main QR, r2 of the cleanup).
-
-    Returns (Q_new, S, R) with Z ~= Q @ S + Q_new @ R: R is un-pivoted to
-    Z's column order, and Q_new keeps the column signs LAPACK gives it.
+    Q (n x m, orthonormal) and Z (n x w) are written into one Fortran-ordered
+    array and factored there by ``_StackQR``, which is returned: [Q, Z] =
+    Qf R with Qf n x min(n, m + w) orthonormal, so span(Qf) holds span(Q)
+    and the fresh directions of Z, and R[:, :m] and R[:, m:] are the
+    coordinates of Q and Z in it.  No direction is dropped: one of Z that
+    lies in span(Q), or is only roundoff, gets a tiny row of R, Qf stays
+    orthonormal to roundoff whatever the stack's rank, and the caller's
+    truncated SVD of a small core built from R sets the rank.  Qf never has
+    more than n columns.
     """
-    n, m = Z.shape
-    nq = Q.shape[1]
-    max_new = n - nq
-    # with an empty Q the projections subtract exact zeros
-    S = Q.T @ Z
-    Zp = Z - Q @ S
-    S2 = Q.T @ Zp
-    Zp = Zp - Q @ S2
-    S = S + S2
+    n, m = Q.shape
+    a = np.empty((n, m + Z.shape[1]), order="F")
+    a[:, :m], a[:, m:] = Q, Z
     if flops is not None:
-        flops.add("orthogonalize", 8.0 * n * nq * m + 2.0 * n * m * m)
-    empty = (np.zeros((n, 0)), S, np.zeros((0, m)))
-    if m == 0 or max_new <= 0:
-        return empty
-    # each column's own 2-norm, its squares summed without an n x m
-    # temporary and recomputed by hypot where they underflowed (entries below
-    # about 1e-154); remainders below the smallest normal number carry no
-    # relative precision, hence the floor
-    scale = np.sqrt(np.einsum("ij,ij->j", Z, Z))
-    low = scale < 1e-150
-    scale[low] = np.hypot.reduce(Z[:, low], axis=0)
-    scale = np.maximum(scale, np.finfo(float).tiny / QR_NULL_REL)
-    F = _StackQR(np.asfortranarray(Zp / scale), pivoting=True)
-    Rf = F.r()
-    r = min(int(np.sum(np.abs(np.diag(Rf)) > QR_NULL_REL)), max_new)
-    if r == 0:
-        return empty
-    # undo the column pivoting and scaling
-    Qh = F.q(r)
-    R = np.zeros((r, m))
-    R[:, F.piv] = Rf[:r, :]
-    R *= scale
-    if nq == 0:
-        return Qh, S, R
-    # Cleanup pass.  A direction whose scaled pivot sits near the Gram-Schmidt
-    # noise floor (about eps) is contaminated by an in-span component of
-    # relative size eps / pivot, which can reach percent level at the
-    # admission threshold and silently destroys basis orthonormality.
-    # Re-project against Q, re-factor, and drop directions that lost most of
-    # their length to the projection (they were noise, not content).
-    C2 = Q.T @ Qh
-    G = _StackQR(np.asfortranarray(Qh - Q @ C2), pivoting=True)
-    Tf = G.r()
-    r2 = int(np.sum(np.abs(np.diag(Tf)) > 0.1))
-    if flops is not None:
-        flops.add("orthogonalize", 4.0 * n * r * (r + nq))
-    if r2 == 0:
-        return empty
-    T = np.zeros((r2, r))
-    T[:, G.piv] = Tf[:r2, :]
-    return G.q(r2), S + C2 @ R, T @ R
+        flops.add("orthogonalize", 2.0 * n * a.shape[1] ** 2)
+    return _StackQR(a)
 
 
 def truncated_svd(M, trunc_rel, flops=None):

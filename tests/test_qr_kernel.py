@@ -1,9 +1,9 @@
 """Every QR factorization in the package runs through one kernel.
 
 ``structured_linalg._StackQR`` factors each stack in the array it was built
-in, with no workspace query, and forms only the Q columns its callers keep;
-a QR called anywhere else would bring back the query's copy of the stack or
-a whole Q.
+in, with no workspace query, and applies Q through its block reflectors
+without forming it; a QR called anywhere else would bring back a copy of the
+stack or a whole Q.
 """
 
 import ast
@@ -76,5 +76,6 @@ def test_kernel_still_holds_the_qr_calls():
     for module, kernel in KERNEL.items():
         source = (SRC / module).read_text()
         names = {name for _, name in qr_references(source)}
-        assert names == {"dgeqrt", "dgemqrt", "dgeqp3", "dorgqr"}, module
+        # and it holds only the unpivoted blocked QR: no pivoted path is back
+        assert names == {"dgeqrt", "dgemqrt"}, module
         assert not qr_references(source, kernel), module

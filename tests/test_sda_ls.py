@@ -11,7 +11,7 @@ from hypothesis import strategies as hst
 from hypothesis.extra import numpy as hnp
 
 from transport_nare.dense_sda import dense_sda_init, dense_sda_solve, dense_sda_step
-from transport_nare.modified_sda_ls import msda_solve
+from transport_nare.modified_sda_ls import msda_init, msda_solve, msda_step
 from transport_nare.sda_ls import (
     GATE_INCREMENT,
     SolverConfig,
@@ -228,11 +228,12 @@ def test_extend_triple_matches_dense_property(n, m, w, inside, data):
     # relative to the size of the summed terms: the result itself may cancel
     scale = max(np.linalg.norm(base) + np.linalg.norm(upd), 1e-300)
     assert np.linalg.norm(left @ np.diag(s) @ right.T - (base + upd)) <= 1e-12 * scale
-    # the increment is ||added term|| / ||result||; the added term leaves out
-    # the remainder directions of Z1 and Z2 below QR_NULL_REL times the
-    # 2-norm of their own column, which C can turn into all of Z1 C Z2^T, so
-    # its error counts against ||Z1|| ||C|| ||Z2||; np.linalg.norm sums
-    # squares, which underflow for entries below about 1e-154
+    # the increment is ||added term|| / ||result||; the added term is
+    # ||R1 C R2^T|| over the stack QRs' rows of Z1 and Z2, whose backward
+    # error is eps times the 2-norm of each column, which C can turn into all
+    # of Z1 C Z2^T, so its error counts against ||Z1|| ||C|| ||Z2||;
+    # np.linalg.norm sums squares, which underflow for entries below about
+    # 1e-154
     inc_scale = np.prod([np.linalg.norm(Z) for Z in (Z1, C, Z2)])
     inc_err = abs(inc * np.linalg.norm(s) - np.linalg.norm(upd))
     assert inc_err <= 1e-12 * inc_scale + 1e-150
@@ -266,8 +267,8 @@ def test_extend_triple_keeps_small_columns(Z1, C, Z2):
 
 def test_extend_triple_drops_subnormal_remainder():
     # a column of subnormal entries has no relative precision left: its
-    # remainder is noise and must not take the one free direction from the
-    # remainder of the first column (a draw of the property test above)
+    # remainder is noise and must not cost the sum the one free direction
+    # of the first column's remainder (a draw of the property test above)
     n = 4
     Q1 = np.eye(n, 3)
     Q2 = np.linalg.qr(np.ones((n, 3)) - np.eye(n, 3))[0]
@@ -279,6 +280,24 @@ def test_extend_triple_drops_subnormal_remainder():
     base, upd = Q1 @ Q2.T, Z1 @ C @ Z2.T
     err = np.linalg.norm(X.dense() - (base + upd))
     assert err <= 1e-12 * (np.linalg.norm(base) + np.linalg.norm(upd))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_saturated_factors_stay_orthonormal(n):
+    # untruncated, the H/G ranks reach n within a few doublings; from then
+    # on each update adds directions that are only roundoff, which must not
+    # cost the factors their orthonormality (measured 2.4e-15 to 4.2e-15)
+    cfg = SolverConfig(trunc_rel=0.0)
+    inst = make_instance(n, 0.5, 0.5)
+    for init, step, start in ((sda_ls_init, sda_ls_step, inst),
+                              (msda_init, msda_step, balance(inst))):
+        st = init(start, config=cfg)
+        for _ in range(20):
+            step(st)
+            for X in (st.H, st.G):
+                if X is not None:
+                    assert X.orthonormality_defect() <= 1e-13, (step.__name__, st.k)
+        assert set(st.ranks) == {n}, (step.__name__, st.ranks)
 
 
 def test_extend_triple_cap_counts_at_most_n():

@@ -464,7 +464,7 @@ def qr_stacks():
     a = rng.standard_normal((40, 3))
     nb = structured_linalg._QRT_NB
     stacks = {"tall": [rng.standard_normal((50, 4)), rng.standard_normal((50, 3))],
-              "blocked": [rng.standard_normal((300, 140))],   # dgeqp3's blocked path
+              "blocked": [rng.standard_normal((300, 140))],   # past dgeqrf's crossover
               "square": [rng.standard_normal((6, 2)), rng.standard_normal((6, 4))],
               "deficient": [a, 2.0 * a[:, :1] - a[:, 2:], np.zeros((40, 1)), a[:, ::-1]],
               "n1w3": [rng.standard_normal((1, 2)), rng.standard_normal((1, 1))],
@@ -489,26 +489,24 @@ def fortran_stack(blocks):
 # relative to the stack's; the bounds leave 5x and 9x.
 PLAIN_R_BOUND = 2e-15
 PLAIN_QR_BOUND = 1e-14
+# On stacks scaled by 1e-100 to 1e-300, dgeqrt rescales its reflectors and
+# its R moves up to 5.0e-15 from scipy's (on n5w16; the others stay within
+# 1e-15); Q R and Q^T Q keep the plain bounds.  The bound leaves 4x.
+TINY_R_BOUND = 2e-14
 
 
-@pytest.mark.parametrize("pivoting", [False, True], ids=["plain", "pivoted"])
+# "tiny" scales each stack to where the squares of its entries underflow:
+# R scales with it and Q does not change
+@pytest.mark.parametrize("scale", [1.0, 1e-200], ids=["plain", "tiny"])
 @pytest.mark.parametrize("name", list(QR_STACKS))
-def test_stack_qr_matches_scipy(name, pivoting):
-    stack = np.hstack(QR_STACKS[name])
+def test_stack_qr_matches_scipy(name, scale):
+    stack = scale * np.hstack(QR_STACKS[name])
     n, w = stack.shape
     k = min(n, w)
-    F = _StackQR(fortran_stack(QR_STACKS[name]), pivoting=pivoting)
-    if pivoting:
-        Q, R, piv = sla.qr(stack, mode="economic", pivoting=True)
-        np.testing.assert_array_equal(F.piv, piv)
-        assert np.array_equal(F.r(), R), name
-        for cols in sorted({1, k // 2 + 1, k}):
-            Qc = F.q(cols)
-            assert np.abs(Qc - Q[:, :cols]).max() <= 1e-14, (name, cols)
-            assert np.abs(Qc.T @ Qc - np.eye(cols)).max() <= 1e-14, (name, cols)
-        return
-    _, R = sla.qr(stack, mode="economic")
-    assert np.abs(F.r() - R).max() <= PLAIN_R_BOUND * np.abs(R).max(), name
+    F = _StackQR(fortran_stack([stack]))
+    _, R = sla.qr(np.hstack(QR_STACKS[name]), mode="economic")
+    r_bound = PLAIN_R_BOUND if scale == 1.0 else TINY_R_BOUND
+    assert np.abs(F.r() / scale - R).max() <= r_bound * np.abs(R).max(), name
     Q = F.q_times(np.eye(k))
     assert np.abs(Q @ F.r() - stack).max() <= PLAIN_QR_BOUND * np.abs(stack).max(), name
     assert np.abs(Q.T @ Q - np.eye(k)).max() <= 1e-14, name
@@ -517,8 +515,9 @@ def test_stack_qr_matches_scipy(name, pivoting):
     assert F.q_times(C[:, :0]).shape == (n, 0)
 
 
-@pytest.mark.parametrize("routine", ["dgeqrt", "dgeqp3"])
+@pytest.mark.parametrize("routine", ["dgeqrt", "dgemqrt"])
 def test_stack_qr_factors_its_own_stack_in_place(routine, monkeypatch):
+    # dgeqrt overwrites the caller's stack, dgemqrt the array q_times returns
     seen = []
     real = getattr(structured_linalg.lapack, routine)
 
@@ -528,9 +527,13 @@ def test_stack_qr_factors_its_own_stack_in_place(routine, monkeypatch):
 
     monkeypatch.setattr(structured_linalg.lapack, routine, spy)
     stack = fortran_stack([np.ones((30, 2)), np.arange(30.0)[:, None]])
-    F = _StackQR(stack, pivoting=routine == "dgeqp3")
-    assert len(seen) == 1 and seen[0] is stack
-    assert np.shares_memory(F.a, stack)
+    F = _StackQR(stack)
+    if routine == "dgeqrt":
+        assert len(seen) == 1 and seen[0] is stack
+        assert np.shares_memory(F.a, stack)
+    else:
+        out = F.q_times(np.eye(3, 2))
+        assert len(seen) == 1 and seen[0] is out
 
 
 def test_stack_qr_takes_fortran_ordered_stacks_only():
@@ -539,12 +542,16 @@ def test_stack_qr_takes_fortran_ordered_stacks_only():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("pivoting", [False, True], ids=["plain", "pivoted"])
-def test_stack_qr_rejects_non_finite_stacks(bad, pivoting):
+@pytest.mark.parametrize("build", ["plain", "extension"])
+def test_stack_qr_rejects_non_finite_stacks(bad, build):
+    # a stack handed to the kernel, and one written by the basis extension
     block = np.ones((5, 3))
     block[2, 1] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
-        _StackQR(fortran_stack([np.eye(5, 2), block]), pivoting=pivoting)
+        if build == "plain":
+            _StackQR(fortran_stack([np.eye(5, 2), block]))
+        else:
+            orthonormalize_against(np.eye(5, 2), block)
 
 
 def test_stack_qr_reports_illegal_arguments(monkeypatch):
@@ -558,19 +565,8 @@ def test_stack_qr_reports_illegal_arguments(monkeypatch):
         F.q_times(np.eye(3))
 
 
-@pytest.mark.parametrize("n,w", [(4096, 18), (512, 60), (300, 140), (1, 3), (3, 1)])
-def test_stack_qr_workspace_covers_lapack_query(n, w):
-    # the kernel never queries; its workspaces must cover each routine's query
-    lapack = structured_linalg.lapack
-    lwork = structured_linalg._lwork
-    a = np.zeros((n, w), order="F")
-    k = min(n, w)
-    assert lwork(w) >= lapack.dgeqp3(a, lwork=-1)[3][0]
-    assert lwork(k) >= lapack.dorgqr(a[:, :k], np.zeros(k), lwork=-1)[1][0]
-
-
 # ---------------------------------------------------------------------------
-# block orthogonalization
+# basis extension
 # ---------------------------------------------------------------------------
 
 def random_basis(n, k, seed):
@@ -578,48 +574,60 @@ def random_basis(n, k, seed):
     return Q
 
 
-def combined_defect(Q, Uh):
-    full = np.column_stack([Q, Uh])
-    return np.abs(full.T @ full - np.eye(full.shape[1])).max()
+def check_extension(Q, Z):
+    """Factor [Q, Z] by orthonormalize_against; check Qf R = [Q, Z], each
+    column of Z to its own size, and Qf^T Qf = I to 1e-14.  Returns Qf, R."""
+    n, m = Q.shape
+    F = orthonormalize_against(Q, Z)
+    k = min(n, m + Z.shape[1])
+    Qf, R = F.q_times(np.eye(k)), F.r()
+    assert Qf.shape == (n, k) and R.shape == (k, m + Z.shape[1])
+    assert np.abs(Qf.T @ Qf - np.eye(k)).max(initial=0.0) <= 1e-14
+    assert np.abs(Qf @ R[:, :m] - Q).max(initial=0.0) <= 1e-14
+    err = np.abs(Qf @ R[:, m:] - Z).max(axis=0, initial=0.0)
+    assert np.all(err <= 1e-14 * np.abs(Z).max(axis=0, initial=0.0)), err
+    return Qf, R
 
 
 def test_orthonormalize_reconstructs():
     Q = random_basis(20, 5, 0)
-    Z = np.random.default_rng(1).standard_normal((20, 4))
-    Uh, S, R = orthonormalize_against(Q, Z)
-    np.testing.assert_allclose(Q @ S + Uh @ R, Z, rtol=0,
-                               atol=1e-13 * np.abs(Z).max())
-    assert combined_defect(Q, Uh) <= 1e-13
-    assert Uh.shape == (20, 4)
+    Qf, R = check_extension(Q, np.random.default_rng(1).standard_normal((20, 4)))
+    # Qf's leading columns span Q, and R's leading block is its basis change
+    assert np.abs(np.abs(R[:5, :5]) - np.eye(5)).max() <= 1e-14
+    assert np.abs(R[5:, :5]).max() == 0.0
 
 
-def test_orthonormalize_drops_in_span_content():
+def test_orthonormalize_in_span_content_gets_roundoff_rows():
+    # in-span content of Z lands in the rows of Q; the new rows are roundoff
     Q = random_basis(20, 5, 2)
     Z = Q @ np.random.default_rng(3).standard_normal((5, 3))
-    Uh, S, R = orthonormalize_against(Q, Z)
-    assert Uh.shape[1] == 0
-    np.testing.assert_allclose(Q @ S, Z, rtol=0, atol=1e-13)
-    # tiny off-span noise below the null threshold is also dropped
-    Zn = Z + 1e-16 * np.random.default_rng(4).standard_normal((20, 3))
-    Uh, _, _ = orthonormalize_against(Q, Zn)
-    assert Uh.shape[1] == 0
+    _, R = check_extension(Q, Z)
+    assert np.abs(R[5:, 5:]).max() <= 1e-14 * np.abs(Z).max()
 
 
-def test_orthonormalize_drops_tiny_in_span_content():
-    # each column is judged by its own 2-norm, also where its squares underflow
+def test_orthonormalize_tiny_in_span_stays_orthonormal():
+    # also where the squares of Z's entries underflow
     Q = random_basis(20, 5, 2)
     Z = Q @ np.random.default_rng(3).standard_normal((5, 3))
     for scale in (1e-100, 1e-200):
-        Uh, S, R = orthonormalize_against(Q, scale * Z)
-        assert Uh.shape[1] == 0, scale
-        np.testing.assert_allclose(Q @ S, scale * Z, rtol=0, atol=1e-13 * scale)
+        check_extension(Q, scale * Z)
+
+
+def test_orthonormalize_near_span_noise_stays_orthonormal():
+    # directions barely off span(Q) must not spoil the basis; with n < m + w
+    # all n directions are taken
+    Q = random_basis(24, 20, 12)
+    rng = np.random.default_rng(13)
+    Z = Q @ rng.standard_normal((20, 8)) + 1e-13 * rng.standard_normal((24, 8))
+    Qf, _ = check_extension(Q, Z)
+    assert Qf.shape == (24, 24)
 
 
 def test_orthonormalize_max_new_cap():
     # never grow past dimension n
-    Qbig = random_basis(8, 8, 7)
-    Uh, _, _ = orthonormalize_against(Qbig, np.random.default_rng(8).standard_normal((8, 3)))
-    assert Uh.shape[1] == 0
+    Qf, _ = check_extension(random_basis(8, 8, 7),
+                            np.random.default_rng(8).standard_normal((8, 3)))
+    assert Qf.shape == (8, 8)
 
 
 def test_orthonormalize_deterministic():
@@ -627,31 +635,18 @@ def test_orthonormalize_deterministic():
     Z = np.random.default_rng(10).standard_normal((16, 5))
     first = orthonormalize_against(Q, Z)
     second = orthonormalize_against(Q, Z)
-    for a, b in zip(first, second):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_orthonormalize_near_span_noise_stays_orthonormal():
-    # directions barely above the null threshold must not poison the basis
-    Q = random_basis(24, 20, 12)
-    rng = np.random.default_rng(13)
-    Z = Q @ rng.standard_normal((20, 8)) + 1e-13 * rng.standard_normal((24, 8))
-    Uh, S, R = orthonormalize_against(Q, Z)
-    assert combined_defect(Q, Uh) <= 1e-12
-    np.testing.assert_allclose(Q @ S + Uh @ R, Z, rtol=0,
-                               atol=1e-12 * np.abs(Z).max())
+    np.testing.assert_array_equal(first.a, second.a)
+    np.testing.assert_array_equal(first.t, second.t)
 
 
 def test_orthonormalize_empty_inputs():
-    Q = np.zeros((10, 0))
-    Z = np.random.default_rng(14).standard_normal((10, 3))
-    Uh, S, R = orthonormalize_against(Q, Z)
-    assert Uh.shape == (10, 3) and S.shape == (0, 3)
-    np.testing.assert_allclose(Uh @ R, Z, rtol=0, atol=1e-13)
-    Uh, S, R = orthonormalize_against(random_basis(10, 2, 15), np.zeros((10, 0)))
-    assert Uh.shape[1] == 0 and R.shape == (0, 0)
-    Uh, _, _ = orthonormalize_against(random_basis(10, 2, 16), np.zeros((10, 2)))
-    assert Uh.shape[1] == 0
+    Qf, _ = check_extension(np.zeros((10, 0)),
+                            np.random.default_rng(14).standard_normal((10, 3)))
+    assert Qf.shape == (10, 3)
+    Qf, _ = check_extension(random_basis(10, 2, 15), np.zeros((10, 0)))
+    assert Qf.shape == (10, 2)
+    Qf, R = check_extension(random_basis(10, 2, 16), np.zeros((10, 2)))
+    assert Qf.shape == (10, 4) and not R[:, 2:].any()
 
 
 # ---------------------------------------------------------------------------
