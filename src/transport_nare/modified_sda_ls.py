@@ -6,10 +6,11 @@ Gam = Sig, P1 = Q2 and P2 = Q1.  The outer iterates stay distinct (E_0 comes
 from V, built on d, and F_0 from W, built on delta), but each is a symmetric
 matrix, kept as diag(d) + U diag(s) U^T.  Exploiting that halves the large
 implicit products per step from four to two and the triple updates
-(``sda_ls.extend_triple``, with its core SVD) from two to one, and drops one
-of the two QRs in each outer-iterate update.  The solver iterates on
-the balanced instance and judges each iterate by the residual, on the
-instance it was given, of the solution it maps back to.
+(``sda_ls.extend_triple``, with its core SVD) from two to one.  Each outer
+iterate advances by ``ImplicitIterate.push_symmetric``, the same push as
+sda-ls's ``push_update`` with one stack QR where that takes two.  The solver
+iterates on the balanced instance and judges each iterate by the residual,
+on the instance it was given, of the solution it maps back to.
 
 ``audit_symmetry`` runs the general solver from the symmetric initial split on
 a balanced instance and measures how well the claimed pairings hold, through

@@ -34,6 +34,12 @@ __all__ = [
 #: which for transport instances happens only toward the critical parameter pair.
 SMW_DENOM_TOL = 1e-14
 
+#: ``ImplicitIterate.push_symmetric`` takes a level-0 correction p w^T as
+#: symmetric when ||p w^T - w p^T||_F <= this times ||p w^T||_F.  Balanced
+#: instances read at most 5e-16 (n = 1 to 4096, five cells, both operators),
+#: unbalanced ones 0.7 to 1.4 at n >= 2.
+SYMMETRIC_BASE_TOL = 1e-12
+
 
 class NearCriticalError(RuntimeError):
     """A structured solve hit a (near-)singular Sherman-Morrison denominator."""
@@ -366,18 +372,21 @@ class _StackQR:
 class ImplicitIterate:
     """The outer doubling iterate E_k (or F_k), stored as diagonal plus low rank.
 
-    Level 0 is the fused base operator diag(a) + p w^T.  Squaring keeps that
-    shape, (D + U V^T)^2 = D^2 + (D U + U V^T U) V^T + U (D V)^T, so level k
-    holds the vector d_k = a^(2^k) and two n x r factors, recompressed after
-    each update by a plain QR of both stacks (``_StackQR``, blocked dgeqrt,
-    each stack written straight into the array it factors) and an SVD of the
-    small core truncated at ``trunc_rel``, the same update ``extend_triple``
-    makes to the H/G triples.  A block apply costs O(n r) per column at every
-    level.
+    Level k holds d_k = a^(2^k) and a triple (U, s, V) with E_k = diag(d_k) +
+    U diag(s) V^T; a symmetric iterate keeps V is U, orthonormal, and a
+    signed s.  Level 0 is the fused base operator diag(a) + p w^T.  With
+    D = diag(d), S = diag(s) and N = V^T U, each level's squaring plus its
+    update zl cz zr^T is one identity,
 
-    ``push_symmetric`` keeps a symmetric iterate in the one-factor form
-    diag(d) + U diag(s) U^T with orthonormal U, which needs one QR per level
-    instead of two.
+        (D + U S V^T)^2 + zl cz zr^T - D^2 = [D U, U, zl] K [D V, V, zr]^T,
+        K = [[0, S, 0], [S, S N S, 0], [0, 0, cz]],
+
+    and in the symmetric case N = I and one stack serves both sides.  Each
+    stack is written into a Fortran-ordered array and factored there by
+    ``_StackQR``; the small core R_l K R_r^T is truncated at ``trunc_rel``
+    (SVD, or ``eigh`` with signed eigenvalues in the symmetric case) and the
+    kept factors are applied through the block reflectors, so no n x w Q
+    is formed.  A block apply costs O(n r) per column at every level.
     """
 
     def __init__(self, base, name, flops=None, trunc_rel=0.0):
@@ -387,90 +396,80 @@ class ImplicitIterate:
         self.flops = flops
         self.trunc_rel = trunc_rel
         self.d = a[:, 0]
-        self.U = p[:, None]
-        self.V = w[:, None]
-        self.s = None       # set by push_symmetric
+        self.U, self.s, self.V = p[:, None], np.ones(1), w[:, None]
 
     @property
     def rank(self):
         return self.U.shape[1]
 
-    def _advance(self, u, v):
-        if u.shape[0] != self.n or v.shape[0] != self.n or u.shape[1] != v.shape[1]:
-            raise ValueError("update factors must be n x r with matching r")
-        self.level += 1
-
     def push_update(self, u, v):
-        """Advance one level: new operator = old @ old + u @ v.T.
-
-        The stacks [D U + U (V^T U), U, u] and [V, D V, v] are each written
-        into a Fortran-ordered array and factored there (U (V^T U) is
-        written into its columns and D U added in place), and the new
-        factors Q_l (Uc diag(sc)) and Q_r Vc are applied through the block
-        reflectors, so neither n x w Q is formed.
-        """
-        if self.s is not None:
+        """Advance one level: new operator = old @ old + u @ v.T."""
+        if self.V is self.U:
             raise ValueError("a symmetric iterate advances by push_symmetric")
-        self._advance(u, v)
-        d, U, V = self.d, self.U, self.V
-        r = U.shape[1]
-        w = 2 * r + u.shape[1]
-        a = np.empty((self.n, w), order="F")
-        np.matmul(U, V.T @ U, out=a[:, :r])
-        a[:, :r] += d[:, None] * U
-        a[:, r:2 * r], a[:, 2 * r:] = U, u
-        left = _StackQR(a)
-        a = np.empty((self.n, w), order="F")
-        a[:, :r], a[:, 2 * r:] = V, v
-        np.multiply(d[:, None], V, out=a[:, r:2 * r])
-        right = _StackQR(a)
-        Uc, sc, Vc = truncated_svd(left.r() @ right.r().T, self.trunc_rel, flops=self.flops)
-        self.U = left.q_times(Uc * sc[None, :])
-        self.V = right.q_times(Vc)
-        self.d = d * d
-        if self.flops is not None:
-            self.flops.add("implicit_update", self.n * r * (4.0 * r + 2.0) + 2.0 * w ** 3
-                           + 4.0 * self.n * w * w
-                           + 4.0 * self.n * min(self.n, w) * sc.size)
+        self._push(u, np.eye(u.shape[1]), v)
 
     def push_symmetric(self, z, dup):
         """Advance a symmetric iterate one level: old @ old + z diag(dup) z^T.
 
-        The first call reads the level-0 correction p w^T, where p is a
-        multiple of w on a balanced instance, as (p.w) w w^T / (w.w).  The
-        stack [D U, U, z] is written into a Fortran-ordered array and
-        factored there, and the new U = Q W, with W the kept eigenvectors of
-        the small core, is applied through the block reflectors, so the
-        n x w Q is never formed.
+        The first call reads the level-0 correction p w^T as
+        (p.w) w w^T / (w.w), and raises ValueError unless p w^T is symmetric
+        to within ``SYMMETRIC_BASE_TOL``.
         """
-        if self.s is None and self.level > 0:
-            raise ValueError("push_symmetric continues a symmetric iterate only")
-        self._advance(z, z)
-        if self.s is None:
-            w = self.V[:, 0]
-            self.s = np.array([self.U[:, 0] @ w])
-            self.U, self.V = (w / np.linalg.norm(w))[:, None], None
-        d, U, s = self.d, self.U, self.s
-        r = U.shape[1]
-        # K = [D U, U, z] = Q R; with U^T U = I the update is Q C Q^T, where
-        # C = R0 S R1^T + R1 S R0^T + R1 S^2 R1^T + R2 diag(dup) R2^T
-        a = np.empty((self.n, 2 * r + z.shape[1]), order="F")
-        np.multiply(d[:, None], U, out=a[:, :r])
-        a[:, r:2 * r], a[:, 2 * r:] = U, z
-        K = _StackQR(a)
-        R = K.r()
-        R0, R1s, R2 = R[:, :r], R[:, r:2 * r] * s[None, :], R[:, 2 * r:]
-        C = R0 @ R1s.T
-        lam, W = np.linalg.eigh(C + C.T + R1s @ R1s.T + (R2 * dup[None, :]) @ R2.T)
-        big = np.abs(lam).max(initial=0.0)
-        keep = (lam != 0.0) & (np.abs(lam) >= self.trunc_rel * big)
-        self.U, self.s = K.q_times(W[:, keep]), lam[keep]
+        if self.V is not self.U:
+            if self.level > 0:
+                raise ValueError("push_symmetric continues a symmetric iterate only")
+            p, w = self.U[:, 0], self.V[:, 0]
+            # ||p w^T - w p^T||_F / ||p w^T||_F = sqrt(2) ||p - proj_w p|| / ||p||
+            off = np.linalg.norm(p - (p @ w) / (w @ w) * w)
+            if np.sqrt(2.0) * off > SYMMETRIC_BASE_TOL * np.linalg.norm(p):
+                raise ValueError("the level-0 operator is not symmetric; "
+                                 "push_symmetric needs a balanced instance")
+            self.s = np.array([p @ w])
+            self.U = self.V = (w / np.linalg.norm(w))[:, None]
+        self._push(z, np.diag(dup), z)
+
+    def _push(self, zl, cz, zr):
+        """Advance one level: new operator = old @ old + zl @ cz @ zr.T."""
+        n, r = self.n, self.rank
+        if zl.shape[0] != n or zr.shape[0] != n or cz.shape != (zl.shape[1], zr.shape[1]):
+            raise ValueError("update factors must be n x r with matching r")
+        d, U, s, V = self.d, self.U, self.s, self.V
+        sym = V is U
+        w = 2 * r + cz.shape[0]
+
+        def stack(X, z):
+            a = np.empty((n, w), order="F")
+            np.multiply(d[:, None], X, out=a[:, :r])
+            a[:, r:2 * r], a[:, 2 * r:] = X, z
+            return _StackQR(a)
+
+        K = np.zeros((w, w))
+        K[:r, r:2 * r] = K[r:2 * r, :r] = np.diag(s)
+        K[r:2 * r, r:2 * r] = np.diag(s * s) if sym else s[:, None] * (V.T @ U) * s
+        K[2 * r:, 2 * r:] = cz
+        left = stack(U, zl)
+        right = left if sym else stack(V, zr)
+        M = left.r() @ K @ right.r().T
+        if sym:
+            lam, W = np.linalg.eigh(M)
+            keep = _kept(np.abs(lam), self.trunc_rel)
+            Wl, self.s, Wr = W[:, keep], lam[keep], None
+        else:
+            Wl, self.s, Wr = truncated_svd(M, self.trunc_rel, flops=self.flops)
+        del K, M    # not held through the reflector applications (peak memory)
+        self.U = left.q_times(Wl)
+        self.V = self.U if sym else right.q_times(Wr)
         self.d = d * d
+        self.level += 1
         if self.flops is not None:
-            m, w = R.shape
-            self.flops.add("implicit_update", self.n * r + 2.0 * self.n * w * w
-                           + 6.0 * m ** 3 + 2.0 * self.n * m * self.s.size)
-            self.flops.add("eig", 9.0 * m ** 3)
+            # per stack: its D X block, its QR and one reflector application;
+            # then V^T U (general case only) and the core R_l K R_r^T
+            m = min(n, w)
+            per_stack = n * (r + 2.0 * w * w + 2.0 * m * self.s.size)
+            self.flops.add("implicit_update", (1 if sym else 2) * per_stack
+                           + (0.0 if sym else 2.0 * n * r * r) + 2.0 * m * w * (m + w))
+            if sym:
+                self.flops.add("eig", 9.0 * m ** 3)
 
     def apply(self, block, transpose=False):
         block = np.asarray(block, dtype=float)
@@ -481,13 +480,8 @@ class ImplicitIterate:
         if self.flops is not None:
             self.flops.event("implicit_block_apply")
             self.flops.add("implicit_apply", (1.0 + 4.0 * self.rank) * block.size)
-        if self.s is not None:
-            corr = self.U @ (self.s[:, None] * (self.U.T @ block))
-        elif transpose:
-            corr = self.V @ (self.U.T @ block)
-        else:
-            corr = self.U @ (self.V.T @ block)
-        return self.d[:, None] * block + corr
+        left, right = (self.V, self.U) if transpose else (self.U, self.V)
+        return self.d[:, None] * block + left @ (self.s[:, None] * (right.T @ block))
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +523,13 @@ def truncated_svd(M, trunc_rel, flops=None):
     if M.size == 0:
         return np.zeros((M.shape[0], 0)), np.zeros(0), np.zeros((M.shape[1], 0))
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    keep = s > 0.0
-    if s.size and s[0] > 0.0 and trunc_rel > 0.0:
-        keep &= s >= trunc_rel * s[0]
+    keep = _kept(s, trunc_rel)
     return U[:, keep], s[keep], Vt[keep].T
+
+
+def _kept(mag, trunc_rel):
+    """The one keep rule: nonzero magnitudes at least trunc_rel times the largest."""
+    return (mag > 0.0) & (mag >= trunc_rel * mag.max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -394,12 +394,14 @@ def test_push_update_matches_dense_property(n, r, m, data):
     v = data.draw(hnp.arrays(float, (n, m), elements=_entries))
     sol = ShiftedSolver(make_instance(n, 0.5, 0.5), 7.0)
     imp = ImplicitIterate(BaseOperators(sol), "E")
-    imp.d, imp.U, imp.V = d, U, V
+    imp.d, imp.U, imp.s, imp.V = d, U, np.ones(r), V
     E = np.diag(d) + U @ V.T
     want = E @ E + u @ v.T
     imp.push_update(u, v)
-    # relative to the size of the summed terms: the result itself may cancel
-    scale = max(np.linalg.norm(E) ** 2 + np.linalg.norm(u @ v.T), 1e-300)
+    # relative to the size of the summed terms, D and U V^T apart: E itself,
+    # and so E @ E, may cancel
+    scale = max((np.linalg.norm(d) + np.linalg.norm(U) * np.linalg.norm(V)) ** 2
+                + np.linalg.norm(u @ v.T), 1e-300)
     eye = np.eye(n)
     assert np.linalg.norm(imp.apply(eye) - want) <= 1e-12 * scale
     assert np.linalg.norm(imp.apply(eye, transpose=True) - want.T) <= 1e-12 * scale
@@ -423,12 +425,12 @@ def test_push_symmetric_matches_dense_property(n, r, m, kind, data):
         z = np.zeros((n, m))
     sol = ShiftedSolver(make_instance(n, 0.5, 0.5), 7.0)
     imp = ImplicitIterate(BaseOperators(sol), "E")
-    imp.d, imp.U, imp.V, imp.s = d, U, None, s
+    imp.d, imp.U, imp.s, imp.V = d, U, s, U
     E = np.diag(d) + (U * s[None, :]) @ U.T
     Z = (z * dup[None, :]) @ z.T
     want = E @ E + Z
     imp.push_symmetric(z, dup)
-    scale = max(np.linalg.norm(E) ** 2 + np.linalg.norm(Z), 1e-300)
+    scale = max((np.linalg.norm(d) + np.linalg.norm(s)) ** 2 + np.linalg.norm(Z), 1e-300)
     assert np.linalg.norm(imp.apply(np.eye(n)) - want) <= 1e-12 * scale
     # the next level relies on U^T U = I
     assert np.abs(imp.U.T @ imp.U - np.eye(imp.rank)).max(initial=0.0) <= 1e-13
@@ -441,6 +443,58 @@ def test_push_symmetric_needs_a_symmetric_iterate():
     sym, _ = make_iterate(1, symmetric=True)
     with pytest.raises(ValueError):
         sym.push_update(np.ones((16, 1)), np.ones((16, 1)))
+
+
+def test_push_symmetric_rejects_a_nonsymmetric_base():
+    # unbalanced, p w^T is not symmetric; reading it as (p.w) w w^T / (w.w)
+    # would return an operator off by 2.2e-2 (norm 8.5) without an error
+    z = np.random.default_rng(3).standard_normal((8, 2))
+    dup = np.array([0.5, 0.2])
+    inst = make_instance(8, 0.5, 0.5)
+    imp = ImplicitIterate(BaseOperators(ShiftedSolver(inst, gamma_select(inst))), "E")
+    with pytest.raises(ValueError):
+        imp.push_symmetric(z, dup)
+    inst = balance(inst)
+    base = BaseOperators(ShiftedSolver(inst, gamma_select(inst)))
+    imp = ImplicitIterate(base, "E")
+    imp.push_symmetric(z, dup)
+    M = base.dense("E")
+    want = M @ M + (z * dup[None, :]) @ z.T
+    assert np.linalg.norm(imp.apply(np.eye(8)) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_push_update_and_push_symmetric_agree():
+    # one kernel: the general push fed the symmetric update z diag(dup) z^T
+    # tracks the symmetric push level by level
+    n = 16
+    inst = balance(make_instance(n, 0.9, 0.1))
+    base = BaseOperators(ShiftedSolver(inst, gamma_select(inst)))
+    gen, sym = ImplicitIterate(base, "E"), ImplicitIterate(base, "E")
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((n, 3))
+    for _ in range(6):
+        z = 0.3 * rng.standard_normal((n, 2)) / np.sqrt(n)
+        dup = rng.uniform(0.1, 1.0, 2)
+        gen.push_update(z * dup[None, :], z)
+        sym.push_symmetric(z, dup)
+        scale = np.abs(sym.apply(X)).max()
+        assert np.abs(gen.apply(X) - sym.apply(X)).max() <= 1e-12 * scale
+    assert sym.V is sym.U and gen.V is not gen.U
+
+
+@pytest.mark.parametrize("symmetric,per_level", [(False, 2), (True, 1)],
+                         ids=["push_update", "push_symmetric"])
+def test_push_stack_qr_count(monkeypatch, symmetric, per_level):
+    # the balanced symmetry halves the outer-iterate QRs: one stack, not two
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return _StackQR(a)
+
+    monkeypatch.setattr(structured_linalg, "_StackQR", counted)
+    make_iterate(4, symmetric=symmetric)
+    assert len(calls) == 4 * per_level
 
 
 def test_implicit_update_shape_check():
