@@ -190,9 +190,11 @@ def audit_symmetry(inst, k_max=4, config=None):
         }
         # each outer iterate is a symmetric matrix on a balanced instance, and
         # so are the step's rank corrections (E P1) WE (E^T Q2)^T and
-        # (F Q1) WF (F^T P2)^T; all are compared as full products.  The step
-        # returns the corrections it pushed; the last level takes no step.
-        *_, ZE2, _, ZF2, E1, F1 = sda_ls_step(st) if k < k_max else step_products(st)
-        row["dev_rank_update"] = max(_asymmetry(E1 @ ZE2.T), _asymmetry(F1 @ ZF2.T))
+        # (F Q1) WF (F^T P2)^T, formed densely from the factors and cores the
+        # step pushed (n <= AUDIT_MAX_N); the last level takes no step.
+        _, _, ZE1, ZE2, ZF1, ZF2, WE, WF = (
+            sda_ls_step(st) if k < k_max else step_products(st))
+        row["dev_rank_update"] = max(_asymmetry(ZE1 @ (WE @ ZE2.T)),
+                                     _asymmetry(ZF1 @ (WF @ ZF2.T)))
         audit.rows.append(row)
     return audit

@@ -337,9 +337,10 @@ def step_products(st):
     blocks N1 = Q2^T P1 and N2 = P2^T Q1, returns the two corrected cores
         SigC = (I - Sig N1 Gam N2)^-1 Sig,
         GamC = (I - Gam N2 Sig N1)^-1 Gam,
-    the four implicit products E P1, E^T Q2, F Q1, F^T P2 and the left
-    factors (E P1) WE and (F Q1) WF of the next level's rank corrections
-    (E P1) WE (E^T Q2)^T and (F Q1) WF (F^T P2)^T.
+    the four implicit products E P1, E^T Q2, F Q1, F^T P2 and the cores
+    WE = GamC N2 Sig (l x m) and WF = SigC N1 Gam (m x l) of the next level's
+    rank corrections (E P1) WE (E^T Q2)^T and (F Q1) WF (F^T P2)^T, which are
+    pushed in that factored form: no n-wide product is formed here.
     """
     flops = st.flops
     n = st.inst.n
@@ -355,34 +356,33 @@ def step_products(st):
     Bchk = np.eye(l) - GN2 @ SN1
     SigC = np.linalg.solve(Achk, np.diag(Sig))
     GamC = np.linalg.solve(Bchk, np.diag(Gam))
-    WE = np.linalg.solve(Bchk, Gam[:, None] * (N2 * Sig[None, :]))   # l x m
-    WF = np.linalg.solve(Achk, Sig[:, None] * (N1 * Gam[None, :]))   # m x l
+    WE = GamC @ (N2 * Sig[None, :])    # = (I - Gam N2 Sig N1)^-1 Gam N2 Sig
+    WF = SigC @ (N1 * Gam[None, :])    # = (I - Sig N1 Gam N2)^-1 Sig N1 Gam
     flops.add("inner_core", 4.0 * m * l * (m + l) + 2.0 * (m ** 3 + l ** 3))
     ZE1 = st.Eimp.apply(G.left)
     ZE2 = st.Eimp.apply(H.right, transpose=True)
     ZF1 = st.Fimp.apply(H.left)
     ZF2 = st.Fimp.apply(G.right, transpose=True)
-    flops.add("rank_update", 2.0 * n * l * m + 2.0 * n * m * l)
-    return SigC, GamC, ZE1, ZE2, ZF1, ZF2, ZE1 @ WE, ZF1 @ WF
+    return SigC, GamC, ZE1, ZE2, ZF1, ZF2, WE, WF
 
 
 def sda_ls_step(st):
     """One doubling step on the truncated factors; returns the products used.
 
-    Takes the cores and products of ``step_products``, extends and
-    re-truncates the H and G triples with ``extend_triple``, and pushes the
-    new rank corrections onto the implicit operators.  A rank overflow raises
-    before the state changes.  The products are returned for the symmetry
-    audit, which checks that the step's rank corrections stay symmetric.
+    Takes the cores and products of ``step_products`` and hands each update
+    its correction as (left, core, right): H gets (F Q1, SigC, E^T Q2) and G
+    (E P1, GamC, F^T P2) by ``extend_triple``, E (E P1, WE, E^T Q2) and F
+    (F Q1, WF, F^T P2) by ``push_update``.  A rank overflow raises before the
+    state changes.  The products are returned for the symmetry audit.
     """
     st.flops.k = st.k + 1
-    products = SigC, GamC, ZE1, ZE2, ZF1, ZF2, E1, F1 = step_products(st)
+    products = SigC, GamC, ZE1, ZE2, ZF1, ZF2, WE, WF = step_products(st)
     # both triples are built before either is stored: an overflow leaves st as it was
     H, increment = extend_triple(st.H, ZF1, SigC, ZE2, st.config, st.flops)
     G, _ = extend_triple(st.G, ZE1, GamC, ZF2, st.config, st.flops)
     st.H, st.G, st.increment = H, G, increment
-    st.Eimp.push_update(E1, ZE2)
-    st.Fimp.push_update(F1, ZF2)
+    st.Eimp.push_update(ZE1, WE, ZE2)
+    st.Fimp.push_update(ZF1, WF, ZF2)
     st.k += 1
     return products
 

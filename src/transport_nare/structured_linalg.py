@@ -376,10 +376,10 @@ class ImplicitIterate:
     U diag(s) V^T; a symmetric iterate keeps V is U, orthonormal, and a
     signed s.  Level 0 is the fused base operator diag(a) + p w^T.  With
     D = diag(d), S = diag(s) and N = V^T U, each level's squaring plus its
-    update zl cz zr^T is one identity,
+    update zl cz zr^T (a core between two factors) is one identity,
 
         (D + U S V^T)^2 + zl cz zr^T - D^2 = [D U, U, zl] K [D V, V, zr]^T,
-        K = [[0, S, 0], [S, S N S, 0], [0, 0, cz]],
+        K = [[0, S, 0], [S, S N S, 0], [0, 0, cz]],   (2r + l) x (2r + m),
 
     and in the symmetric case N = I and one stack serves both sides.  Each
     stack is written into a Fortran-ordered array and factored there by
@@ -402,11 +402,11 @@ class ImplicitIterate:
     def rank(self):
         return self.U.shape[1]
 
-    def push_update(self, u, v):
-        """Advance one level: new operator = old @ old + u @ v.T."""
+    def push_update(self, zl, cz, zr):
+        """Advance one level: new operator = old @ old + zl @ cz @ zr.T."""
         if self.V is self.U:
             raise ValueError("a symmetric iterate advances by push_symmetric")
-        self._push(u, np.eye(u.shape[1]), v)
+        self._push(zl, cz, zr)
 
     def push_symmetric(self, z, dup):
         """Advance a symmetric iterate one level: old @ old + z diag(dup) z^T.
@@ -432,18 +432,18 @@ class ImplicitIterate:
         """Advance one level: new operator = old @ old + zl @ cz @ zr.T."""
         n, r = self.n, self.rank
         if zl.shape[0] != n or zr.shape[0] != n or cz.shape != (zl.shape[1], zr.shape[1]):
-            raise ValueError("update factors must be n x r with matching r")
+            raise ValueError("update factors n x l and n x m need an l x m core")
         d, U, s, V = self.d, self.U, self.s, self.V
         sym = V is U
-        w = 2 * r + cz.shape[0]
+        wl, wr = 2 * r + cz.shape[0], 2 * r + cz.shape[1]
 
         def stack(X, z):
-            a = np.empty((n, w), order="F")
+            a = np.empty((n, 2 * r + z.shape[1]), order="F")
             np.multiply(d[:, None], X, out=a[:, :r])
             a[:, r:2 * r], a[:, 2 * r:] = X, z
             return _StackQR(a)
 
-        K = np.zeros((w, w))
+        K = np.zeros((wl, wr))
         K[:r, r:2 * r] = K[r:2 * r, :r] = np.diag(s)
         K[r:2 * r, r:2 * r] = np.diag(s * s) if sym else s[:, None] * (V.T @ U) * s
         K[2 * r:, 2 * r:] = cz
@@ -462,14 +462,14 @@ class ImplicitIterate:
         self.d = d * d
         self.level += 1
         if self.flops is not None:
-            # per stack: its D X block, its QR and one reflector application;
-            # then V^T U (general case only) and the core R_l K R_r^T
-            m = min(n, w)
-            per_stack = n * (r + 2.0 * w * w + 2.0 * m * self.s.size)
-            self.flops.add("implicit_update", (1 if sym else 2) * per_stack
-                           + (0.0 if sym else 2.0 * n * r * r) + 2.0 * m * w * (m + w))
+            # per stack of width w: its D X block, its QR and one reflector
+            # application; then V^T U (general case only) and R_l K R_r^T
+            ml, mr, k = min(n, wl), min(n, wr), self.s.size
+            stacks = n * (r + 2.0 * wl * wl + 2.0 * ml * k) + (0.0 if sym else n * (
+                r + 2.0 * wr * wr + 2.0 * mr * k + 2.0 * r * r))
+            self.flops.add("implicit_update", stacks + 2.0 * ml * wr * (wl + mr))
             if sym:
-                self.flops.add("eig", 9.0 * m ** 3)
+                self.flops.add("eig", 9.0 * ml ** 3)
 
     def apply(self, block, transpose=False):
         block = np.asarray(block, dtype=float)

@@ -24,6 +24,7 @@ from transport_nare.sda_ls import (
 from transport_nare.structured_linalg import (
     BaseOperators,
     FlopModel,
+    ImplicitIterate,
     LowRankBilinear,
     RankOverflowError,
     gamma_select,
@@ -320,15 +321,46 @@ def test_extend_triple_cap_raises_before_qr():
     assert not fm.flops
 
 
+# The exact flop labels of one doubling level: a kernel that stops counting,
+# or a new one, has to be an edit here.
+SDA_LS_LEVEL_LABELS = {"cross_gram", "inner_core", "implicit_apply", "implicit_update",
+                       "factor_assembly", "orthogonalize", "svd"}
+MSDA_LEVEL_LABELS = {"inner_core", "implicit_apply", "implicit_update", "eig",
+                     "factor_assembly", "orthogonalize", "svd"}
+
+
 def test_step_counts_kernels_and_applies():
     st = sda_ls_init(make_instance(16, 0.9, 0.1))
     fm = st.flops
     sda_ls_step(st)
-    snap = fm.snapshot(1)
-    for label in ("cross_gram", "inner_core", "rank_update",
-                  "factor_assembly", "orthogonalize", "svd"):
-        assert label in snap, label
+    assert set(fm.snapshot(1)) == SDA_LS_LEVEL_LABELS, sorted(fm.snapshot(1))
     assert fm.iteration_events(1, "implicit_block_apply") == 4
+    mst = msda_init(balance(make_instance(16, 0.9, 0.1)))
+    msda_step(mst)
+    assert set(mst.flops.snapshot(1)) == MSDA_LEVEL_LABELS, sorted(mst.flops.snapshot(1))
+    assert mst.flops.iteration_events(1, "implicit_block_apply") == 2
+
+
+def test_step_pushes_factored_corrections():
+    # pushing the step's (E P1, WE, E^T Q2) and (F Q1, WF, F^T P2) tracks
+    # pushing the multiplied-out left factors with an identity core, and
+    # both track the dense recursion E <- E^2 + (E P1) WE (E^T Q2)^T
+    st = sda_ls_init(make_instance(16, 0.9, 0.1))
+    base = BaseOperators(st.solver)
+    ref = {name: ImplicitIterate(base, name, trunc_rel=st.config.trunc_rel)
+           for name in ("E", "F")}
+    dense = {name: base.dense(name) for name in ("E", "F")}
+    eye = np.eye(16)
+    for _ in range(6):
+        _, _, ZE1, ZE2, ZF1, ZF2, WE, WF = sda_ls_step(st)
+        ref["E"].push_update(ZE1 @ WE, np.eye(WE.shape[1]), ZE2)
+        ref["F"].push_update(ZF1 @ WF, np.eye(WF.shape[1]), ZF2)
+        dense["E"] = dense["E"] @ dense["E"] + ZE1 @ WE @ ZE2.T
+        dense["F"] = dense["F"] @ dense["F"] + ZF1 @ WF @ ZF2.T
+        for imp, name in ((st.Eimp, "E"), (st.Fimp, "F")):
+            got, scale = imp.apply(eye), np.abs(dense[name]).max()
+            assert np.abs(got - ref[name].apply(eye)).max() <= 1e-12 * scale, (st.k, name)
+            assert np.abs(got - dense[name]).max() <= 1e-12 * scale, (st.k, name)
 
 
 def test_factored_resolvent_identity():

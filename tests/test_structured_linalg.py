@@ -319,7 +319,7 @@ def make_iterate(levels, symmetric=False, n=16, seed=7, flops=None):
             M = M @ M + (u * dup[None, :]) @ u.T
         else:
             v = 0.3 * rng.standard_normal((n, 2)) / np.sqrt(n)
-            imp.push_update(u, v)
+            imp.push_update(u, np.eye(2), v)
             M = M @ M + u @ v.T
     return imp, M
 
@@ -341,7 +341,7 @@ def test_implicit_zero_updates_is_repeated_squaring():
     base = BaseOperators(sol)
     imp = ImplicitIterate(base, "E")
     for _ in range(2):
-        imp.push_update(np.zeros((8, 1)), np.zeros((8, 1)))
+        imp.push_update(np.zeros((8, 1)), np.eye(1), np.zeros((8, 1)))
     M = base.dense("E")
     M4 = np.linalg.matrix_power(M, 4)
     X = np.random.default_rng(1).standard_normal((8, 2))
@@ -385,23 +385,26 @@ _entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8), st.integers(1, 3), st.integers(1, 3), st.data())
-def test_push_update_matches_dense_property(n, r, m, data):
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.data())
+def test_push_update_matches_dense_property(n, r, l, m, data):
+    # a rectangular l x m core between an n x l and an n x m factor
     d = data.draw(hnp.arrays(float, n, elements=_entries))
     U = data.draw(hnp.arrays(float, (n, r), elements=_entries))
     V = data.draw(hnp.arrays(float, (n, r), elements=_entries))
-    u = data.draw(hnp.arrays(float, (n, m), elements=_entries))
-    v = data.draw(hnp.arrays(float, (n, m), elements=_entries))
+    zl = data.draw(hnp.arrays(float, (n, l), elements=_entries))
+    cz = data.draw(hnp.arrays(float, (l, m), elements=_entries))
+    zr = data.draw(hnp.arrays(float, (n, m), elements=_entries))
     sol = ShiftedSolver(make_instance(n, 0.5, 0.5), 7.0)
     imp = ImplicitIterate(BaseOperators(sol), "E")
     imp.d, imp.U, imp.s, imp.V = d, U, np.ones(r), V
     E = np.diag(d) + U @ V.T
-    want = E @ E + u @ v.T
-    imp.push_update(u, v)
+    want = E @ E + zl @ cz @ zr.T
+    imp.push_update(zl, cz, zr)
     # relative to the size of the summed terms, D and U V^T apart: E itself,
     # and so E @ E, may cancel
     scale = max((np.linalg.norm(d) + np.linalg.norm(U) * np.linalg.norm(V)) ** 2
-                + np.linalg.norm(u @ v.T), 1e-300)
+                + np.linalg.norm(zl @ cz @ zr.T), 1e-300)
     eye = np.eye(n)
     assert np.linalg.norm(imp.apply(eye) - want) <= 1e-12 * scale
     assert np.linalg.norm(imp.apply(eye, transpose=True) - want.T) <= 1e-12 * scale
@@ -442,7 +445,7 @@ def test_push_symmetric_needs_a_symmetric_iterate():
         imp.push_symmetric(np.ones((16, 1)), np.ones(1))
     sym, _ = make_iterate(1, symmetric=True)
     with pytest.raises(ValueError):
-        sym.push_update(np.ones((16, 1)), np.ones((16, 1)))
+        sym.push_update(np.ones((16, 1)), np.eye(1), np.ones((16, 1)))
 
 
 def test_push_symmetric_rejects_a_nonsymmetric_base():
@@ -475,7 +478,7 @@ def test_push_update_and_push_symmetric_agree():
     for _ in range(6):
         z = 0.3 * rng.standard_normal((n, 2)) / np.sqrt(n)
         dup = rng.uniform(0.1, 1.0, 2)
-        gen.push_update(z * dup[None, :], z)
+        gen.push_update(z, np.diag(dup), z)
         sym.push_symmetric(z, dup)
         scale = np.abs(sym.apply(X)).max()
         assert np.abs(gen.apply(X) - sym.apply(X)).max() <= 1e-12 * scale
@@ -501,9 +504,11 @@ def test_implicit_update_shape_check():
     sol = ShiftedSolver(make_instance(8, 0.5, 0.5), 7.0)
     imp = ImplicitIterate(BaseOperators(sol), "E")
     with pytest.raises(ValueError):
-        imp.push_update(np.ones((8, 2)), np.ones((8, 3)))
+        imp.push_update(np.ones((8, 2)), np.eye(2), np.ones((8, 3)))
     with pytest.raises(ValueError):
-        imp.push_update(np.ones((7, 2)), np.ones((8, 2)))
+        imp.push_update(np.ones((7, 2)), np.eye(2), np.ones((8, 2)))
+    with pytest.raises(ValueError):
+        imp.push_update(np.ones((8, 2)), np.ones((3, 2)), np.ones((8, 3)))
 
 
 # ---------------------------------------------------------------------------
