@@ -14,11 +14,16 @@ the residual on the levels where the solver computed one (level 0, then every
 level from the first whose increment met the gate).  A level's wall time
 includes the residual computed on it.  Then comes a summary of both
 solvers on all three standard cells.  It then times capped runs at
-half the size to exhibit linear growth, and finishes with the four
-shifted-solve round-trips every iteration relies on.
+half the size to exhibit linear growth, traces the heap of one capped solve
+per solver at n = 2048 and 4096 in a separate pass (so no timed run is
+traced), and finishes with the four shifted-solve round-trips every
+iteration relies on.  A peak is given in MB and in factor widths: peak /
+(8 n (rank H + rank E/F)), the largest ranks of the run, so O(n) storage
+reads as a width that stays flat when n doubles.
 """
 
 import statistics
+import tracemalloc
 
 import numpy as np
 
@@ -76,6 +81,20 @@ for n in (2048, 4096):
     med[n] = statistics.median(r.iter_times[1:])
     print("  n=%-5d median %.4f s/iter" % (n, med[n]))
 print("  ratio %.2f (2.0 is ideal linear scaling)" % (med[4096] / med[2048]))
+
+print()
+print("traced heap peak of one capped solve (0.9:0.1, 8 doublings):")
+for n in (2048, 4096):
+    capped_inst = make_instance(n, 0.9, 0.1)
+    for name, solve in SOLVERS:
+        tracemalloc.start()
+        _, r = solve(capped_inst, config=capped)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        ef = max(max(p) for p in r.extras["operator_rank_history"])
+        print("  n=%-5d %-16s %.2f MB = %.1f factor widths (H rank %d, E/F rank %d)"
+              % (n, name, peak / 1e6, peak / (8.0 * n * (r.max_rank_seen + ef)),
+                 r.max_rank_seen, ef))
 
 print()
 print("shifted-solve round-trips at n=%d (apply then solve, 100 probes):" % N)

@@ -73,7 +73,8 @@ def msda_step(st):
     With G_k = H_k^T the inner correction collapses to the diagonal
     Sig/(1 - Sig^2), and because E_k and F_k are each symmetric the four large
     products of the general step pair up: only F Q1 and E Q2 are needed, and
-    one ``extend_triple`` call updates H.
+    one ``extend_triple`` call updates H.  It checks the rank cap before it
+    consumes the old triple, so a rank overflow leaves the state as it was.
     """
     flops = st.flops
     flops.k = st.k + 1
@@ -88,9 +89,9 @@ def msda_step(st):
     flops.add("inner_core", 6.0 * Sig.size)
     ZE = st.Eimp.apply(st.H.right)
     ZF = st.Fimp.apply(st.H.left)
-    # no local keeps the old triple alive through the outer updates (peak memory)
     st.H, st.increment = extend_triple(st.H, ZF, np.diag(sig_c), ZE, st.config, flops)
     st.Eimp.push_symmetric(ZE, dup)
+    del ZE      # F's push does not read it (peak memory)
     st.Fimp.push_symmetric(ZF, dup)
     st.k += 1
     return st

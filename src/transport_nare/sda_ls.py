@@ -261,6 +261,18 @@ class LowRankState:
         return {"operator_rank_history": (self.Eimp.rank, self.Fimp.rank)}
 
 
+def check_rank_cap(X, Z1, config, flops):
+    """Raise RankOverflowError unless X + Z1 C Z2^T fits ``config.max_rank``.
+
+    Counts min(n, m + w), the most columns the extended basis can have.
+    """
+    m, n = X.rank, Z1.shape[0]
+    grown = min(n, m + Z1.shape[1])
+    if grown > config.max_rank:
+        raise RankOverflowError("step %d would grow rank %d to %d past max_rank=%d"
+                                % (flops.k, m, grown, config.max_rank))
+
+
 def extend_triple(X, Z1, C, Z2, config, flops):
     """Truncated orthonormal triple of X + Z1 C Z2^T, X = Q1 diag(core) Q2^T.
 
@@ -269,26 +281,27 @@ def extend_triple(X, Z1, C, Z2, config, flops):
     the small core M = R1[:, m:] C R2[:, m:]^T + R1[:, :m] diag(core)
     R2[:, :m]^T, SVD-truncates M at ``config.trunc_rel`` and applies the new
     factors Qf1 U1 and Qf2 U2 through the block reflectors: no n-wide basis
-    is formed, and the truncated SVD alone sets the rank.  R1, R2, M and the
-    left factorization are released as soon as they are read (peak memory).
-    Every doubling step and both inits (from an empty triple) go through
-    here.  The rank cap is checked before any QR allocates, against
-    min(n, m + w), the most columns Qf1 can have.  Returns the new triple
-    and its relative increment ||Z1 C Z2^T||_F / ||s||_2, the norm of the
-    added term (the first term of M) over that of the result (1 from an
-    empty triple): an O(w^3) by-product on which ``run_doubling`` gates its
-    residuals.  Lives in this module, not ``structured_linalg``, so that its
-    kernel calls resolve through this module's names, which perfbench's span
-    tracer patches.
+    is formed, and the truncated SVD alone sets the rank.  X is consumed:
+    each of its factors is released (set to None) once its stack holds a
+    copy, and R1, R2, M and the left factorization as soon as they are read
+    (peak memory), so the old and new triples are never live together; X
+    is not to be read again, even if a later error raises.  Every doubling
+    step and both inits (from an empty triple) go through here.  The rank
+    cap (``check_rank_cap``) is checked before X is touched or any QR
+    allocates, so an overflow leaves X whole.  Returns the new
+    triple and its relative increment ||Z1 C Z2^T||_F / ||s||_2, the norm
+    of the added term (the first term of M) over that of the result (1 from
+    an empty triple): an O(w^3) by-product on which ``run_doubling`` gates
+    its residuals.  Lives in this module, not ``structured_linalg``, so that
+    its kernel calls resolve through this module's names, which perfbench's
+    span tracer patches.
     """
-    Q1, core, Q2 = X.left, X.core, X.right
-    m, n = core.size, Z1.shape[0]
-    grown = min(n, m + Z1.shape[1])
-    if grown > config.max_rank:
-        raise RankOverflowError("step %d would grow rank %d to %d past max_rank=%d"
-                                % (flops.k, m, grown, config.max_rank))
-    F1 = orthonormalize_against(Q1, Z1, flops=flops)
-    F2 = orthonormalize_against(Q2, Z2, flops=flops)
+    check_rank_cap(X, Z1, config, flops)
+    m, n, core = X.rank, Z1.shape[0], X.core
+    F1 = orthonormalize_against(X.left, Z1, flops=flops)
+    X.left = None
+    F2 = orthonormalize_against(X.right, Z2, flops=flops)
+    X.right = None
     R1, R2 = F1.r(), F2.r()
     M = R1[:, m:] @ C @ R2[:, m:].T
     added = np.linalg.norm(M)
@@ -371,16 +384,19 @@ def sda_ls_step(st):
 
     Takes the cores and products of ``step_products`` and hands each update
     its correction as (left, core, right): H gets (F Q1, SigC, E^T Q2) and G
-    (E P1, GamC, F^T P2) by ``extend_triple``, E (E P1, WE, E^T Q2) and F
-    (F Q1, WF, F^T P2) by ``push_update``.  A rank overflow raises before the
-    state changes.  The products are returned for the symmetry audit.
+    (E P1, GamC, F^T P2) by ``extend_triple``, which consumes the old
+    triples, E (E P1, WE, E^T Q2) and F (F Q1, WF, F^T P2) by
+    ``push_update``, which releases the old factors of E and F.  Both rank
+    caps are checked before either triple is handed over, so a rank
+    overflow raises before the state changes.  The products are returned
+    for the symmetry audit; the first push holds all four anyway.
     """
     st.flops.k = st.k + 1
     products = SigC, GamC, ZE1, ZE2, ZF1, ZF2, WE, WF = step_products(st)
-    # both triples are built before either is stored: an overflow leaves st as it was
-    H, increment = extend_triple(st.H, ZF1, SigC, ZE2, st.config, st.flops)
-    G, _ = extend_triple(st.G, ZE1, GamC, ZF2, st.config, st.flops)
-    st.H, st.G, st.increment = H, G, increment
+    check_rank_cap(st.H, ZF1, st.config, st.flops)
+    check_rank_cap(st.G, ZE1, st.config, st.flops)
+    st.H, st.increment = extend_triple(st.H, ZF1, SigC, ZE2, st.config, st.flops)
+    st.G, _ = extend_triple(st.G, ZE1, GamC, ZF2, st.config, st.flops)
     st.Eimp.push_update(ZE1, WE, ZE2)
     st.Fimp.push_update(ZF1, WF, ZF2)
     st.k += 1

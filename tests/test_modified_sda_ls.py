@@ -153,10 +153,12 @@ def test_step_rank_cap_precedes_growth():
     msda_step(st)              # 1 -> 2
     msda_step(st)              # 2 -> 4
     before = st.H
+    left, right = before.left, before.right
     with pytest.raises(RankOverflowError):
         msda_step(st)          # would need 8
     assert st.k == 2 and st.ranks == (4,)
-    assert st.H is before
+    # extend_triple checks the cap before it consumes the triple
+    assert st.H is before and before.left is left and before.right is right
     assert st.Eimp.level == 2 and st.Fimp.level == 2
 
 

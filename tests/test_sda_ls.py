@@ -197,10 +197,15 @@ def test_step_rank_cap_on_g_leaves_h_untouched():
     sda_ls_step(st)
     st.H = LowRankBilinear(st.H.left[:, :3], st.H.core[:3], st.H.right[:, :3])
     before = (st.H, st.G)
+    factors = [(X.left, X.core, X.right) for X in before]
     with pytest.raises(RankOverflowError):
         sda_ls_step(st)
     assert st.k == 2 and st.ranks == (3, 4)
     assert st.H is before[0] and st.G is before[1]
+    # extend_triple consumes its triple: both caps are checked before H is
+    # handed over, so H keeps its factors
+    for X, (left, core, right) in zip(before, factors):
+        assert X.left is left and X.core is core and X.right is right
     assert st.Eimp.level == 2 and st.Fimp.level == 2
 
 
@@ -310,6 +315,21 @@ def test_extend_triple_cap_counts_at_most_n():
         SolverConfig(trunc_rel=0.0, max_rank=n), FlopModel())
     assert X.rank == n
     assert np.allclose(X.dense(), np.eye(n) + Z1 @ Z2.T, rtol=0.0, atol=1e-13)
+
+
+def test_extend_triple_consumes_its_triple():
+    # each old factor is released once its stack holds a copy; an overflow
+    # raises before the triple is touched
+    cfg, fm = SolverConfig(max_rank=4), FlopModel()
+    left, right = np.eye(6, 2), np.eye(6, 2)[::-1]
+    X = LowRankBilinear(left, np.ones(2), right)
+    with pytest.raises(RankOverflowError):
+        extend_triple(X, np.ones((6, 3)), np.eye(3), np.ones((6, 3)), cfg, fm)
+    assert X.left is left and X.right is right
+    Y, _ = extend_triple(X, np.ones((6, 1)), np.eye(1), np.ones((6, 1)), cfg, fm)
+    assert X.left is None and X.right is None
+    expect = left @ right.T + np.ones((6, 6))
+    assert np.allclose(Y.dense(), expect, rtol=0.0, atol=1e-14)
 
 
 def test_extend_triple_cap_raises_before_qr():

@@ -631,6 +631,21 @@ def test_stack_qr_rejects_non_finite_stacks(bad, build):
             orthonormalize_against(np.eye(5, 2), block)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape,at", [((20, 3), (19, 0)), ((20, 3), (10, 2)),
+                                      ((3, 6), (1, 5))],
+                         ids=["last-row-first-column", "below-diagonal-last-column",
+                              "column-past-n"])
+def test_stack_qr_finds_non_finite_entries_after_factoring(bad, shape, at):
+    # the kernel checks only the factored top min(n, w) rows: an entry below
+    # them must reach R through its column's reflector or the reflector
+    # products, and a column past n lies in those rows whole
+    stack = np.asfortranarray(np.random.default_rng(4).standard_normal(shape))
+    stack[at] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _StackQR(stack)
+
+
 def test_stack_qr_reports_illegal_arguments(monkeypatch):
     lapack = structured_linalg.lapack
     F = _StackQR(fortran_stack([np.eye(3)]))
@@ -823,7 +838,8 @@ def test_residual_matches_dense_sweep(n, r, seed):
 
 def two_qr_residual_norm(inst, X):
     """Reference formula: R factors of both stacks, norm of R_u R_v^T."""
-    U_hat, V_hat = residual_stacks(inst, X)
+    U_hat, v_rows = residual_stacks(inst, X)
+    V_hat = v_rows(0, inst.n)
     _, ru = np.linalg.qr(U_hat)
     _, rv = np.linalg.qr(V_hat)
     return float(np.linalg.norm(ru @ rv.T))
