@@ -58,7 +58,7 @@ class CoreSingularError(RuntimeError):
 
 def msda_init(inst, config=None, flops=None):
     """Initial rank-one factors on a balanced instance; ``G`` stays None."""
-    if not np.array_equal(inst.u, inst.v):
+    if inst.u is not inst.v:
         raise ValueError("msda operates on balanced instances; call balance() first")
     st = LowRankState(inst, config, flops)
     ph = inst.u[:, None]

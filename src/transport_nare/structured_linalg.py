@@ -34,12 +34,6 @@ __all__ = [
 #: which for transport instances happens only toward the critical parameter pair.
 SMW_DENOM_TOL = 1e-14
 
-#: ``ImplicitIterate.push_symmetric`` takes a level-0 correction p w^T as
-#: symmetric when ||p w^T - w p^T||_F <= this times ||p w^T||_F.  Balanced
-#: instances read at most 5e-16 (n = 1 to 4096, five cells, both operators),
-#: unbalanced ones 0.7 to 1.4 at n >= 2.
-SYMMETRIC_BASE_TOL = 1e-12
-
 
 class NearCriticalError(RuntimeError):
     """A structured solve hit a (near-)singular Sherman-Morrison denominator."""
@@ -281,30 +275,37 @@ class BaseOperators:
     """Fused doubling base operators at level zero.
 
     E0 = I - 2*gamma*V^-1 and F0 = I - 2*gamma*W^-1 are themselves diagonal plus
-    rank-one, so each application is one diagonal scale and one rank-one
-    correction (about 5n flops per column) instead of a full shifted solve.
-    Each is stored as (a, p, w) for diag(a) + p w^T; the transpose swaps p
-    and w.
+    rank-one, diag(a) + p w^T, so each application is one diagonal scale and
+    one rank-one correction (about 5n flops per column) instead of a full
+    shifted solve.  Each is stored as ``ImplicitIterate`` stores a level,
+    (d, U, s, V) for diag(d) + U diag(s) V^T: (a, p, 1, w), or on a balanced
+    instance, where w is D^-1 u and p a multiple of it, (a, w^, p.w, w^) with
+    w^ = w/||w||.
     """
 
     def __init__(self, solver):
         g2 = 2.0 * solver.gamma
         self.n = solver.n
-        self._ops = {}
+        self._ops, self._rank_one = {}, {}
         for name, sm in (("E", solver._v), ("F", solver._w)):
-            a = 1.0 - g2 * sm.inv_d
-            self._ops[name] = (a[:, None], -(g2 / sm.denom) * sm._du, sm._dv)
+            a, p, w = 1.0 - g2 * sm.inv_d, -(g2 / sm.denom) * sm._du, sm._dv
+            self._rank_one[name] = a, p, w
+            if w is sm._du:
+                U = (w / np.linalg.norm(w))[:, None]
+                self._ops[name] = a, U, np.array([p @ w]), U
+            else:
+                self._ops[name] = a, p[:, None], np.ones(1), w[:, None]
 
     def apply(self, name, block, transpose=False):
-        a, p, w = self._ops[name]
+        d, U, s, V = self._ops[name]
         if transpose:
-            p, w = w, p
-        return a * block + p[:, None] * (w @ block)[None, :]
+            U, V = V, U
+        return d[:, None] * block + U @ (s[:, None] * (V.T @ block))
 
     def dense(self, name):
-        """Exact dense image of the fused operator (test oracle)."""
-        a, p, w = self._ops[name]
-        return np.diag(a[:, 0]) + np.outer(p, w)
+        """Exact dense image diag(a) + p w^T of the fused operator (test oracle)."""
+        a, p, w = self._rank_one[name]
+        return np.diag(a) + np.outer(p, w)
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +380,10 @@ class ImplicitIterate:
 
     Level k holds d_k = a^(2^k) and a triple (U, s, V) with E_k = diag(d_k) +
     U diag(s) V^T; a symmetric iterate keeps V is U, orthonormal, and a
-    signed s.  Level 0 is the fused base operator diag(a) + p w^T.  With
-    D = diag(d), S = diag(s) and N = V^T U, each level's squaring plus its
-    update zl cz zr^T (a core between two factors) is one identity,
+    signed s.  Level 0 is the base operator as ``BaseOperators`` stores it,
+    symmetric on a balanced instance.  With D = diag(d), S = diag(s) and
+    N = V^T U, each level's squaring plus its update zl cz zr^T (a core
+    between two factors) is one identity,
 
         (D + U S V^T)^2 + zl cz zr^T - D^2 = [D U, U, zl] K [D V, V, zr]^T,
         K = [[0, S, 0], [S, S N S, 0], [0, 0, cz]],   (2r + l) x (2r + m),
@@ -395,48 +397,37 @@ class ImplicitIterate:
     """
 
     def __init__(self, base, name, flops=None, trunc_rel=0.0):
-        a, p, w = base._ops[name]
         self.n = base.n
         self.level = 0
         self.flops = flops
         self.trunc_rel = trunc_rel
-        self.d = a[:, 0]
-        self.U, self.s, self.V = p[:, None], np.ones(1), w[:, None]
+        self.d, self.U, self.s, self.V = base._ops[name]
 
     @property
     def rank(self):
         return self.U.shape[1]
 
     def push_update(self, zl, cz, zr):
-        """Advance one level: new operator = old @ old + zl @ cz @ zr.T."""
-        if self.V is self.U:
-            raise ValueError("a symmetric iterate advances by push_symmetric")
-        self._push(zl, cz, zr)
+        """Advance one level: new operator = old @ old + zl @ cz @ zr.T, by
+        two stacks; a symmetric iterate comes out in general form."""
+        self._push(zl, cz, zr, sym=False)
 
     def push_symmetric(self, z, dup):
         """Advance a symmetric iterate one level: old @ old + z diag(dup) z^T.
 
-        The first call reads the level-0 correction p w^T as
-        (p.w) w w^T / (w.w), and raises ValueError unless p w^T is symmetric
-        to within ``SYMMETRIC_BASE_TOL``.
+        Raises ValueError unless the iterate is symmetric (V is U), which at
+        level 0 it is on a balanced instance only.
         """
         if self.V is not self.U:
-            if self.level > 0:
-                raise ValueError("push_symmetric continues a symmetric iterate only")
-            p, w = self.U[:, 0], self.V[:, 0]
-            # ||p w^T - w p^T||_F / ||p w^T||_F = sqrt(2) ||p - proj_w p|| / ||p||
-            off = np.linalg.norm(p - (p @ w) / (w @ w) * w)
-            if np.sqrt(2.0) * off > SYMMETRIC_BASE_TOL * np.linalg.norm(p):
-                raise ValueError("the level-0 operator is not symmetric; "
-                                 "push_symmetric needs a balanced instance")
-            self.s = np.array([p @ w])
-            self.U = self.V = (w / np.linalg.norm(w))[:, None]
-        self._push(z, np.diag(dup), z)
+            raise ValueError("push_symmetric needs a symmetric iterate; "
+                             "level 0 is one on a balanced instance only")
+        self._push(z, np.diag(dup), z, sym=True)
 
-    def _push(self, zl, cz, zr):
+    def _push(self, zl, cz, zr, sym):
         """Advance one level: new operator = old @ old + zl @ cz @ zr.T.
 
-        The old U and V are dropped once both stacks (which hold copies) are
+        ``sym`` (V is U, zr is zl) shares one stack between both sides.  The
+        old U and V are dropped once both stacks (which hold copies) are
         factored, so they are not live with the new factors (peak memory);
         a non-finite stack raises before that.
         """
@@ -444,7 +435,6 @@ class ImplicitIterate:
         if zl.shape[0] != n or zr.shape[0] != n or cz.shape != (zl.shape[1], zr.shape[1]):
             raise ValueError("update factors n x l and n x m need an l x m core")
         d, s = self.d, self.s
-        sym = self.V is self.U
         wl, wr = 2 * r + cz.shape[0], 2 * r + cz.shape[1]
 
         def stack(X, z):

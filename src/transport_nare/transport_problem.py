@@ -280,11 +280,11 @@ def make_instance(n, c, alpha, quad=None):
 def balance(inst):
     """Similarity-transform an instance so all rank-one parts coincide.
 
-    Returns the instance with u = v = phi = sqrt(u v), which is the original
-    equation conjugated by diag(sqrt(u/v)).  An instance with u = v is
-    already balanced and comes back unchanged.
+    Returns the instance with u = v = phi = sqrt(u v), in one array, which is
+    the original equation conjugated by diag(sqrt(u/v)).  Balanced means
+    ``inst.u is inst.v`` everywhere; such an instance comes back unchanged.
     """
-    if np.array_equal(inst.u, inst.v):
+    if inst.u is inst.v:
         return inst
     q = inst.q
     if np.any(q <= 0.0):

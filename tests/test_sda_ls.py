@@ -79,6 +79,8 @@ def test_stagnation_rule():
     assert not stagnated([1.0, 0.5], 1e-12)
     # flat at the floor, far below the worst residual: stagnated
     assert stagnated([1.0] + [1e-13] * 4, 1e-14)
+    # flat at 1e-4 of the worst, the floor of a loose truncation: stagnated
+    assert stagnated([1.0] + [1e-4] * 4, 1e-12)
     # already below tolerance: not stagnation, that is convergence
     assert not stagnated([1.0] + [1e-13] * 4, 1e-12)
     # still improving by 2x per look-back window: keep going
@@ -561,6 +563,16 @@ def test_report_contract(solve, kwargs, termination):
                 "residual_levels", "wall_time_s"):
         assert key in d
     assert d["residual_levels"] == rep.residual_levels
+
+
+@pytest.mark.parametrize("solve", SOLVES[:2], ids=lambda f: f.__name__)
+def test_loose_truncation_floor_stagnates(solve):
+    # trunc_rel 1e-7 floors the residual at 1.2e-6 (modified-sda-ls) and
+    # 5.4e-5 (sda-ls), far above the default tol: the run stops there after
+    # 17 doublings instead of running on to max_iter
+    rep = solve(make_instance(64, 0.5, 0.5), SolverConfig(trunc_rel=1e-7))[-1]
+    assert rep.termination == "stagnated"
+    assert rep.iterations <= 20
 
 
 def test_solve_near_critical_warns():

@@ -290,21 +290,26 @@ def test_base_operators_match_dense(balanced):
     np.testing.assert_allclose(base.apply("E", X), e0 @ X, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(base.apply("F", X, transpose=True), f0.T @ X,
                                rtol=1e-12, atol=1e-12)
+    # level 0 is symmetric exactly when the instance is balanced (u is v)
+    for name in "EF":
+        imp = ImplicitIterate(base, name)
+        assert (imp.V is imp.U) == balanced
 
 
 # ---------------------------------------------------------------------------
 # implicit doubling iterate
 # ---------------------------------------------------------------------------
 
-def make_iterate(levels, symmetric=False, n=16, seed=7, flops=None):
+def make_iterate(levels, symmetric=False, balanced=False, n=16, seed=7, flops=None):
     """An iterate advanced by random updates, with its dense recursion.
 
     The updates are scaled so that M <- M^2 + (update) stays of order one over
     six levels.  The symmetric form runs on the balanced instance, where the
-    base operator is symmetric, with positive weights like the solver's.
+    base operator is symmetric, with positive weights like the solver's;
+    ``balanced`` runs the general form from that symmetric level 0.
     """
     inst = make_instance(n, 0.9, 0.1)
-    if symmetric:
+    if symmetric or balanced:
         inst = balance(inst)
     sol = ShiftedSolver(inst, gamma_select(inst))
     base = BaseOperators(sol)
@@ -357,9 +362,11 @@ def test_implicit_level2_matches_dense():
                                rtol=0, atol=1e-12 * scale)
 
 
-@pytest.mark.parametrize("symmetric", [False, True])
-def test_implicit_six_levels_match_dense_recursion(symmetric):
-    imp, M = make_iterate(6, symmetric=symmetric)
+@pytest.mark.parametrize("symmetric,balanced",
+                         [(False, False), (True, True), (False, True)],
+                         ids=["False", "True", "general_from_symmetric"])
+def test_implicit_six_levels_match_dense_recursion(symmetric, balanced):
+    imp, M = make_iterate(6, symmetric=symmetric, balanced=balanced)
     assert imp.level == 6
     X = np.random.default_rng(13).standard_normal((16, 3))
     scale = np.abs(M @ X).max()
@@ -443,9 +450,16 @@ def test_push_symmetric_needs_a_symmetric_iterate():
     imp, _ = make_iterate(1)
     with pytest.raises(ValueError):
         imp.push_symmetric(np.ones((16, 1)), np.ones(1))
-    sym, _ = make_iterate(1, symmetric=True)
+    # push_update advances a symmetric iterate in general form, which
+    # push_symmetric then refuses
+    sym, M = make_iterate(1, symmetric=True)
+    zl, zr = np.full((16, 1), 0.1), np.linspace(-0.1, 0.1, 16)[:, None]
+    sym.push_update(zl, np.eye(1), zr)
+    assert sym.V is not sym.U
+    want = M @ M + zl @ zr.T
+    assert np.linalg.norm(sym.apply(np.eye(16)) - want) <= 1e-12 * np.linalg.norm(want)
     with pytest.raises(ValueError):
-        sym.push_update(np.ones((16, 1)), np.eye(1), np.ones((16, 1)))
+        sym.push_symmetric(np.ones((16, 1)), np.ones(1))
 
 
 def test_push_symmetric_rejects_a_nonsymmetric_base():

@@ -315,8 +315,12 @@ def test_balance_is_diagonal_similarity():
     np.testing.assert_allclose(Bb, (ph[:, None] * B) * ph[None, :], rtol=1e-14)
     np.testing.assert_allclose(Cb, (C / ph[:, None]) / ph[None, :], rtol=1e-14)
     assert balance(binst) is binst
-    scalar = make_instance(1, 0.5, 0.0)     # q = 1: already balanced
-    assert balance(scalar) is scalar
+    # q = 1, u = v in two arrays: the same values, in one array
+    scalar = make_instance(1, 0.5, 0.0)
+    bscalar = balance(scalar)
+    assert bscalar.u is bscalar.v
+    np.testing.assert_array_equal(bscalar.u, scalar.u)
+    np.testing.assert_array_equal(bscalar.v, scalar.v)
 
 
 def test_balance_preserves_rates():

@@ -1,0 +1,87 @@
+"""Parity of two builds of transport_nare on a fixed set of 36 solves.
+
+    PYTHONPATH=src python tools/parity.py run OUT.npz
+    python tools/parity.py compare A.npz B.npz
+
+``run`` solves both low-rank solvers on three cells at six configurations with
+the ``transport_nare`` on the import path, and records each run's report
+(iterations, termination, ranks, residuals, per-level flops) and X on 64 rows
+sampled with seed 7.  ``compare`` prints every mismatch of the fields that must
+be equal, the worst relative distance of X (and of the residuals) and how many
+runs give a bit-identical X.
+"""
+
+import json
+import sys
+
+import numpy as np
+
+CELLS = ((0.5, 0.5), (0.9, 0.1), (0.999, 0.001))
+#: (n, SolverConfig fields) of each configuration
+CONFIGS = ((512, {"tol_residual": 1e-9}), (4096, {"max_iter": 8}), (64, {}),
+           (4096, {"tol_residual": 1e-8}), (32, {"trunc_rel": 0.0}),
+           (64, {"trunc_rel": 0.0}))
+ROWS, SEED = 64, 7
+EXACT = ("iterations", "termination", "max_rank", "residual_levels", "ranks",
+         "operator_ranks", "flops")
+
+
+def run(out):
+    from transport_nare.modified_sda_ls import msda_solve
+    from transport_nare.sda_ls import SolverConfig, sda_ls_solve
+    from transport_nare.transport_problem import make_instance
+    meta, xs = {}, []
+    for n, fields in CONFIGS:
+        rows = np.sort(np.random.default_rng(SEED).choice(n, min(n, ROWS), replace=False))
+        for c, alpha in CELLS:
+            for solve in (sda_ls_solve, msda_solve):
+                X, rep = solve(make_instance(n, c, alpha), SolverConfig(**fields))
+                key = "%s n=%d c=%g alpha=%g %s" % (
+                    rep.algorithm, n, c, alpha, json.dumps(fields))
+                meta[key] = {
+                    "iterations": rep.iterations, "termination": rep.termination,
+                    "max_rank": rep.max_rank_seen,
+                    "residual_levels": rep.residual_levels,
+                    "residuals": rep.residual_history,
+                    "ranks": rep.rank_history,
+                    "operator_ranks": rep.extras["operator_rank_history"],
+                    "flops": [rep.flops.iteration_total(k)
+                              for k in range(rep.iterations + 1)]}
+                xs.append((X.left[rows] * X.core) @ X.right.T)
+                print(key, rep.termination, rep.iterations, flush=True)
+    np.savez_compressed(out, meta=json.dumps(meta),
+                        **{"X%d" % i: x for i, x in enumerate(xs)})
+
+
+def load(path):
+    with np.load(path) as f:
+        meta = json.loads(str(f["meta"]))
+        return meta, [f["X%d" % i] for i in range(len(meta))]
+
+
+def compare(a, b):
+    (ma, xa), (mb, xb) = load(a), load(b)
+    if list(ma) != list(mb):
+        sys.exit("the two files hold different run sets")
+    worst_x = worst_res = identical = 0
+    for key, x1, x2 in zip(ma, xa, xb):
+        ra, rb = ma[key], mb[key]
+        for field in EXACT:
+            if ra[field] != rb[field]:
+                print("MISMATCH %s %s: %s != %s" % (key, field, ra[field], rb[field]))
+        if ra["residual_levels"] == rb["residual_levels"]:
+            r1, r2 = np.array(ra["residuals"]), np.array(rb["residuals"])
+            worst_res = max(worst_res, float(np.max(np.abs(r1 - r2) / r1)))
+        identical += np.array_equal(x1, x2)
+        worst_x = max(worst_x, float(np.linalg.norm(x1 - x2) / np.linalg.norm(x1)))
+    print("%d runs, X bit-identical on %d; worst relative X distance %.3g, "
+          "worst relative residual difference %.3g"
+          % (len(ma), identical, worst_x, worst_res))
+
+
+if __name__ == "__main__":
+    command, nargs = {"run": (run, 1), "compare": (compare, 2)}.get(
+        sys.argv[1] if len(sys.argv) > 1 else "", (None, -1))
+    if len(sys.argv) != 2 + nargs:
+        sys.exit(__doc__)
+    command(*sys.argv[2:])
