@@ -6,7 +6,7 @@ of the smallest quadrature node, roughly n^2), and the iteration needs 27 to
 few low-rank columns, so a doubling costs O(n r^2) at every k and both
 large-scale solvers run to convergence in seconds.  The tolerance is 1e-8:
 the default 1e-12 lies below the doubling floor at this n (about eps times
-the shift), and sda-ls settles between 1e-9 and 2e-9.
+the shift), and sda-ls settles between 7e-10 and 1.4e-9.
 
 The demo prints, for one cell, the relative H increment, the rank of H and
 the ranks of the E/F corrections after every doubling with its wall time, and
@@ -16,10 +16,12 @@ includes the residual computed on it.  Then comes a summary of both
 solvers on all three standard cells.  It then times capped runs at
 half the size to exhibit linear growth, traces the heap of one capped solve
 per solver at n = 2048 and 4096 in a separate pass (so no timed run is
-traced), and finishes with the four shifted-solve round-trips every
-iteration relies on.  A peak is given in MB and in factor widths: peak /
-(8 n (rank H + rank E/F)), the largest ranks of the run, so O(n) storage
-reads as a width that stays flat when n doubles.
+traced), and finishes with the round-trips of the four Sherman-Morrison
+solves that level 0's closed form is checked against (no solve calls them:
+``BaseOperators`` builds level 0 from four scaled n-vectors).  A peak is
+given in MB and in factor widths: peak / (8 n (rank H + rank E/F)), the
+largest ranks of the run, so O(n) storage reads as a width that stays flat
+when n doubles.
 """
 
 import statistics
@@ -97,7 +99,7 @@ for n in (2048, 4096):
                  r.max_rank_seen, ef))
 
 print()
-print("shifted-solve round-trips at n=%d (apply then solve, 100 probes):" % N)
+print("Sherman-Morrison reference round-trips at n=%d (100 probes):" % N)
 solver = ShiftedSolver(inst, gamma_select(inst))
 for which in ShiftedSolver.WHICH:
     print("  %s: %.2e" % (which, solver.roundtrip_error(which, probes=100)))

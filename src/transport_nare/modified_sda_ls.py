@@ -31,7 +31,6 @@ from .sda_ls import (
     SolverConfig,
     SolveReport,
     extend_triple,
-    init_triple,
     run_doubling,
     sda_ls_init,
     sda_ls_step,
@@ -57,13 +56,11 @@ class CoreSingularError(RuntimeError):
 
 
 def msda_init(inst, config=None, flops=None):
-    """Initial rank-one factors on a balanced instance; ``G`` stays None."""
+    """Level-0 state on a balanced instance, H0 rank one; ``G`` is None."""
     if inst.u is not inst.v:
         raise ValueError("msda operates on balanced instances; call balance() first")
     st = LowRankState(inst, config, flops)
-    ph = inst.u[:, None]
-    st.H, st.increment = init_triple(st, st.solver.solve("W", ph, flops=st.flops),
-                                     st.solver.solve("E", ph, flops=st.flops))
+    st.G = None
     return st
 
 

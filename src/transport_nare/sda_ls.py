@@ -7,10 +7,11 @@ plus truncated low-rank factors (``ImplicitIterate``), so one iteration costs
 O(n) times a polynomial in the truncated ranks.  Each step performs four large
 implicit-operator block products; the balanced variant in ``modified_sda_ls``
 gets away with two, which is the comparison the flop instrumentation exists
-to make.  ``extend_triple`` is the one kernel that adds a low-rank term to a
-factor triple and re-truncates it, by one stack QR per side and an SVD of the
-small core, as the outer iterates are updated; both inits, both H/G updates
-here and the single H update of the balanced step call it.  The
+to make.  Level 0 comes from ``BaseOperators``' closed form: no shifted
+solve runs in a solve.  ``extend_triple`` is the one kernel that adds a
+low-rank term to a factor triple and re-truncates it, by one stack QR per
+side and an SVD of the small core, as the outer iterates are updated; both
+H/G updates here and the single H update of the balanced step call it.  The
 configuration, the report and the ``run_doubling`` loop that all three
 solvers share live here too.
 """
@@ -27,7 +28,6 @@ from .structured_linalg import (
     ImplicitIterate,
     LowRankBilinear,
     RankOverflowError,
-    ShiftedSolver,
     gamma_select,
     orthonormalize_against,
     residual_norm,
@@ -228,10 +228,11 @@ class LowRankState:
     """Mutable per-solve state of the low-rank iterations.
 
     Owns the ``SolverConfig`` that every step runs under (the defaults when
-    none is given), the flop counters, the shifted solver, the outer iterates
-    E_k, F_k (``Eimp``, ``Fimp``) and the H_k and G_k factor triples ``H``
-    and ``G`` (``LowRankBilinear``, set by the inits).  The balanced
-    iteration, where G_k = H_k^T, leaves ``G`` None.  ``increment`` is
+    none is given), the flop counters, the doubling shift ``gamma``, the
+    outer iterates E_k, F_k (``Eimp``, ``Fimp``) and the H_k and G_k factor
+    triples ``H`` and ``G`` (``LowRankBilinear``), all four built at level 0
+    from ``BaseOperators``, which is not kept.  The balanced iteration, where
+    G_k = H_k^T, sets ``G`` to None.  ``increment`` is
     ||H_k - H_{k-1}||_F / ||H_k||_F of the last H update (1 at level 0).
     """
 
@@ -240,18 +241,14 @@ class LowRankState:
         self.config = config or SolverConfig()
         self.flops = flops if flops is not None else FlopModel()
         self.flops.k = 0
-        self.solver = ShiftedSolver(inst, gamma_select(inst))
-        base = BaseOperators(self.solver)
+        self.gamma = gamma_select(inst)
+        base = BaseOperators(inst, self.gamma)
         trunc_rel = self.config.trunc_rel
         self.Eimp = ImplicitIterate(base, "E", flops=self.flops, trunc_rel=trunc_rel)
         self.Fimp = ImplicitIterate(base, "F", flops=self.flops, trunc_rel=trunc_rel)
-        self.H = self.G = None
+        self.H, self.G = LowRankBilinear(*base.H), LowRankBilinear(*base.G)
         self.k = 0
         self.increment = 1.0
-
-    @property
-    def gamma(self):
-        return self.solver.gamma
 
     @property
     def ranks(self):
@@ -286,15 +283,15 @@ def extend_triple(X, Z1, C, Z2, config, flops):
     copy, and R1, R2, M and the left factorization as soon as they are read
     (peak memory), so the old and new triples are never live together; X
     is not to be read again, even if a later error raises.  Every doubling
-    step and both inits (from an empty triple) go through here.  The rank
-    cap (``check_rank_cap``) is checked before X is touched or any QR
-    allocates, so an overflow leaves X whole.  Returns the new
-    triple and its relative increment ||Z1 C Z2^T||_F / ||s||_2, the norm
-    of the added term (the first term of M) over that of the result (1 from
-    an empty triple): an O(w^3) by-product on which ``run_doubling`` gates
-    its residuals.  Lives in this module, not ``structured_linalg``, so that
-    its kernel calls resolve through this module's names, which perfbench's
-    span tracer patches.
+    step goes through here; the inits do not, their rank-one triples come
+    from ``BaseOperators`` whole.  The rank cap (``check_rank_cap``) is
+    checked before X is touched or any QR allocates, so an overflow leaves X
+    whole.  Returns the new triple and its relative increment
+    ||Z1 C Z2^T||_F / ||s||_2, the norm of the added term (the first term
+    of M) over that of the result: an O(w^3) by-product on which
+    ``run_doubling`` gates its residuals.  Lives in this module, not
+    ``structured_linalg``, so that its kernel calls resolve through this
+    module's names, which perfbench's span tracer patches.
     """
     check_rank_cap(X, Z1, config, flops)
     m, n, core = X.rank, Z1.shape[0], X.core
@@ -318,29 +315,9 @@ def extend_triple(X, Z1, C, Z2, config, flops):
     return LowRankBilinear(left, s, F2.q_times(U2)), increment
 
 
-def init_triple(st, z1, z2):
-    """Level-0 triple of 2*gamma * z1 z2^T, with sqrt(2*gamma) on each side.
-
-    Returns the triple and its increment, as ``extend_triple`` does.  The even
-    split makes the four initial factor blocks of a balanced instance
-    pairwise identical; the symmetry audit starts from exactly that.
-    """
-    sq = np.sqrt(2.0 * st.gamma)
-    none = np.zeros((st.inst.n, 0))
-    return extend_triple(LowRankBilinear(none, np.zeros(0), none), sq * z1,
-                         np.eye(1), sq * z2, st.config, st.flops)
-
-
 def sda_ls_init(inst, config=None, flops=None):
-    """Initial triples of B = u u^T and C = v v^T, and the implicit operators."""
-    st = LowRankState(inst, config, flops)
-    solve, flops = st.solver.solve, st.flops
-    b, c = inst.u[:, None], inst.v[:, None]
-    st.H, st.increment = init_triple(
-        st, solve("W", b, flops=flops), solve("E", b, transpose=True, flops=flops))
-    st.G, _ = init_triple(
-        st, solve("E", c, flops=flops), solve("W", c, transpose=True, flops=flops))
-    return st
+    """Level-0 state: the triples of H0 and G0 and the implicit operators."""
+    return LowRankState(inst, config, flops)
 
 
 def step_products(st):

@@ -2,10 +2,10 @@
 
 Everything here exploits the same shape: coefficient matrices that are diagonal
 plus a rank-one outer product.  Shifted inverses then collapse to Sherman-Morrison
-corrections over diagonal solves, the doubling base operators become fused
-"diagonal times block plus rank-one correction" applications, the outer doubling
-iterates stay diagonal plus low rank, and residuals of low-rank iterates can be
-evaluated without ever forming an n-by-n matrix.
+corrections over diagonal solves, the four level-0 doubling matrices to closed
+forms in four scaled n-vectors and one scalar, the outer doubling iterates stay
+diagonal plus low rank, and residuals of low-rank iterates can be evaluated
+without ever forming an n-by-n matrix.
 
 The flop counters follow the kernels defined here so that the two large-scale
 solvers can be compared on counted work rather than wall time.
@@ -30,8 +30,9 @@ __all__ = [
     "residual_norm",
 ]
 
-#: |1 - v^T D^-1 u| below this means the Sherman-Morrison denominator vanished,
-#: which for transport instances happens only toward the critical parameter pair.
+#: A Sherman-Morrison denominator (|1 - v^T D^-1 u|, or level 0's kappa) below
+#: this has vanished, which for transport instances happens only toward the
+#: critical parameter pair.
 SMW_DENOM_TOL = 1e-14
 
 
@@ -182,7 +183,7 @@ class _RankOneShifted:
         self.u = u
         self.v = v
         self._du = self.inv_d * u
-        self._dv = self._du if v is u else self.inv_d * v
+        self._dv = self.inv_d * v
         # v^T D^-1 u = u^T D^-1 v: one denominator serves both orientations
         self.denom = 1.0 - v @ self._du
         if abs(self.denom) < SMW_DENOM_TOL:
@@ -222,7 +223,9 @@ class ShiftedSolver:
     likewise V) stays diagonal-minus-rank-one and every solve costs O(n) per
     column.  The factor 1+s (1+t for V) is split as its square root on both
     sides, which makes the W and V solves of a balanced instance (u = v)
-    self-transpose down to the last bit.
+    self-transpose down to the last bit.  No solver calls it: it is the
+    Sherman-Morrison reference that ``BaseOperators``' closed form and the
+    round-trip checks are tested against.
     """
 
     WHICH = ("E", "A", "W", "V")
@@ -238,10 +241,8 @@ class ShiftedSolver:
         if 1.0 + s < 0 or 1.0 + t < 0:
             raise NearCriticalError("Schur correction lost positivity")
         rs, rt = np.sqrt(1.0 + s), np.sqrt(1.0 + t)
-        # a balanced instance (u is v) shares one array between both sides
-        rsu, rtv = rs * u, rt * v
-        self._w = _RankOneShifted(inst.delta + gamma, rsu, rsu if v is u else rs * v)
-        self._v = _RankOneShifted(inst.d + gamma, rtv, rtv if u is v else rt * u)
+        self._w = _RankOneShifted(inst.delta + gamma, rs * u, rs * v)
+        self._v = _RankOneShifted(inst.d + gamma, rt * v, rt * u)
 
     def _pick(self, which):
         try:
@@ -249,14 +250,11 @@ class ShiftedSolver:
         except KeyError:
             raise ValueError("which must be one of %r" % (self.WHICH,)) from None
 
-    def solve(self, which, block, transpose=False, flops=None):
+    def solve(self, which, block, transpose=False):
         block = np.atleast_2d(np.asarray(block, dtype=float))
         if block.shape[0] != self.n:
             raise ValueError("block has %d rows, expected %d" % (block.shape[0], self.n))
-        op = self._pick(which)
-        if flops is not None:
-            flops.add("smw_solve", 5 * block.size)
-        return op.solve(block, transpose)
+        return self._pick(which).solve(block, transpose)
 
     def apply(self, which, block, transpose=False):
         """Multiply by the shifted operator itself (round-trip checks)."""
@@ -272,29 +270,46 @@ class ShiftedSolver:
 
 
 class BaseOperators:
-    """Fused doubling base operators at level zero.
+    """Level 0 of the doubling, E0, F0, H0 and G0, in closed form.
 
-    E0 = I - 2*gamma*V^-1 and F0 = I - 2*gamma*W^-1 are themselves diagonal plus
-    rank-one, diag(a) + p w^T, so each application is one diagonal scale and
-    one rank-one correction (about 5n flops per column) instead of a full
-    shifted solve.  Each is stored as ``ImplicitIterate`` stores a level,
-    (d, U, s, V) for diag(d) + U diag(s) V^T: (a, p, 1, w), or on a balanced
-    instance, where w is D^-1 u and p a multiple of it, (a, w^, p.w, w^) with
-    w^ = w/||w||.
+    With Eg = E + gamma I and V, W as in ``ShiftedSolver``, level 0 is
+    E0 = I - 2 gamma V^-1, F0 = I - 2 gamma W^-1, H0 = 2 gamma W^-1 B Eg^-1
+    and G0 = 2 gamma Eg^-1 C W^-1.  With D = diag(d) + gamma I and
+    L = diag(delta) + gamma I, Sherman-Morrison reduces all four to the
+    scaled vectors x = D^-1 v, y = D^-1 u, p = L^-1 u, q = L^-1 v and the
+    scalar kappa = 1 - u^T x - v^T p, with g = 2 gamma / kappa:
+
+        E0 = I - 2 gamma D^-1 - g x y^T,     F0 = I - 2 gamma L^-1 - g p q^T,
+        H0 = g p y^T,                        G0 = g x q^T.
+
+    E0 and F0 are stored as ``ImplicitIterate`` stores a level, (d, U, s, V)
+    for diag(d) + U diag(s) V^T, and H0 and G0 as triples (U, s, V), every
+    column a unit vector and each core g times the product of the two norms.
+    On a balanced instance (u is v) y is x and q is p, so E0 and F0 come out
+    with V is U, and G0 is H0^T to the bit.  Raises NearCriticalError if
+    kappa is below ``SMW_DENOM_TOL``.
     """
 
-    def __init__(self, solver):
-        g2 = 2.0 * solver.gamma
-        self.n = solver.n
-        self._ops, self._rank_one = {}, {}
-        for name, sm in (("E", solver._v), ("F", solver._w)):
-            a, p, w = 1.0 - g2 * sm.inv_d, -(g2 / sm.denom) * sm._du, sm._dv
-            self._rank_one[name] = a, p, w
-            if w is sm._du:
-                U = (w / np.linalg.norm(w))[:, None]
-                self._ops[name] = a, U, np.array([p @ w]), U
-            else:
-                self._ops[name] = a, p[:, None], np.ones(1), w[:, None]
+    def __init__(self, inst, gamma):
+        self.n = inst.n
+        u, v = inst.u, inst.v
+        dg, lg = inst.d + gamma, inst.delta + gamma
+        x, p = v / dg, u / lg
+        kappa = 1.0 - u @ x - v @ p
+        if kappa < SMW_DENOM_TOL:
+            raise NearCriticalError(
+                "level-0 denominator %.3e is numerically singular; the instance "
+                "is at or near the critical parameter pair" % kappa)
+        g = 2.0 * gamma / kappa
+        X, n_x = _unit(x)
+        P, n_p = _unit(p)
+        Y, n_y = (X, n_x) if u is v else _unit(u / dg)
+        Q, n_q = (P, n_p) if u is v else _unit(v / lg)
+        self._ops = {
+            "E": (1.0 - 2.0 * gamma / dg, X, np.array([-g * (n_x * n_y)]), Y),
+            "F": (1.0 - 2.0 * gamma / lg, P, np.array([-g * (n_p * n_q)]), Q)}
+        self.H = P, np.array([g * (n_p * n_y)]), Y
+        self.G = X, np.array([g * (n_x * n_q)]), Q
 
     def apply(self, name, block, transpose=False):
         d, U, s, V = self._ops[name]
@@ -303,9 +318,15 @@ class BaseOperators:
         return d[:, None] * block + U @ (s[:, None] * (V.T @ block))
 
     def dense(self, name):
-        """Exact dense image diag(a) + p w^T of the fused operator (test oracle)."""
-        a, p, w = self._rank_one[name]
-        return np.diag(a) + np.outer(p, w)
+        """Dense image diag(d) + U diag(s) V^T of E0 or F0 (test oracle)."""
+        d, U, s, V = self._ops[name]
+        return np.diag(d) + U @ (s[:, None] * V.T)
+
+
+def _unit(x):
+    """x / ||x|| as an n x 1 column, and ||x||."""
+    nrm = np.linalg.norm(x)
+    return (x / nrm)[:, None], nrm
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +401,11 @@ class ImplicitIterate:
 
     Level k holds d_k = a^(2^k) and a triple (U, s, V) with E_k = diag(d_k) +
     U diag(s) V^T; a symmetric iterate keeps V is U, orthonormal, and a
-    signed s.  Level 0 is the base operator as ``BaseOperators`` stores it,
-    symmetric on a balanced instance.  With D = diag(d), S = diag(s) and
-    N = V^T U, each level's squaring plus its update zl cz zr^T (a core
-    between two factors) is one identity,
+    signed s.  Level 0 is E0 (or F0) as ``BaseOperators`` stores it, rank
+    one with unit columns and a signed core, symmetric on a balanced
+    instance.  With D = diag(d), S = diag(s) and N = V^T U, each level's
+    squaring plus its update zl cz zr^T (a core between two factors) is one
+    identity,
 
         (D + U S V^T)^2 + zl cz zr^T - D^2 = [D U, U, zl] K [D V, V, zr]^T,
         K = [[0, S, 0], [S, S N S, 0], [0, 0, cz]],   (2r + l) x (2r + m),

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from hypothesis.extra import numpy as hnp
 
+from transport_nare import structured_linalg
 from transport_nare.dense_sda import dense_sda_init, dense_sda_solve, dense_sda_step
 from transport_nare.modified_sda_ls import msda_init, msda_solve, msda_step
 from transport_nare.sda_ls import (
@@ -118,11 +119,55 @@ def test_init_matches_dense_h0_g0():
 def test_init_balanced_pairs_factors():
     binst = balance(make_instance(12, 0.9, 0.1))
     st = sda_ls_init(binst)
-    # balanced solves are self-transpose to the bit, so both triples are built
-    # from identical inputs by the same QR and SVD calls and come out identical
+    # on a balanced instance the closed form of level 0 shares its scaled
+    # vectors between H0 and G0, so G0 is H0^T to the bit
     np.testing.assert_array_equal(st.H.left, st.G.right)
     np.testing.assert_array_equal(st.H.right, st.G.left)
     np.testing.assert_array_equal(st.H.core, st.G.core)
+
+
+@pytest.mark.parametrize("balanced", [False, True])
+def test_init_matches_extended_precision(balanced):
+    # the rank-one parts of level 0 against the closed form evaluated in
+    # np.longdouble from the same instance vectors, entry by entry
+    inst = make_instance(4096, 0.9, 0.1)
+    if balanced:
+        inst = balance(inst)
+    st = sda_ls_init(inst)
+    ld = np.longdouble
+    u, v, gamma = inst.u.astype(ld), inst.v.astype(ld), ld(st.gamma)
+    dg, lg = inst.d.astype(ld) + gamma, inst.delta.astype(ld) + gamma
+    x, y, p, q = v / dg, u / dg, u / lg, v / lg
+    g = 2 * gamma / (1 - u @ x - v @ p)
+
+    def worst(left, core, right, a, b):
+        # entry (i, j) of a rank-one part over its exact value is rho_i sigma_j,
+        # bilinear, so the worst |rho_i sigma_j - 1| lies at a corner of the
+        # two ranges
+        rho = left[:, 0].astype(ld) * ld(core[0]) / a
+        sigma = right[:, 0].astype(ld) / b
+        return float(max(abs(r * s - 1) for r in (rho.min(), rho.max())
+                         for s in (sigma.min(), sigma.max())))
+
+    E, F = st.Eimp, st.Fimp
+    errs = {"H": worst(st.H.left, st.H.core, st.H.right, g * p, y),
+            "G": worst(st.G.left, st.G.core, st.G.right, g * x, q),
+            "E": worst(E.U, E.s, E.V, -g * x, y),
+            "F": worst(F.U, F.s, F.V, -g * p, q)}
+    assert max(errs.values()) <= 2e-15, errs
+
+
+@pytest.mark.parametrize("solve", [sda_ls_solve, msda_solve], ids=["sda_ls", "msda"])
+def test_solves_build_no_shifted_solver(monkeypatch, solve):
+    # level 0 comes from the closed form: no solve builds the
+    # Sherman-Morrison solver or calls it
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve went through ShiftedSolver")
+
+    monkeypatch.setattr(structured_linalg.ShiftedSolver, "__init__", refuse)
+    monkeypatch.setattr(structured_linalg.ShiftedSolver, "solve", refuse)
+    _, rep = solve(make_instance(32, 0.9, 0.1), SolverConfig(tol_residual=1e-10))
+    assert rep.termination == "converged"
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +203,7 @@ def test_step_zero_cores_squares_silently():
     assert np.linalg.norm(st.H.dense()) == 0.0
     assert st.Eimp.level == 1 and st.Fimp.level == 1
     # the correction vanished: the outer iterate is the squared base operator
-    M = BaseOperators(st.solver).dense("E")
+    M = BaseOperators(st.inst, st.gamma).dense("E")
     X = np.random.default_rng(3).standard_normal((16, 2))
     np.testing.assert_allclose(st.Eimp.apply(X), M @ (M @ X), rtol=0,
                                atol=1e-14 * np.abs(M @ (M @ X)).max())
@@ -368,7 +413,7 @@ def test_step_pushes_factored_corrections():
     # pushing the multiplied-out left factors with an identity core, and
     # both track the dense recursion E <- E^2 + (E P1) WE (E^T Q2)^T
     st = sda_ls_init(make_instance(16, 0.9, 0.1))
-    base = BaseOperators(st.solver)
+    base = BaseOperators(st.inst, st.gamma)
     ref = {name: ImplicitIterate(base, name, trunc_rel=st.config.trunc_rel)
            for name in ("E", "F")}
     dense = {name: base.dense(name) for name in ("E", "F")}

@@ -13,6 +13,7 @@ from transport_nare.structured_linalg import (
     FlopModel,
     ImplicitIterate,
     LowRankBilinear,
+    NearCriticalError,
     ShiftedSolver,
     gamma_select,
     orthonormalize_against,
@@ -245,20 +246,12 @@ def test_shifted_solver_argument_errors():
         sol.solve("E", np.ones((2, 1)))
 
 
-def test_shifted_solver_counts_flops():
-    fm = FlopModel()
-    sol = ShiftedSolver(make_instance(8, 0.5, 0.5), 5.0)
-    sol.solve("E", np.ones((8, 3)), flops=fm)
-    assert fm.snapshot(0)["smw_solve"] == 5 * 24
-
-
 # ---------------------------------------------------------------------------
-# fused base operators
+# level 0 in closed form
 # ---------------------------------------------------------------------------
 
 def test_base_operators_scalar_value():
-    sol = ShiftedSolver(SCALAR, 3.0)
-    base = BaseOperators(sol)
+    base = BaseOperators(SCALAR, 3.0)
     one = np.ones((1, 1))
     assert abs(base.apply("E", one)[0, 0] + 1.0 / 35.0) <= 1e-15
     assert abs(base.apply("F", one)[0, 0] + 1.0 / 35.0) <= 1e-15
@@ -266,26 +259,52 @@ def test_base_operators_scalar_value():
 
 
 def test_base_operators_zero_block():
-    sol = ShiftedSolver(make_instance(6, 0.9, 0.1), 9.0)
-    base = BaseOperators(sol)
+    base = BaseOperators(make_instance(6, 0.9, 0.1), 9.0)
     np.testing.assert_array_equal(base.apply("E", np.zeros((6, 2))),
                                   np.zeros((6, 2)))
 
 
-@pytest.mark.parametrize("balanced", [False, True])
-def test_base_operators_match_dense(balanced):
+@pytest.mark.parametrize("n", [1, 16, 4096])
+def test_base_operators_guard_matches_shifted_solver(n):
+    # at gamma = 0 the level-0 denominator kappa is 1 - c, zero at c = 1;
+    # the closed form and the Sherman-Morrison solves refuse alike
+    with pytest.warns(RuntimeWarning):
+        critical = make_instance(n, 1.0, 0.0)
+    for build in (BaseOperators, ShiftedSolver):
+        with pytest.raises(NearCriticalError):
+            build(critical, 0.0)
+        build(make_instance(n, 0.9, 0.1), 0.0)
+
+
+@pytest.mark.parametrize("balanced,gamma", [
+    pytest.param(b, g, id=str(b) if g is None else "%s-gamma%g" % (b, g))
+    for g in (None, 3.0, 7.0, 9.0) for b in (False, True)])
+def test_base_operators_match_dense(balanced, gamma):
+    # gamma None is the solvers' shift, gamma_select
     inst = make_instance(16, 0.9, 0.1)
     if balanced:
         inst = balance(inst)
-    gamma = gamma_select(inst)
-    sol = ShiftedSolver(inst, gamma)
-    base = BaseOperators(sol)
+    if gamma is None:
+        gamma = gamma_select(inst)
+    base = BaseOperators(inst, gamma)
     mats = dense_shifted(inst, gamma)
     eye = np.eye(16)
     e0 = eye - 2.0 * gamma * np.linalg.inv(mats["V"])
     f0 = eye - 2.0 * gamma * np.linalg.inv(mats["W"])
     np.testing.assert_allclose(base.dense("E"), e0, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(base.dense("F"), f0, rtol=1e-12, atol=1e-12)
+    # the closed form against the Sherman-Morrison solves it replaces
+    sol = ShiftedSolver(inst, gamma)
+    u, v = inst.u[:, None], inst.v[:, None]
+    want = {"E": eye - 2.0 * gamma * sol.solve("V", eye),
+            "F": eye - 2.0 * gamma * sol.solve("W", eye),
+            "H": 2.0 * gamma * sol.solve("W", u) @ sol.solve("E", u, transpose=True).T,
+            "G": 2.0 * gamma * sol.solve("E", v) @ sol.solve("W", v, transpose=True).T}
+    got = {"E": base.dense("E"), "F": base.dense("F"),
+           "H": LowRankBilinear(*base.H).dense(), "G": LowRankBilinear(*base.G).dense()}
+    for name in "EFHG":
+        err = np.abs(got[name] - want[name]).max()
+        assert err <= 1e-14 * np.abs(want[name]).max(), (name, err)
     X = np.random.default_rng(5).standard_normal((16, 3))
     np.testing.assert_allclose(base.apply("E", X), e0 @ X, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(base.apply("F", X, transpose=True), f0.T @ X,
@@ -311,8 +330,7 @@ def make_iterate(levels, symmetric=False, balanced=False, n=16, seed=7, flops=No
     inst = make_instance(n, 0.9, 0.1)
     if symmetric or balanced:
         inst = balance(inst)
-    sol = ShiftedSolver(inst, gamma_select(inst))
-    base = BaseOperators(sol)
+    base = BaseOperators(inst, gamma_select(inst))
     imp = ImplicitIterate(base, "E", flops=flops)
     rng = np.random.default_rng(seed)
     M = base.dense("E")
@@ -330,8 +348,7 @@ def make_iterate(levels, symmetric=False, balanced=False, n=16, seed=7, flops=No
 
 
 def test_implicit_level_zero_delegates():
-    sol = ShiftedSolver(make_instance(8, 0.5, 0.5), 7.0)
-    base = BaseOperators(sol)
+    base = BaseOperators(make_instance(8, 0.5, 0.5), 7.0)
     imp = ImplicitIterate(base, "F")
     X = np.random.default_rng(0).standard_normal((8, 3))
     np.testing.assert_allclose(imp.apply(X), base.apply("F", X),
@@ -342,8 +359,7 @@ def test_implicit_level_zero_delegates():
 
 
 def test_implicit_zero_updates_is_repeated_squaring():
-    sol = ShiftedSolver(make_instance(8, 0.5, 0.5), 7.0)
-    base = BaseOperators(sol)
+    base = BaseOperators(make_instance(8, 0.5, 0.5), 7.0)
     imp = ImplicitIterate(base, "E")
     for _ in range(2):
         imp.push_update(np.zeros((8, 1)), np.eye(1), np.zeros((8, 1)))
@@ -402,8 +418,7 @@ def test_push_update_matches_dense_property(n, r, l, m, data):
     zl = data.draw(hnp.arrays(float, (n, l), elements=_entries))
     cz = data.draw(hnp.arrays(float, (l, m), elements=_entries))
     zr = data.draw(hnp.arrays(float, (n, m), elements=_entries))
-    sol = ShiftedSolver(make_instance(n, 0.5, 0.5), 7.0)
-    imp = ImplicitIterate(BaseOperators(sol), "E")
+    imp = ImplicitIterate(BaseOperators(make_instance(n, 0.5, 0.5), 7.0), "E")
     imp.d, imp.U, imp.s, imp.V = d, U, np.ones(r), V
     E = np.diag(d) + U @ V.T
     want = E @ E + zl @ cz @ zr.T
@@ -433,8 +448,7 @@ def test_push_symmetric_matches_dense_property(n, r, m, kind, data):
         z = U @ data.draw(hnp.arrays(float, (U.shape[1], m), elements=_entries))
     else:
         z = np.zeros((n, m))
-    sol = ShiftedSolver(make_instance(n, 0.5, 0.5), 7.0)
-    imp = ImplicitIterate(BaseOperators(sol), "E")
+    imp = ImplicitIterate(BaseOperators(make_instance(n, 0.5, 0.5), 7.0), "E")
     imp.d, imp.U, imp.s, imp.V = d, U, s, U
     E = np.diag(d) + (U * s[None, :]) @ U.T
     Z = (z * dup[None, :]) @ z.T
@@ -468,11 +482,11 @@ def test_push_symmetric_rejects_a_nonsymmetric_base():
     z = np.random.default_rng(3).standard_normal((8, 2))
     dup = np.array([0.5, 0.2])
     inst = make_instance(8, 0.5, 0.5)
-    imp = ImplicitIterate(BaseOperators(ShiftedSolver(inst, gamma_select(inst))), "E")
+    imp = ImplicitIterate(BaseOperators(inst, gamma_select(inst)), "E")
     with pytest.raises(ValueError):
         imp.push_symmetric(z, dup)
     inst = balance(inst)
-    base = BaseOperators(ShiftedSolver(inst, gamma_select(inst)))
+    base = BaseOperators(inst, gamma_select(inst))
     imp = ImplicitIterate(base, "E")
     imp.push_symmetric(z, dup)
     M = base.dense("E")
@@ -485,7 +499,7 @@ def test_push_update_and_push_symmetric_agree():
     # tracks the symmetric push level by level
     n = 16
     inst = balance(make_instance(n, 0.9, 0.1))
-    base = BaseOperators(ShiftedSolver(inst, gamma_select(inst)))
+    base = BaseOperators(inst, gamma_select(inst))
     gen, sym = ImplicitIterate(base, "E"), ImplicitIterate(base, "E")
     rng = np.random.default_rng(5)
     X = rng.standard_normal((n, 3))
@@ -515,8 +529,7 @@ def test_push_stack_qr_count(monkeypatch, symmetric, per_level):
 
 
 def test_implicit_update_shape_check():
-    sol = ShiftedSolver(make_instance(8, 0.5, 0.5), 7.0)
-    imp = ImplicitIterate(BaseOperators(sol), "E")
+    imp = ImplicitIterate(BaseOperators(make_instance(8, 0.5, 0.5), 7.0), "E")
     with pytest.raises(ValueError):
         imp.push_update(np.ones((8, 2)), np.eye(2), np.ones((8, 3)))
     with pytest.raises(ValueError):

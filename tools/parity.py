@@ -6,15 +6,24 @@
 ``run`` solves both low-rank solvers on three cells at six configurations with
 the ``transport_nare`` on the import path, and records each run's report
 (iterations, termination, ranks, residuals, per-level flops) and X on 64 rows
-sampled with seed 7.  ``compare`` prints every mismatch of the fields that must
-be equal, the worst relative distance of X (and of the residuals) and how many
-runs give a bit-identical X.
+sampled with seed 7.  On the converged configurations (those with a residual
+tolerance) it also records X's relative Frobenius distance to the vector-form
+reference of ``perfbench/reference.py`` on those rows, and its largest
+relative entry error there.  ``compare`` prints every mismatch of the fields
+that must be equal (a list field as its first differing index, both values
+there and the count of differing entries), both builds' reference errors and
+final residuals, the worst relative distance of X (and of the residuals) and
+how many runs give a bit-identical X.
 """
 
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import reference  # noqa: E402
 
 CELLS = ((0.5, 0.5), (0.9, 0.1), (0.999, 0.001))
 #: (n, SolverConfig fields) of each configuration
@@ -34,10 +43,14 @@ def run(out):
     for n, fields in CONFIGS:
         rows = np.sort(np.random.default_rng(SEED).choice(n, min(n, ROWS), replace=False))
         for c, alpha in CELLS:
+            inst = make_instance(n, c, alpha)
+            ref = (reference.solve_reference(inst.delta, inst.d, inst.q).rows(rows)
+                   if "tol_residual" in fields else None)
             for solve in (sda_ls_solve, msda_solve):
-                X, rep = solve(make_instance(n, c, alpha), SolverConfig(**fields))
+                X, rep = solve(inst, SolverConfig(**fields))
                 key = "%s n=%d c=%g alpha=%g %s" % (
                     rep.algorithm, n, c, alpha, json.dumps(fields))
+                x = (X.left[rows] * X.core) @ X.right.T
                 meta[key] = {
                     "iterations": rep.iterations, "termination": rep.termination,
                     "max_rank": rep.max_rank_seen,
@@ -47,7 +60,11 @@ def run(out):
                     "operator_ranks": rep.extras["operator_rank_history"],
                     "flops": [rep.flops.iteration_total(k)
                               for k in range(rep.iterations + 1)]}
-                xs.append((X.left[rows] * X.core) @ X.right.T)
+                if ref is not None:
+                    meta[key]["ref_distance"] = float(
+                        np.linalg.norm(x - ref) / np.linalg.norm(ref))
+                    meta[key]["ref_max_entry"] = float(np.max(np.abs(x - ref) / ref))
+                xs.append(x)
                 print(key, rep.termination, rep.iterations, flush=True)
     np.savez_compressed(out, meta=json.dumps(meta),
                         **{"X%d" % i: x for i, x in enumerate(xs)})
@@ -59,6 +76,17 @@ def load(path):
         return meta, [f["X%d" % i] for i in range(len(meta))]
 
 
+def mismatch(a, b):
+    """How two differing field values differ: a list as its first differing
+    index, both values there and the count of differing entries."""
+    if not (isinstance(a, list) and isinstance(b, list)):
+        return "%s != %s" % (a, b)
+    diff = [i for i in range(max(len(a), len(b))) if a[i:i + 1] != b[i:i + 1]]
+    return "first at [%d]: %s != %s; %d of %d/%d entries differ" % (
+        diff[0], a[diff[0]:diff[0] + 1], b[diff[0]:diff[0] + 1], len(diff),
+        len(a), len(b))
+
+
 def compare(a, b):
     (ma, xa), (mb, xb) = load(a), load(b)
     if list(ma) != list(mb):
@@ -68,7 +96,13 @@ def compare(a, b):
         ra, rb = ma[key], mb[key]
         for field in EXACT:
             if ra[field] != rb[field]:
-                print("MISMATCH %s %s: %s != %s" % (key, field, ra[field], rb[field]))
+                print("MISMATCH %s %s: %s"
+                      % (key, field, mismatch(ra[field], rb[field])))
+        if "ref_distance" in ra and "ref_distance" in rb:
+            print("REFERENCE %s: distance %.3g -> %.3g, max entry error %.3g -> %.3g, "
+                  "final residual %.4g -> %.4g"
+                  % (key, ra["ref_distance"], rb["ref_distance"], ra["ref_max_entry"],
+                     rb["ref_max_entry"], ra["residuals"][-1], rb["residuals"][-1]))
         if ra["residual_levels"] == rb["residual_levels"]:
             r1, r2 = np.array(ra["residuals"]), np.array(rb["residuals"])
             worst_res = max(worst_res, float(np.max(np.abs(r1 - r2) / r1)))
