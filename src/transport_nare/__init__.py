@@ -19,6 +19,7 @@ from .transport_problem import (
     gauss_legendre,
     make_instance,
     read_instance,
+    unbalance_scale,
     unbalance_solution,
     write_instance,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "gauss_legendre",
     "make_instance",
     "read_instance",
+    "unbalance_scale",
     "unbalance_solution",
     "write_instance",
     "FlopModel",

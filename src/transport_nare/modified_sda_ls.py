@@ -25,11 +25,13 @@ import numpy as np
 from .structured_linalg import residual_norm
 # not called here: perfbench's span tracer patches these names in this module
 from .structured_linalg import orthonormalize_against, truncated_svd  # noqa: F401
-from .transport_problem import balance, unbalance_solution
+from .transport_problem import balance, unbalance_scale, unbalance_solution
 from .sda_ls import (
+    Correction,
     LowRankState,
     SolverConfig,
     SolveReport,
+    check_rank_cap,
     extend_triple,
     run_doubling,
     sda_ls_init,
@@ -69,13 +71,18 @@ def msda_step(st):
 
     With G_k = H_k^T the inner correction collapses to the diagonal
     Sig/(1 - Sig^2), and because E_k and F_k are each symmetric the four large
-    products of the general step pair up: only F Q1 and E Q2 are needed, and
-    one ``extend_triple`` call updates H.  It checks the rank cap before it
-    consumes the old triple, so a rank overflow leaves the state as it was.
+    products of the general step pair up: only E Q2 and F Q1 are needed, and
+    one ``extend_triple`` call updates H.  It checks the rank cap before any
+    update, so a rank overflow leaves the state as it was.  Each product is
+    built just before its first reader, E's and F's push, and both are
+    handed on to the H extend, their last reader, which frees each once its
+    stack holds a copy.
     """
     flops = st.flops
     flops.k = st.k + 1
-    Sig = st.H.core
+    H = st.H
+    check_rank_cap(H, H.rank, st.config, flops)
+    Sig = H.core
     om2 = 1.0 - Sig ** 2
     if np.any(np.abs(om2) < CORE_SINGULAR_TOL):
         raise CoreSingularError(
@@ -84,12 +91,13 @@ def msda_step(st):
     sig_c = Sig / om2
     dup = Sig * sig_c
     flops.add("inner_core", 6.0 * Sig.size)
-    ZE = st.Eimp.apply(st.H.right)
-    ZF = st.Fimp.apply(st.H.left)
-    st.H, st.increment = extend_triple(st.H, ZF, np.diag(sig_c), ZE, st.config, flops)
+    ZE = st.Eimp.apply(H.right)
     st.Eimp.push_symmetric(ZE, dup)
-    del ZE      # F's push does not read it (peak memory)
+    ZF = st.Fimp.apply(H.left)
     st.Fimp.push_symmetric(ZF, dup)
+    update = Correction(ZF, np.diag(sig_c), ZE)
+    del ZE, ZF
+    st.H, st.increment = extend_triple(H, update, st.config, flops)
     st.k += 1
     return st
 
@@ -98,7 +106,9 @@ def msda_solve(inst, config=None):
     """Solve on the balanced scale, return (X, report) on the scale of ``inst``.
 
     Takes any instance.  Every residual the run records, and so its stopping
-    test, is the residual on ``inst`` of the X it would return.
+    test, is the residual on ``inst`` of the X it would return: the balanced
+    iterate judged through ``residual_norm``'s row scale, ``unbalance_scale``,
+    the one scale ``unbalance_solution`` maps the result back with.
     """
     config = config or SolverConfig()
     binst = balance(inst)
@@ -108,7 +118,7 @@ def msda_solve(inst, config=None):
         lambda: msda_init(binst, config=config, flops=report.flops),
         msda_step,
         lambda st: residual_norm(
-            inst, unbalance_solution(st.H, inst), flops=report.flops)[1],
+            inst, st.H, flops=report.flops, scale=unbalance_scale(inst))[1],
         config)
     report.extras["residual_original"] = report.final_residual
     return unbalance_solution(st.H, inst), report
@@ -161,7 +171,9 @@ def audit_symmetry(inst, k_max=4, config=None):
     tracks the transposed H-side for k_max steps.
 
     Only intended at moderate size (n <= AUDIT_MAX_N): H_k, G_k and the outer
-    iterates are formed densely.
+    iterates are formed densely, and so is each level's pair of rank
+    corrections, from the audit's own ``step_products`` call (one per
+    level): ``sda_ls_step`` builds and frees its products itself.
     """
     binst = balance(inst)
     n = binst.n
@@ -188,11 +200,11 @@ def audit_symmetry(inst, k_max=4, config=None):
         }
         # each outer iterate is a symmetric matrix on a balanced instance, and
         # so are the step's rank corrections (E P1) WE (E^T Q2)^T and
-        # (F Q1) WF (F^T P2)^T, formed densely from the factors and cores the
-        # step pushed (n <= AUDIT_MAX_N); the last level takes no step.
-        _, _, ZE1, ZE2, ZF1, ZF2, WE, WF = (
-            sda_ls_step(st) if k < k_max else step_products(st))
+        # (F Q1) WF (F^T P2)^T; the last level takes no step
+        _, _, ZE1, ZE2, ZF1, ZF2, WE, WF = step_products(st)
         row["dev_rank_update"] = max(_asymmetry(ZE1 @ (WE @ ZE2.T)),
                                      _asymmetry(ZF1 @ (WF @ ZF2.T)))
         audit.rows.append(row)
+        if k < k_max:
+            sda_ls_step(st)
     return audit

@@ -39,6 +39,7 @@ __all__ = [
     "SolveReport",
     "LowRankState",
     "run_doubling",
+    "Correction",
     "extend_triple",
     "sda_ls_init",
     "sda_ls_step",
@@ -258,34 +259,54 @@ class LowRankState:
         return {"operator_rank_history": (self.Eimp.rank, self.Fimp.rank)}
 
 
-def check_rank_cap(X, Z1, config, flops):
-    """Raise RankOverflowError unless X + Z1 C Z2^T fits ``config.max_rank``.
+def check_rank_cap(X, width, config, flops):
+    """Raise RankOverflowError unless X plus a correction ``width`` columns
+    wide fits ``config.max_rank``.
 
-    Counts min(n, m + w), the most columns the extended basis can have.
+    Counts min(n, m + width), the most columns the extended basis can have.
     """
-    m, n = X.rank, Z1.shape[0]
-    grown = min(n, m + Z1.shape[1])
+    m, n = X.rank, X.n
+    grown = min(n, m + width)
     if grown > config.max_rank:
         raise RankOverflowError("step %d would grow rank %d to %d past max_rank=%d"
                                 % (flops.k, m, grown, config.max_rank))
 
 
-def extend_triple(X, Z1, C, Z2, config, flops):
+class Correction:
+    """A rank correction ``left @ core @ right.T`` handed to ``extend_triple``.
+
+    ``core`` is a full l x m matrix.  The correction is consumed as the
+    triple it extends is: each factor is released (set to None) once its
+    stack holds a copy, so a factor the caller keeps no other reference to
+    is freed there, before the next stack is allocated.
+    """
+
+    __slots__ = ("left", "core", "right")
+
+    def __init__(self, left, core, right):
+        self.left, self.core, self.right = left, core, right
+
+
+def extend_triple(X, Z, config, flops):
     """Truncated orthonormal triple of X + Z1 C Z2^T, X = Q1 diag(core) Q2^T.
 
-    Factors the stacks [Q1, Z1] = Qf1 R1 and [Q2, Z2] = Qf2 R2 where they
-    are written (``orthonormalize_against``), so the sum is Qf1 M Qf2^T with
-    the small core M = R1[:, m:] C R2[:, m:]^T + R1[:, :m] diag(core)
-    R2[:, :m]^T, SVD-truncates M at ``config.trunc_rel`` and applies the new
-    factors Qf1 U1 and Qf2 U2 through the block reflectors: no n-wide basis
-    is formed, and the truncated SVD alone sets the rank.  X is consumed:
-    each of its factors is released (set to None) once its stack holds a
-    copy, and R1, R2, M and the left factorization as soon as they are read
-    (peak memory), so the old and new triples are never live together; X
-    is not to be read again, even if a later error raises.  Every doubling
-    step goes through here; the inits do not, their rank-one triples come
-    from ``BaseOperators`` whole.  The rank cap (``check_rank_cap``) is
-    checked before X is touched or any QR allocates, so an overflow leaves X
+    Z is the ``Correction`` (Z1, C, Z2).  Factors the stacks [Q1, Z1] = Qf1
+    R1 and [Q2, Z2] = Qf2 R2 where they are written
+    (``orthonormalize_against``), so the sum is Qf1 M Qf2^T with the small
+    core M = R1[:, m:] C R2[:, m:]^T + R1[:, :m] diag(core) R2[:, :m]^T,
+    SVD-truncates M at ``config.trunc_rel`` and applies the new factors Qf1
+    U1 and Qf2 U2 through the block reflectors: no n-wide basis is formed,
+    and the truncated SVD alone sets the rank.  X and Z are consumed: Q1 and
+    Z1 are released (set to None) once the first stack holds copies, before
+    the second is allocated, Q2 and Z2 once the second does, and R1, R2, M
+    and the left factorization as soon as they are read (peak memory), so
+    the old and new triples are never live together, and a Z1 that its
+    caller holds no other reference to is gone before the second stack is
+    allocated; neither X nor Z is to be read again, even if a later error
+    raises.  Every doubling step
+    goes through here; the inits do not, their rank-one triples come from
+    ``BaseOperators`` whole.  The rank cap (``check_rank_cap``) is checked
+    before X is touched or any QR allocates, so an overflow leaves X and Z
     whole.  Returns the new triple and its relative increment
     ||Z1 C Z2^T||_F / ||s||_2, the norm of the added term (the first term
     of M) over that of the result: an O(w^3) by-product on which
@@ -293,12 +314,12 @@ def extend_triple(X, Z1, C, Z2, config, flops):
     ``structured_linalg``, so that its kernel calls resolve through this
     module's names, which perfbench's span tracer patches.
     """
-    check_rank_cap(X, Z1, config, flops)
-    m, n, core = X.rank, Z1.shape[0], X.core
-    F1 = orthonormalize_against(X.left, Z1, flops=flops)
-    X.left = None
-    F2 = orthonormalize_against(X.right, Z2, flops=flops)
-    X.right = None
+    check_rank_cap(X, Z.left.shape[1], config, flops)
+    m, n, core, C = X.rank, X.n, X.core, Z.core
+    F1 = orthonormalize_against(X.left, Z.left, flops=flops)
+    X.left = Z.left = None
+    F2 = orthonormalize_against(X.right, Z.right, flops=flops)
+    X.right = Z.right = None
     R1, R2 = F1.r(), F2.r()
     M = R1[:, m:] @ C @ R2[:, m:].T
     added = np.linalg.norm(M)
@@ -320,17 +341,17 @@ def sda_ls_init(inst, config=None, flops=None):
     return LowRankState(inst, config, flops)
 
 
-def step_products(st):
-    """Small cores and large products of one doubling step.
+def step_cores(st):
+    """The small cores of one doubling step.
 
     With H = Q1 diag(Sig) Q2^T, G = P1 diag(Gam) P2^T and the cross-Gram
     blocks N1 = Q2^T P1 and N2 = P2^T Q1, returns the two corrected cores
         SigC = (I - Sig N1 Gam N2)^-1 Sig,
         GamC = (I - Gam N2 Sig N1)^-1 Gam,
-    the four implicit products E P1, E^T Q2, F Q1, F^T P2 and the cores
-    WE = GamC N2 Sig (l x m) and WF = SigC N1 Gam (m x l) of the next level's
-    rank corrections (E P1) WE (E^T Q2)^T and (F Q1) WF (F^T P2)^T, which are
-    pushed in that factored form: no n-wide product is formed here.
+    and the cores WE = GamC N2 Sig (l x m) and WF = SigC N1 Gam (m x l) of
+    the next level's rank corrections (E P1) WE (E^T Q2)^T and (F Q1) WF
+    (F^T P2)^T, which are pushed in that factored form: no n-wide product
+    is formed here.
     """
     flops = st.flops
     n = st.inst.n
@@ -349,6 +370,19 @@ def step_products(st):
     WE = GamC @ (N2 * Sig[None, :])    # = (I - Gam N2 Sig N1)^-1 Gam N2 Sig
     WF = SigC @ (N1 * Gam[None, :])    # = (I - Sig N1 Gam N2)^-1 Sig N1 Gam
     flops.add("inner_core", 4.0 * m * l * (m + l) + 2.0 * (m ** 3 + l ** 3))
+    return SigC, GamC, WE, WF
+
+
+def step_products(st):
+    """``step_cores`` and the four implicit products of one step, all at once.
+
+    Returns SigC, GamC, E P1, E^T Q2, F Q1, F^T P2, WE and WF, everything
+    the step's rank corrections are made of, for the symmetry audit to form
+    them densely.  ``sda_ls_step`` does not call it: it builds each product
+    just before its first reader.
+    """
+    SigC, GamC, WE, WF = step_cores(st)
+    H, G = st.H, st.G
     ZE1 = st.Eimp.apply(G.left)
     ZE2 = st.Eimp.apply(H.right, transpose=True)
     ZF1 = st.Fimp.apply(H.left)
@@ -357,27 +391,40 @@ def step_products(st):
 
 
 def sda_ls_step(st):
-    """One doubling step on the truncated factors; returns the products used.
+    """One doubling step on the truncated factors.
 
-    Takes the cores and products of ``step_products`` and hands each update
-    its correction as (left, core, right): H gets (F Q1, SigC, E^T Q2) and G
-    (E P1, GamC, F^T P2) by ``extend_triple``, which consumes the old
-    triples, E (E P1, WE, E^T Q2) and F (F Q1, WF, F^T P2) by
-    ``push_update``, which releases the old factors of E and F.  Both rank
-    caps are checked before either triple is handed over, so a rank
-    overflow raises before the state changes.  The products are returned
-    for the symmetry audit; the first push holds all four anyway.
+    Checks both rank caps first, so a rank overflow raises before the state
+    changes.  Then it takes the cores of ``step_cores`` and hands each
+    update its correction as (left, core, right), in this order:
+
+        H   (F Q1, SigC, E^T Q2)   ``extend_triple``, consumes the old H
+        E   (E P1, WE, E^T Q2)     ``push_update``
+        G   (E P1, GamC, F^T P2)   ``extend_triple``, consumes the old G
+        F   (F Q1, WF, F^T P2)     ``push_update``
+
+    Each product is built just before its first reader and released by its
+    last: E^T Q2 after E's push, E P1 inside G's extend once its stack
+    holds a copy, F Q1 and F^T P2 after F's push.  At most three of the
+    four are live at once, with E's push stacks.
     """
-    st.flops.k = st.k + 1
-    products = SigC, GamC, ZE1, ZE2, ZF1, ZF2, WE, WF = step_products(st)
-    check_rank_cap(st.H, ZF1, st.config, st.flops)
-    check_rank_cap(st.G, ZE1, st.config, st.flops)
-    st.H, st.increment = extend_triple(st.H, ZF1, SigC, ZE2, st.config, st.flops)
-    st.G, _ = extend_triple(st.G, ZE1, GamC, ZF2, st.config, st.flops)
-    st.Eimp.push_update(ZE1, WE, ZE2)
-    st.Fimp.push_update(ZF1, WF, ZF2)
+    flops = st.flops
+    flops.k = st.k + 1
+    E, F, H, G = st.Eimp, st.Fimp, st.H, st.G
+    check_rank_cap(H, H.rank, st.config, flops)
+    check_rank_cap(G, G.rank, st.config, flops)
+    SigC, GamC, WE, WF = step_cores(st)
+    ZF1 = F.apply(H.left)
+    ZE2 = E.apply(H.right, transpose=True)
+    st.H, st.increment = extend_triple(H, Correction(ZF1, SigC, ZE2), st.config, flops)
+    ZE1 = E.apply(G.left)
+    E.push_update(ZE1, WE, ZE2)
+    del ZE2
+    ZF2 = F.apply(G.right, transpose=True)
+    update = Correction(ZE1, GamC, ZF2)
+    del ZE1     # G's extend reads it last and frees it
+    st.G, _ = extend_triple(G, update, st.config, flops)
+    F.push_update(ZF1, WF, ZF2)
     st.k += 1
-    return products
 
 
 def sda_ls_solve(inst, config=None):

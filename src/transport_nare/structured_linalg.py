@@ -451,7 +451,8 @@ class ImplicitIterate:
         ``sym`` (V is U, zr is zl) shares one stack between both sides.  The
         old U and V are dropped once both stacks (which hold copies) are
         factored, so they are not live with the new factors (peak memory);
-        a non-finite stack raises before that.
+        a non-finite stack raises before that.  The left stack is dropped
+        once the new U is applied from it, before the new V is formed.
         """
         n, r = self.n, self.rank
         if zl.shape[0] != n or zr.shape[0] != n or cz.shape != (zl.shape[1], zr.shape[1]):
@@ -482,6 +483,7 @@ class ImplicitIterate:
             Wl, self.s, Wr = truncated_svd(M, self.trunc_rel, flops=self.flops)
         del K, M    # not held through the reflector applications (peak memory)
         self.U = left.q_times(Wl)
+        del left, Wl
         self.V = self.U if sym else right.q_times(Wr)
         self.d = d * d
         self.level += 1
@@ -575,7 +577,7 @@ def _kept(mag, trunc_rel):
 RESIDUAL_BLOCK = 2 ** 15
 
 
-def residual_stacks(inst, X):
+def residual_stacks(inst, X, scale=None):
     """U_hat and a row builder of V_hat, U_hat @ V_hat.T == X C X - X E - A X + B.
 
     With A = diag(delta) - u v^T, B = u u^T, C = v v^T and E = diag(d) - v u^T
@@ -587,13 +589,23 @@ def residual_stacks(inst, X):
     temporary.  ``v_rows(lo, hi)`` builds rows lo:hi of V_hat = [R, d R,
     X^T v, u] from X's right factor and two n-vectors, so V_hat need never
     exist whole.
+
+    With a row ``scale`` the stacks are those of diag(scale) X diag(scale):
+    the scaled left factor is written straight into its block of U_hat, as
+    (L .* scale) .* sig, the two roundings of scaling the factor first, and
+    only the scaled right factor is formed.
     """
     u, v, d = inst.u, inst.v, inst.d
     L, sig, R = X.left, X.core, X.right
     r = sig.size
     U_hat = np.empty((inst.n, 2 * r + 2), order="F")
     W1, NLS = U_hat[:, :r], U_hat[:, r:2 * r]
-    np.multiply(L, sig, out=NLS)                  # L diag(sig), in its block
+    if scale is None:
+        np.multiply(L, sig, out=NLS)              # L diag(sig), in its block
+    else:
+        np.multiply(L, scale[:, None], out=NLS)
+        NLS *= sig
+        R = R * scale[:, None]
     np.matmul(NLS, R.T @ v, out=U_hat[:, 2 * r])  # X v, for both X C X and X E
     xtv = R @ (NLS.T @ v)                         # X^T v
     # -A X folded through the left factor: (-delta .* LS + u (v^T LS)) R^T,
@@ -614,7 +626,7 @@ def residual_stacks(inst, X):
     return U_hat, v_rows
 
 
-def residual_norm(inst, X, flops=None):
+def residual_norm(inst, X, flops=None, scale=None):
     """Frobenius norm of X C X - X E - A X + B for a low-rank X.
 
     Every term is a short combination of outer products of available n-vectors
@@ -627,6 +639,12 @@ def residual_norm(inst, X, flops=None):
     n-wide array but U_hat exists.  A Gram-matrix evaluation would cancel
     catastrophically at machine-level residuals.
 
+    With a row ``scale`` it is the residual of diag(scale) X diag(scale),
+    to the bit that of the triple scaled first: modified-sda-ls judges its
+    balanced iterate this way with ``unbalance_scale``, so the unbalanced
+    left factor is only ever written into U_hat and the right one is the
+    one n-wide block the call adds.
+
     Returns (absolute_norm, normalized_norm); the normalization divides by
     ||B||_F = u^T u, which is n for the original u = e and sum(q) after
     balancing.
@@ -635,7 +653,7 @@ def residual_norm(inst, X, flops=None):
         raise ValueError("solution dimension does not match the instance")
     n = inst.n
     b_fro = float(inst.u @ inst.u)
-    U_hat, v_rows = residual_stacks(inst, X)
+    U_hat, v_rows = residual_stacks(inst, X, scale)
     R = _StackQR(U_hat).r()
     del U_hat
     w = R.shape[1]

@@ -44,6 +44,7 @@ __all__ = [
     "build_instance",
     "make_instance",
     "balance",
+    "unbalance_scale",
     "unbalance_solution",
     "assemble_dense",
     "write_instance",
@@ -286,29 +287,44 @@ def balance(inst):
     """
     if inst.u is inst.v:
         return inst
+    phi = _root_q(inst)
+    return NareInstance(delta=inst.delta, d=inst.d, u=phi, v=phi,
+                        params=inst.params, quad=inst.quad)
+
+
+def _root_q(inst):
+    """phi = sqrt(u v), once u v is checked strictly positive."""
     q = inst.q
     if np.any(q <= 0.0):
         raise ValueError("balancing requires strictly positive u v")
-    phi = np.sqrt(q)
-    return NareInstance(delta=inst.delta, d=inst.d, u=phi, v=phi,
-                        params=inst.params, quad=inst.quad)
+    return np.sqrt(q, out=q)
+
+
+def unbalance_scale(inst):
+    """The row scale u / phi = sqrt(u / v) from ``balance(inst)`` back to ``inst``.
+
+    1/phi on the original form and exactly 1 on a balanced one; one
+    n-vector, and no balanced instance is built for it.
+    """
+    if inst.u is inst.v:
+        return np.ones(inst.n)
+    phi = _root_q(inst)
+    return np.divide(inst.u, phi, out=phi)
 
 
 def unbalance_solution(Xb, inst):
     """Map a solution of ``balance(inst)`` back to the variables of ``inst``.
 
-    Rows of both factors are scaled by u_i / phi_i = sqrt(u_i / v_i) and the
+    Rows of both factors are scaled by ``unbalance_scale(inst)`` and the
     core is untouched, which realizes diag(u/phi) @ Xb @ diag(u/phi).  The
-    scale is 1/phi on the original form and exactly 1 on a balanced one.  The
     scaling deliberately gives up column orthonormality of the returned
     factors.
     """
     if Xb.left.shape[0] != inst.n:
         raise ValueError("factor rows (%d) and instance size (%d) disagree"
                          % (Xb.left.shape[0], inst.n))
-    scale = inst.u / balance(inst).u
-    return LowRankBilinear(Xb.left * scale[:, None], Xb.core.copy(),
-                           Xb.right * scale[:, None])
+    scale = unbalance_scale(inst)[:, None]
+    return LowRankBilinear(Xb.left * scale, Xb.core.copy(), Xb.right * scale)
 
 
 def assemble_dense(inst, cap=DENSE_CAP):

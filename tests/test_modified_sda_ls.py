@@ -1,5 +1,6 @@
 """Balanced symmetry-exploiting solver and its symmetry audit."""
 
+import dataclasses
 import json
 import warnings
 
@@ -24,6 +25,7 @@ from transport_nare.sda_ls import (
     step_products,
 )
 from transport_nare.structured_linalg import (
+    LowRankBilinear,
     RankOverflowError,
     ShiftedSolver,
     gamma_select,
@@ -33,6 +35,7 @@ from transport_nare.transport_problem import (
     assemble_dense,
     balance,
     make_instance,
+    unbalance_scale,
     unbalance_solution,
 )
 
@@ -278,6 +281,33 @@ def test_solve_history_is_original_scale():
     assert residual_norm(inst, X)[1] == own[-1]
 
 
+@pytest.mark.parametrize("c, alpha", [(0.9, 0.1), (0.5, 0.5)])
+@pytest.mark.parametrize("rank", [0, 1, 5, 12], ids=lambda r: "rank%d" % r)
+@pytest.mark.parametrize("balanced", [False, True], ids=["original", "balanced"])
+def test_folded_residual_matches_unbalanced_triple_to_the_bit(c, alpha, rank, balanced):
+    # the solver's residual scales the balanced triple's rows inside the
+    # residual stacks; it must equal that of the unbalanced triple to the
+    # bit, at rank 0 (no rank-one update of the stack) and at rank n too
+    n = 12
+    inst = make_instance(n, c, alpha)
+    if balanced:
+        inst = balance(inst)
+    rng = np.random.default_rng(rank)
+    left = np.linalg.qr(rng.standard_normal((n, rank)))[0]
+    right = np.linalg.qr(rng.standard_normal((n, rank)))[0]
+    Xb = LowRankBilinear(left, np.sort(rng.uniform(0.1, 2.0, rank))[::-1], right)
+    folded = residual_norm(inst, Xb, scale=unbalance_scale(inst))
+    assert folded == residual_norm(inst, unbalance_solution(Xb, inst))
+
+
+def test_unbalance_scale():
+    inst = make_instance(16, 0.9, 0.1)
+    assert np.array_equal(unbalance_scale(inst), inst.u / balance(inst).u)
+    assert np.array_equal(unbalance_scale(balance(inst)), np.ones(16))
+    with pytest.raises(ValueError):
+        unbalance_scale(dataclasses.replace(inst, v=-inst.v))
+
+
 # ---------------------------------------------------------------------------
 # symmetry audit
 # ---------------------------------------------------------------------------
@@ -318,7 +348,8 @@ def test_audit_row_contents_and_serialization():
 
 @pytest.mark.parametrize("k_max", [0, 3])
 def test_audit_computes_step_products_once_per_level(monkeypatch, k_max):
-    # each level's products serve both its row and its step
+    # the audit forms each level's products once, for its row; the step
+    # builds and frees its own, not through step_products
     calls = []
 
     def counted(st):

@@ -15,12 +15,14 @@ from transport_nare.dense_sda import dense_sda_init, dense_sda_solve, dense_sda_
 from transport_nare.modified_sda_ls import msda_init, msda_solve, msda_step
 from transport_nare.sda_ls import (
     GATE_INCREMENT,
+    Correction,
     SolverConfig,
     extend_triple,
     sda_ls_init,
     sda_ls_solve,
     sda_ls_step,
     stagnated,
+    step_products,
 )
 from transport_nare.structured_linalg import (
     BaseOperators,
@@ -274,7 +276,7 @@ def test_extend_triple_matches_dense_property(n, m, w, inside, data):
     # m = 0 is the init case; one case puts Z1 inside span(Q1)
     Z1 = Q1 @ draw((m, w)) if inside and m else draw((n, w))
     Z2, C = draw((n, w)), draw((w, w))
-    X, inc = extend_triple(LowRankBilinear(Q1, core, Q2), Z1, C, Z2,
+    X, inc = extend_triple(LowRankBilinear(Q1, core, Q2), Correction(Z1, C, Z2),
                            SolverConfig(trunc_rel=0.0), FlopModel())
     left, s, right = X.left, X.core, X.right
     base, upd = Q1 @ np.diag(core) @ Q2.T, Z1 @ C @ Z2.T
@@ -310,7 +312,7 @@ def test_extend_triple_keeps_small_columns(Z1, C, Z2):
     # the others is content, and C can make it all of Z1 C Z2^T
     Z1, C, Z2 = (np.asarray(M, dtype=float) for M in (Z1, C, Z2))
     none = np.zeros((Z1.shape[0], 0))
-    X, _ = extend_triple(LowRankBilinear(none, np.zeros(0), none), Z1, C, Z2,
+    X, _ = extend_triple(LowRankBilinear(none, np.zeros(0), none), Correction(Z1, C, Z2),
                          SolverConfig(trunc_rel=0.0), FlopModel())
     upd = Z1 @ C @ Z2.T
     err = np.linalg.norm(X.dense() - upd)
@@ -328,7 +330,7 @@ def test_extend_triple_drops_subnormal_remainder():
     Z1, C = np.ones((n, 2)), np.ones((2, 2))
     Z2 = np.full((n, 2), 5e-324)
     Z2[0, 0] = 1.0
-    X, _ = extend_triple(LowRankBilinear(Q1, np.ones(3), Q2), Z1, C, Z2,
+    X, _ = extend_triple(LowRankBilinear(Q1, np.ones(3), Q2), Correction(Z1, C, Z2),
                          SolverConfig(trunc_rel=0.0), FlopModel())
     base, upd = Q1 @ Q2.T, Z1 @ C @ Z2.T
     err = np.linalg.norm(X.dense() - (base + upd))
@@ -358,23 +360,28 @@ def test_extend_triple_cap_counts_at_most_n():
     n = 4
     Z1, Z2 = np.ones((n, 2)), np.arange(2.0 * n).reshape(n, 2)
     X, _ = extend_triple(
-        LowRankBilinear(np.eye(n), np.ones(n), np.eye(n)), Z1, np.eye(2), Z2,
+        LowRankBilinear(np.eye(n), np.ones(n), np.eye(n)), Correction(Z1, np.eye(2), Z2),
         SolverConfig(trunc_rel=0.0, max_rank=n), FlopModel())
     assert X.rank == n
     assert np.allclose(X.dense(), np.eye(n) + Z1 @ Z2.T, rtol=0.0, atol=1e-13)
 
 
 def test_extend_triple_consumes_its_triple():
-    # each old factor is released once its stack holds a copy; an overflow
-    # raises before the triple is touched
+    # each old factor, and each factor of the correction, is released once
+    # its stack holds a copy; an overflow raises before either is touched
     cfg, fm = SolverConfig(max_rank=4), FlopModel()
     left, right = np.eye(6, 2), np.eye(6, 2)[::-1]
     X = LowRankBilinear(left, np.ones(2), right)
+    Z = Correction(np.ones((6, 3)), np.eye(3), np.ones((6, 3)))
+    z_left, z_right = Z.left, Z.right
     with pytest.raises(RankOverflowError):
-        extend_triple(X, np.ones((6, 3)), np.eye(3), np.ones((6, 3)), cfg, fm)
+        extend_triple(X, Z, cfg, fm)
     assert X.left is left and X.right is right
-    Y, _ = extend_triple(X, np.ones((6, 1)), np.eye(1), np.ones((6, 1)), cfg, fm)
+    assert Z.left is z_left and Z.right is z_right
+    Z = Correction(np.ones((6, 1)), np.eye(1), np.ones((6, 1)))
+    Y, _ = extend_triple(X, Z, cfg, fm)
     assert X.left is None and X.right is None
+    assert Z.left is None and Z.right is None
     expect = left @ right.T + np.ones((6, 6))
     assert np.allclose(Y.dense(), expect, rtol=0.0, atol=1e-14)
 
@@ -383,7 +390,7 @@ def test_extend_triple_cap_raises_before_qr():
     fm = FlopModel()
     with pytest.raises(RankOverflowError):
         extend_triple(LowRankBilinear(np.eye(6, 3), np.ones(3), np.eye(6, 3)),
-                      np.ones((6, 2)), np.eye(2), np.ones((6, 2)),
+                      Correction(np.ones((6, 2)), np.eye(2), np.ones((6, 2))),
                       SolverConfig(max_rank=4), fm)
     assert not fm.flops
 
@@ -411,7 +418,9 @@ def test_step_counts_kernels_and_applies():
 def test_step_pushes_factored_corrections():
     # pushing the step's (E P1, WE, E^T Q2) and (F Q1, WF, F^T P2) tracks
     # pushing the multiplied-out left factors with an identity core, and
-    # both track the dense recursion E <- E^2 + (E P1) WE (E^T Q2)^T
+    # both track the dense recursion E <- E^2 + (E P1) WE (E^T Q2)^T; the
+    # step builds and frees its own products, so they are read from
+    # step_products on the same state
     st = sda_ls_init(make_instance(16, 0.9, 0.1))
     base = BaseOperators(st.inst, st.gamma)
     ref = {name: ImplicitIterate(base, name, trunc_rel=st.config.trunc_rel)
@@ -419,7 +428,8 @@ def test_step_pushes_factored_corrections():
     dense = {name: base.dense(name) for name in ("E", "F")}
     eye = np.eye(16)
     for _ in range(6):
-        _, _, ZE1, ZE2, ZF1, ZF2, WE, WF = sda_ls_step(st)
+        _, _, ZE1, ZE2, ZF1, ZF2, WE, WF = step_products(st)
+        sda_ls_step(st)
         ref["E"].push_update(ZE1 @ WE, np.eye(WE.shape[1]), ZE2)
         ref["F"].push_update(ZF1 @ WF, np.eye(WF.shape[1]), ZF2)
         dense["E"] = dense["E"] @ dense["E"] + ZE1 @ WE @ ZE2.T

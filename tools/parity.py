@@ -5,19 +5,22 @@
 
 ``run`` solves both low-rank solvers on three cells at six configurations with
 the ``transport_nare`` on the import path, and records each run's report
-(iterations, termination, ranks, residuals, per-level flops) and X on 64 rows
-sampled with seed 7.  On the converged configurations (those with a residual
+(iterations, termination, ranks, residuals, per-level flops), its whole-solve
+tracemalloc peak and X on 64 rows sampled with seed 7.  On the converged configurations (those with a residual
 tolerance) it also records X's relative Frobenius distance to the vector-form
 reference of ``perfbench/reference.py`` on those rows, and its largest
 relative entry error there.  ``compare`` prints every mismatch of the fields
 that must be equal (a list field as its first differing index, both values
 there and the count of differing entries), both builds' reference errors and
-final residuals, the worst relative distance of X (and of the residuals) and
-how many runs give a bit-identical X.
+final residuals, each run's traced peak in both builds, the worst relative
+distance of X (and of the residuals) and how many runs give a bit-identical X
+and a bit-identical residual history.  Same bits at a lower peak reads as no
+MISMATCH line, every run bit-identical and PEAK lines that fall.
 """
 
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +50,10 @@ def run(out):
             ref = (reference.solve_reference(inst.delta, inst.d, inst.q).rows(rows)
                    if "tol_residual" in fields else None)
             for solve in (sda_ls_solve, msda_solve):
+                tracemalloc.start()
                 X, rep = solve(inst, SolverConfig(**fields))
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
                 key = "%s n=%d c=%g alpha=%g %s" % (
                     rep.algorithm, n, c, alpha, json.dumps(fields))
                 x = (X.left[rows] * X.core) @ X.right.T
@@ -59,7 +65,8 @@ def run(out):
                     "ranks": rep.rank_history,
                     "operator_ranks": rep.extras["operator_rank_history"],
                     "flops": [rep.flops.iteration_total(k)
-                              for k in range(rep.iterations + 1)]}
+                              for k in range(rep.iterations + 1)],
+                    "peak_mb": peak / 1e6}
                 if ref is not None:
                     meta[key]["ref_distance"] = float(
                         np.linalg.norm(x - ref) / np.linalg.norm(ref))
@@ -91,7 +98,7 @@ def compare(a, b):
     (ma, xa), (mb, xb) = load(a), load(b)
     if list(ma) != list(mb):
         sys.exit("the two files hold different run sets")
-    worst_x = worst_res = identical = 0
+    worst_x = worst_res = identical = same_res = 0
     for key, x1, x2 in zip(ma, xa, xb):
         ra, rb = ma[key], mb[key]
         for field in EXACT:
@@ -103,14 +110,19 @@ def compare(a, b):
                   "final residual %.4g -> %.4g"
                   % (key, ra["ref_distance"], rb["ref_distance"], ra["ref_max_entry"],
                      rb["ref_max_entry"], ra["residuals"][-1], rb["residuals"][-1]))
+        if "peak_mb" in ra and "peak_mb" in rb:
+            print("PEAK %s: %.4f -> %.4f MB (%+.1f%%)" % (
+                key, ra["peak_mb"], rb["peak_mb"],
+                100.0 * (rb["peak_mb"] / ra["peak_mb"] - 1.0)))
+        same_res += ra["residuals"] == rb["residuals"]
         if ra["residual_levels"] == rb["residual_levels"]:
             r1, r2 = np.array(ra["residuals"]), np.array(rb["residuals"])
             worst_res = max(worst_res, float(np.max(np.abs(r1 - r2) / r1)))
         identical += np.array_equal(x1, x2)
         worst_x = max(worst_x, float(np.linalg.norm(x1 - x2) / np.linalg.norm(x1)))
-    print("%d runs, X bit-identical on %d; worst relative X distance %.3g, "
-          "worst relative residual difference %.3g"
-          % (len(ma), identical, worst_x, worst_res))
+    print("%d runs, X bit-identical on %d, residual history on %d; worst relative "
+          "X distance %.3g, worst relative residual difference %.3g"
+          % (len(ma), identical, same_res, worst_x, worst_res))
 
 
 if __name__ == "__main__":
