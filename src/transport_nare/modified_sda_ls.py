@@ -34,9 +34,8 @@ from .sda_ls import (
     check_rank_cap,
     extend_triple,
     run_doubling,
-    sda_ls_init,
     sda_ls_step,
-    step_products,
+    step_cores,
 )
 
 __all__ = [
@@ -172,14 +171,15 @@ def audit_symmetry(inst, k_max=4, config=None):
 
     Only intended at moderate size (n <= AUDIT_MAX_N): H_k, G_k and the outer
     iterates are formed densely, and so is each level's pair of rank
-    corrections, from the audit's own ``step_products`` call (one per
-    level): ``sda_ls_step`` builds and frees its products itself.
+    corrections, from the cores of ``step_cores`` and the audit's own four
+    implicit products (once per level): ``sda_ls_step`` builds and frees
+    its products itself.
     """
     binst = balance(inst)
     n = binst.n
     if n > AUDIT_MAX_N:
         raise ValueError("symmetry audit is a diagnostic; n <= %d" % AUDIT_MAX_N)
-    st = sda_ls_init(binst, config=config)
+    st = LowRankState(binst, config)
     audit = SymmetryAudit(n=n, params=(binst.params.c, binst.params.alpha))
     eye = np.eye(n)
     for k in range(k_max + 1):
@@ -201,7 +201,9 @@ def audit_symmetry(inst, k_max=4, config=None):
         # each outer iterate is a symmetric matrix on a balanced instance, and
         # so are the step's rank corrections (E P1) WE (E^T Q2)^T and
         # (F Q1) WF (F^T P2)^T; the last level takes no step
-        _, _, ZE1, ZE2, ZF1, ZF2, WE, WF = step_products(st)
+        _, _, WE, WF = step_cores(st)
+        ZE1, ZE2 = st.Eimp.apply(G.left), st.Eimp.apply(H.right, transpose=True)
+        ZF1, ZF2 = st.Fimp.apply(H.left), st.Fimp.apply(G.right, transpose=True)
         row["dev_rank_update"] = max(_asymmetry(ZE1 @ (WE @ ZE2.T)),
                                      _asymmetry(ZF1 @ (WF @ ZF2.T)))
         audit.rows.append(row)

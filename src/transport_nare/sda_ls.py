@@ -41,7 +41,6 @@ __all__ = [
     "run_doubling",
     "Correction",
     "extend_triple",
-    "sda_ls_init",
     "sda_ls_step",
     "sda_ls_solve",
 ]
@@ -336,11 +335,6 @@ def extend_triple(X, Z, config, flops):
     return LowRankBilinear(left, s, F2.q_times(U2)), increment
 
 
-def sda_ls_init(inst, config=None, flops=None):
-    """Level-0 state: the triples of H0 and G0 and the implicit operators."""
-    return LowRankState(inst, config, flops)
-
-
 def step_cores(st):
     """The small cores of one doubling step.
 
@@ -371,23 +365,6 @@ def step_cores(st):
     WF = SigC @ (N1 * Gam[None, :])    # = (I - Sig N1 Gam N2)^-1 Sig N1 Gam
     flops.add("inner_core", 4.0 * m * l * (m + l) + 2.0 * (m ** 3 + l ** 3))
     return SigC, GamC, WE, WF
-
-
-def step_products(st):
-    """``step_cores`` and the four implicit products of one step, all at once.
-
-    Returns SigC, GamC, E P1, E^T Q2, F Q1, F^T P2, WE and WF, everything
-    the step's rank corrections are made of, for the symmetry audit to form
-    them densely.  ``sda_ls_step`` does not call it: it builds each product
-    just before its first reader.
-    """
-    SigC, GamC, WE, WF = step_cores(st)
-    H, G = st.H, st.G
-    ZE1 = st.Eimp.apply(G.left)
-    ZE2 = st.Eimp.apply(H.right, transpose=True)
-    ZF1 = st.Fimp.apply(H.left)
-    ZF2 = st.Fimp.apply(G.right, transpose=True)
-    return SigC, GamC, ZE1, ZE2, ZF1, ZF2, WE, WF
 
 
 def sda_ls_step(st):
@@ -438,7 +415,7 @@ def sda_ls_solve(inst, config=None):
     report = SolveReport(algorithm="sda-ls", n=inst.n)
     st = run_doubling(
         report, inst,
-        lambda: sda_ls_init(inst, config=config, flops=report.flops),
+        lambda: LowRankState(inst, config, report.flops),
         sda_ls_step,
         lambda st: residual_norm(inst, st.H, flops=report.flops)[1],
         config)

@@ -14,7 +14,7 @@ solvers can be compared on counted work rather than wall time.
 import csv
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 __all__ = [
     "NearCriticalError",
@@ -317,11 +317,6 @@ class BaseOperators:
             U, V = V, U
         return d[:, None] * block + U @ (s[:, None] * (V.T @ block))
 
-    def dense(self, name):
-        """Dense image diag(d) + U diag(s) V^T of E0 or F0 (test oracle)."""
-        d, U, s, V = self._ops[name]
-        return np.diag(d) + U @ (s[:, None] * V.T)
-
 
 def _unit(x):
     """x / ||x|| as an n x 1 column, and ||x||."""
@@ -581,14 +576,18 @@ def residual_stacks(inst, X, scale=None):
     """U_hat and a row builder of V_hat, U_hat @ V_hat.T == X C X - X E - A X + B.
 
     With A = diag(delta) - u v^T, B = u u^T, C = v v^T and E = diag(d) - v u^T
-    the width is 2*rank + 2: both diagonal actions ride on the factor blocks,
-    the quadratic term (X v)(X^T v)^T is rank one, and the two remaining
-    rank-one pieces, (X v) u^T from -X E and B, share u and merge.  Returns
+    the four rank-one terms X C X, (X v) u^T from -X E, u (X^T v)^T from -A X
+    and B merge into one (Lu, SIAM J. Matrix Anal. Appl. 26, 2005):
+
+        X C X - X E - A X + B = (X v + u)(X^T v + u)^T - diag(delta) X - X diag(d),
+
+    and both diagonal actions ride on the factor blocks of X = L diag(sig)
+    R^T, so U_hat = [-delta .* L sig, -L sig, a] and V_hat = [R, d .* R, b]
+    with a = X v + u and b = X^T v + u, 2*rank + 1 columns wide.  Returns
     (U_hat, v_rows).  U_hat is written straight into a Fortran-ordered
     array, ready for ``_StackQR`` to factor in place, with no n-wide
-    temporary.  ``v_rows(lo, hi)`` builds rows lo:hi of V_hat = [R, d R,
-    X^T v, u] from X's right factor and two n-vectors, so V_hat need never
-    exist whole.
+    temporary.  ``v_rows(lo, hi)`` builds rows lo:hi of V_hat from X's right
+    factor and the n-vector b, so V_hat need never exist whole.
 
     With a row ``scale`` the stacks are those of diag(scale) X diag(scale):
     the scaled left factor is written straight into its block of U_hat, as
@@ -598,29 +597,26 @@ def residual_stacks(inst, X, scale=None):
     u, v, d = inst.u, inst.v, inst.d
     L, sig, R = X.left, X.core, X.right
     r = sig.size
-    U_hat = np.empty((inst.n, 2 * r + 2), order="F")
-    W1, NLS = U_hat[:, :r], U_hat[:, r:2 * r]
+    U_hat = np.empty((inst.n, 2 * r + 1), order="F")
+    W1, NLS, a = U_hat[:, :r], U_hat[:, r:2 * r], U_hat[:, 2 * r]
     if scale is None:
         np.multiply(L, sig, out=NLS)              # L diag(sig), in its block
     else:
         np.multiply(L, scale[:, None], out=NLS)
         NLS *= sig
         R = R * scale[:, None]
-    np.matmul(NLS, R.T @ v, out=U_hat[:, 2 * r])  # X v, for both X C X and X E
-    xtv = R @ (NLS.T @ v)                         # X^T v
-    # -A X folded through the left factor: (-delta .* LS + u (v^T LS)) R^T,
-    # its rank-one term added in place by dger (which takes no empty block)
+    np.matmul(NLS, R.T @ v, out=a)                # X v
+    a += u
+    b = R @ (NLS.T @ v)                           # X^T v
+    b += u
     np.multiply(NLS, -inst.delta[:, None], out=W1)
-    if r:
-        blas.dger(1.0, u, v @ NLS, a=W1, overwrite_a=1)
     np.negative(NLS, out=NLS)
-    np.add(U_hat[:, 2 * r], u, out=U_hat[:, 2 * r + 1])
 
     def v_rows(lo, hi):
-        block = np.empty((hi - lo, 2 * r + 2))
+        block = np.empty((hi - lo, 2 * r + 1))
         block[:, :r] = R[lo:hi]
         np.multiply(d[lo:hi, None], R[lo:hi], out=block[:, r:2 * r])
-        block[:, 2 * r], block[:, 2 * r + 1] = xtv[lo:hi], u[lo:hi]
+        block[:, 2 * r] = b[lo:hi]
         return block
 
     return U_hat, v_rows
@@ -629,9 +625,9 @@ def residual_stacks(inst, X, scale=None):
 def residual_norm(inst, X, flops=None, scale=None):
     """Frobenius norm of X C X - X E - A X + B for a low-rank X.
 
-    Every term is a short combination of outer products of available n-vectors
-    with the factor columns of X, so the residual is ||U_hat @ V_hat.T||_F with
-    stacks of width 2*rank+2 (``residual_stacks``).  With U_hat = Q R that is
+    The residual is two diagonal actions on X plus one rank-one term
+    (X v + u)(X^T v + u)^T, so it is ||U_hat @ V_hat.T||_F with stacks of
+    width 2*rank+1 (``residual_stacks``).  With U_hat = Q R that is
     ||V_hat @ R.T||_F: one QR of U_hat, factored in the array it is written
     in and of which only R is read, and one product, no Q formed.  U_hat is
     released once R is read, and the product is summed over row blocks of

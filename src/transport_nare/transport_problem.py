@@ -272,10 +272,11 @@ def build_instance(params, quad):
                         params=params, quad=quad)
 
 
-def make_instance(n, c, alpha, quad=None):
-    """Convenience constructor: parameters plus (by default) Gauss-Legendre nodes."""
+def make_instance(n, c, alpha):
+    """Convenience constructor: parameters plus Gauss-Legendre nodes (other
+    quadratures go through ``build_instance``)."""
     params = TransportParams(c=c, alpha=alpha, n=n)
-    return build_instance(params, quad if quad is not None else gauss_legendre(n))
+    return build_instance(params, gauss_legendre(n))
 
 
 def balance(inst):
@@ -327,15 +328,15 @@ def unbalance_solution(Xb, inst):
     return LowRankBilinear(Xb.left * scale, Xb.core.copy(), Xb.right * scale)
 
 
-def assemble_dense(inst, cap=DENSE_CAP):
-    """Dense (A, B, C, E) realization of an instance, for n up to ``cap``.
+def assemble_dense(inst):
+    """Dense (A, B, C, E) realization of an instance, for n up to ``DENSE_CAP``.
 
     The one check of the dense size limit: every dense path assembles here.
     """
     n = inst.n
-    if n > cap:
+    if n > DENSE_CAP:
         raise ValueError("dense assembly capped at n=%d (got n=%d); use the "
-                         "low-rank solvers" % (cap, n))
+                         "low-rank solvers" % (DENSE_CAP, n))
     u, v = inst.u, inst.v
     A = np.diag(inst.delta) - np.outer(u, v)
     E = np.diag(inst.d) - np.outer(v, u)

@@ -23,7 +23,7 @@ from transport_nare.dense_sda import (
     spectral_check,
 )
 from transport_nare.modified_sda_ls import audit_symmetry, msda_solve
-from transport_nare.sda_ls import SolverConfig, sda_ls_init, sda_ls_solve, sda_ls_step
+from transport_nare.sda_ls import LowRankState, SolverConfig, sda_ls_solve, sda_ls_step
 from transport_nare.structured_linalg import ShiftedSolver, gamma_select
 from transport_nare.transport_problem import assemble_dense, make_instance
 
@@ -84,7 +84,7 @@ def test_criterion_03_no_truncation_iterate_equivalence():
             kmax = drep.iterations
             A, B, C, E = assemble_dense(inst)
             dstate = dense_sda_init(A, B, C, E, gamma_select(inst))
-            lstate = sda_ls_init(inst, config=cfg)
+            lstate = LowRankState(inst, config=cfg)
             assert lstate.gamma == dstate.gamma
             for k in range(kmax + 1):
                 Hd = dstate.H

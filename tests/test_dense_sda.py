@@ -1,7 +1,5 @@
 """Dense doubling oracle: frozen scalar values, structure, and diagnostics."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -166,19 +164,6 @@ def test_solve_rejects_large_n():
     inst = make_instance(DENSE_CAP + 1, 0.5, 0.5)
     with pytest.raises(ValueError):
         dense_sda_solve(inst)
-
-
-def test_solve_near_critical_warns():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        inst = make_instance(4, 1.0, 0.0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        _, _, rep = dense_sda_solve(inst)
-    # one warning per solve, attributed to the line that called the solver
-    assert [w.category for w in caught] == [RuntimeWarning]
-    assert caught[0].filename == __file__
-    assert rep.warnings == ["near-critical parameters (c=1, alpha=0)"]
 
 
 # ---------------------------------------------------------------------------

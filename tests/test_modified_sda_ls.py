@@ -2,12 +2,11 @@
 
 import dataclasses
 import json
-import warnings
 
 import numpy as np
 import pytest
 
-from transport_nare import modified_sda_ls, sda_ls
+from transport_nare import modified_sda_ls
 from transport_nare.dense_sda import dense_sda_init, dense_sda_solve, dense_sda_step
 from transport_nare.modified_sda_ls import (
     AUDIT_MAX_N,
@@ -18,11 +17,11 @@ from transport_nare.modified_sda_ls import (
     msda_step,
 )
 from transport_nare.sda_ls import (
+    LowRankState,
     SolverConfig,
-    sda_ls_init,
     sda_ls_solve,
     sda_ls_step,
-    step_products,
+    step_cores,
 )
 from transport_nare.structured_linalg import (
     LowRankBilinear,
@@ -109,7 +108,7 @@ def test_step_scalar_frozen_value():
 def test_step_matches_general_solver_on_balanced():
     binst = balance(make_instance(32, 0.9, 0.1))
     cfg = SolverConfig(trunc_rel=0.0)
-    general = sda_ls_init(binst, config=cfg)
+    general = LowRankState(binst, config=cfg)
     modified = msda_init(binst, config=cfg)
     for k in range(1, 6):
         sda_ls_step(general)
@@ -230,37 +229,6 @@ def test_solve_iteration_count_tracks_general_solver():
     assert abs(rep_ls.iterations - rep_m.iterations) <= 2
 
 
-def test_solve_near_critical_warns():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        inst = make_instance(8, 1.0, 0.0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        _, rep = msda_solve(inst)
-    # one warning per solve, attributed to the line that called the solver
-    assert [w.category for w in caught] == [RuntimeWarning]
-    assert caught[0].filename == __file__
-    assert rep.warnings == ["near-critical parameters (c=1, alpha=0)"]
-
-
-def test_solve_critical_pair_n1024():
-    # 33 doublings at n = 1024, tol 1e-8, ending at an original-scale residual
-    # of 4.6e-9; the residual falls about 4x per doubling at the critical pair.
-    # The bound is the 31 doublings at which the balanced residual met tol,
-    # plus 2.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        inst = make_instance(1024, 1.0, 0.0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        X, rep = msda_solve(inst, SolverConfig(tol_residual=1e-8))
-    assert [w.category for w in caught] == [RuntimeWarning]
-    assert rep.termination == "converged"
-    assert rep.iterations <= 31 + 2
-    assert rep.final_residual <= 1e-8
-    assert residual_norm(inst, X)[1] == rep.extras["residual_original"]
-
-
 def test_solve_history_is_original_scale():
     # every recorded residual is that of the X the run would return at its
     # level; on this cell the balanced residual met tol one doubling early
@@ -347,16 +315,15 @@ def test_audit_row_contents_and_serialization():
 
 
 @pytest.mark.parametrize("k_max", [0, 3])
-def test_audit_computes_step_products_once_per_level(monkeypatch, k_max):
-    # the audit forms each level's products once, for its row; the step
-    # builds and frees its own, not through step_products
+def test_audit_takes_step_cores_once_per_level(monkeypatch, k_max):
+    # the audit forms each level's cores once, for its row; the step takes
+    # its own through sda_ls's name, which is left as it is
     calls = []
 
     def counted(st):
         calls.append(st.k)
-        return step_products(st)
-    monkeypatch.setattr(sda_ls, "step_products", counted)
-    monkeypatch.setattr(modified_sda_ls, "step_products", counted)
+        return step_cores(st)
+    monkeypatch.setattr(modified_sda_ls, "step_cores", counted)
     audit_symmetry(make_instance(16, 0.9, 0.1), k_max=k_max)
     assert calls == list(range(k_max + 1))
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from transport_nare.modified_sda_ls import msda_init, msda_step
-from transport_nare.sda_ls import sda_ls_init, sda_ls_step
+from transport_nare.sda_ls import LowRankState, sda_ls_step
 from transport_nare.structured_linalg import (
     RESIDUAL_BLOCK,
     BaseOperators,
@@ -56,10 +56,12 @@ def random_triple(n, r, seed):
                            np.asfortranarray(right))
 
 
-# Measured: 984,888 B above the heap at the call, U_hat being 851,968 B; the
-# rest is n-vectors (X^T v, -delta) and small cores.  The bound leaves
-# 194,760 B.  Forming V_hat and its product with R^T whole, as residual_norm
-# did before it summed over row blocks, took the call to 1,743,837 B.
+# Measured: 952,176 B above the heap at the call, U_hat (2 r + 1 columns)
+# being 819,200 B; the rest is n-vectors (X^T v + u, -delta) and small
+# cores.  The bound leaves 194,704 B.  U_hat one column wider (2 r + 2,
+# with the rank-one terms in two pieces) took the call to 984,888 B;
+# forming V_hat and its product with R^T whole as well, as residual_norm
+# did before it summed over row blocks, took it to 1,743,837 B.
 RESIDUAL_SLACK = 64 * 1024
 
 
@@ -67,7 +69,7 @@ def test_residual_norm_holds_u_hat_and_one_row_block(peak_during):
     r = 12
     inst = make_instance(N, 0.9, 0.1)
     X = random_triple(N, r, seed=3)
-    u_hat = N * (2 * r + 2) * F8
+    u_hat = N * (2 * r + 1) * F8
     block = RESIDUAL_BLOCK * F8
     assert peak_during(lambda: residual_norm(inst, X)) <= u_hat + block + RESIDUAL_SLACK
 
@@ -145,7 +147,7 @@ def test_msda_step_frees_each_product_at_its_last_read(peak_during):
 # slack leaves 36,192 B.  Building all four products first and holding them
 # through both pushes took the step to 5,174,152 B.
 def test_sda_ls_step_holds_at_most_three_products(peak_during):
-    st = mid_run(sda_ls_init, sda_ls_step, make_instance(N, 0.9, 0.1))
+    st = mid_run(LowRankState, sda_ls_step, make_instance(N, 0.9, 0.1))
     m, l, r = st.H.rank, st.G.rank, st.Eimp.rank
     peak = peak_during(lambda: sda_ls_step(st))
     # E's push holds F Q1, E^T Q2 and E P1 (2 m + l) and its two stacks
@@ -156,18 +158,19 @@ def test_sda_ls_step_holds_at_most_three_products(peak_during):
     assert peak <= N * F8 * (products + stacks + growth) + STEP_SLACK
 
 
-# Measured on (N, 0.9, 0.1) after 11 msda doublings, H rank 18: 2,000,888 B
-# above the heap at the call, against 1,245,184 B for U_hat and 589,824 B
-# for the one unbalanced (right) factor; with one row block the bound
-# leaves 161,800 B.  Unbalancing both factors into a new triple first, as
-# the residual did before, took the call to 2,558,376 B.
+# Measured on (N, 0.9, 0.1) after 11 msda doublings, H rank 18: 1,968,176 B
+# above the heap at the call, against 1,212,416 B for U_hat (2 r + 1
+# columns) and 589,824 B for the one unbalanced (right) factor; with one
+# row block the bound leaves 161,744 B.  Unbalancing both factors into a
+# new triple first, as the residual did before, took the call to
+# 2,558,376 B.
 def test_msda_residual_forms_one_unbalanced_factor(peak_during):
     inst = make_instance(N, 0.9, 0.1)
     st = mid_run(msda_init, msda_step, balance(inst), k=11)
     r = st.H.rank
     peak = peak_during(
         lambda: residual_norm(inst, st.H, scale=unbalance_scale(inst)))
-    u_hat = N * (2 * r + 2) * F8
+    u_hat = N * (2 * r + 1) * F8
     factor = N * r * F8
     block = RESIDUAL_BLOCK * F8
     assert peak <= u_hat + factor + block + RESIDUAL_SLACK

@@ -25,10 +25,10 @@ from transport_nare.modified_sda_ls import msda_init, msda_solve, msda_step
 from transport_nare.sda_ls import (
     GATE_INCREMENT,
     GATE_OPEN_TOL,
+    LowRankState,
     SolveReport,
     SolverConfig,
     run_doubling,
-    sda_ls_init,
     sda_ls_solve,
     sda_ls_step,
     stagnated,
@@ -62,7 +62,7 @@ def solve(algo, inst, config):
 def parts(algo, inst, config):
     """Level-0 state, step, residual and returned X of one solver."""
     if algo == "sda-ls":
-        st = sda_ls_init(inst, config)
+        st = LowRankState(inst, config)
         return st, sda_ls_step, lambda: residual_norm(inst, st.H)[1], lambda: st.H
     if algo == "modified-sda-ls":
         st = msda_init(balance(inst), config)

@@ -293,11 +293,10 @@ def test_assemble_dense_balanced_symmetric():
 
 
 def test_assemble_dense_cap():
-    inst = make_instance(8, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        assemble_dense(inst, cap=4)
-    assert assemble_dense(inst, cap=8)[0].shape == (8, 8)
     assert DENSE_CAP == 512
+    assert assemble_dense(make_instance(DENSE_CAP, 0.5, 0.5))[0].shape == (512, 512)
+    with pytest.raises(ValueError):
+        assemble_dense(make_instance(DENSE_CAP + 1, 0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,21 @@
 
 ``run`` solves both low-rank solvers on three cells at six configurations with
 the ``transport_nare`` on the import path, and records each run's report
-(iterations, termination, ranks, residuals, per-level flops), its whole-solve
-tracemalloc peak and X on 64 rows sampled with seed 7.  On the converged configurations (those with a residual
+(iterations, termination, ranks, residuals, per-level step flops and, apart,
+per-level residual flops), its whole-solve tracemalloc peak and X on 64 rows
+sampled with seed 7.  On the converged configurations (those with a residual
 tolerance) it also records X's relative Frobenius distance to the vector-form
 reference of ``perfbench/reference.py`` on those rows, and its largest
 relative entry error there.  ``compare`` prints every mismatch of the fields
 that must be equal (a list field as its first differing index, both values
 there and the count of differing entries), both builds' reference errors and
-final residuals, each run's traced peak in both builds, the worst relative
-distance of X (and of the residuals) and how many runs give a bit-identical X
-and a bit-identical residual history.  Same bits at a lower peak reads as no
-MISMATCH line, every run bit-identical and PEAK lines that fall.
+final residuals, each run's traced peak and residual flops in both builds,
+the worst relative distance of X (and of the residuals) and how many runs
+give a bit-identical X and a bit-identical residual history, and exits 1 if
+it printed a MISMATCH line.  The exact ``flops`` field excludes the
+residual's, so a change to the residual alone shows in the RESIDUAL lines,
+not as a mismatch.  Same bits at a lower peak reads as no MISMATCH line,
+every run bit-identical and PEAK lines that fall.
 """
 
 import json
@@ -64,8 +68,10 @@ def run(out):
                     "residuals": rep.residual_history,
                     "ranks": rep.rank_history,
                     "operator_ranks": rep.extras["operator_rank_history"],
-                    "flops": [rep.flops.iteration_total(k)
+                    "flops": [rep.flops.iteration_total(k, exclude=("residual",))
                               for k in range(rep.iterations + 1)],
+                    "residual_flops": [rep.flops.snapshot(k).get("residual", 0.0)
+                                       for k in range(rep.iterations + 1)],
                     "peak_mb": peak / 1e6}
                 if ref is not None:
                     meta[key]["ref_distance"] = float(
@@ -98,11 +104,12 @@ def compare(a, b):
     (ma, xa), (mb, xb) = load(a), load(b)
     if list(ma) != list(mb):
         sys.exit("the two files hold different run sets")
-    worst_x = worst_res = identical = same_res = 0
+    worst_x = worst_res = identical = same_res = mismatches = 0
     for key, x1, x2 in zip(ma, xa, xb):
         ra, rb = ma[key], mb[key]
         for field in EXACT:
             if ra[field] != rb[field]:
+                mismatches += 1
                 print("MISMATCH %s %s: %s"
                       % (key, field, mismatch(ra[field], rb[field])))
         if "ref_distance" in ra and "ref_distance" in rb:
@@ -114,6 +121,10 @@ def compare(a, b):
             print("PEAK %s: %.4f -> %.4f MB (%+.1f%%)" % (
                 key, ra["peak_mb"], rb["peak_mb"],
                 100.0 * (rb["peak_mb"] / ra["peak_mb"] - 1.0)))
+        if "residual_flops" in ra and "residual_flops" in rb:
+            fa, fb = sum(ra["residual_flops"]), sum(rb["residual_flops"])
+            print("RESIDUAL %s: %.0f -> %.0f flops (%+.1f%%)"
+                  % (key, fa, fb, 100.0 * (fb / fa - 1.0)))
         same_res += ra["residuals"] == rb["residuals"]
         if ra["residual_levels"] == rb["residual_levels"]:
             r1, r2 = np.array(ra["residuals"]), np.array(rb["residuals"])
@@ -123,6 +134,8 @@ def compare(a, b):
     print("%d runs, X bit-identical on %d, residual history on %d; worst relative "
           "X distance %.3g, worst relative residual difference %.3g"
           % (len(ma), identical, same_res, worst_x, worst_res))
+    if mismatches:
+        sys.exit(1)
 
 
 if __name__ == "__main__":
