@@ -21,8 +21,8 @@ solves that level 0's closed form is checked against (no solve calls them:
 ``BaseOperators`` builds level 0 from four scaled n-vectors).  A peak is
 given in MB and in factor widths: peak / (8 n (rank H + rank E/F)), the
 largest ranks of the run, so O(n) storage reads as a width that stays flat
-when n doubles: about 4.4 widths for modified-sda-ls, whose peak sits in
-F's push, and 7.9 for sda-ls, whose peak sits in E's push.
+when n doubles: about 4.1 to 4.4 widths for modified-sda-ls, whose peak
+sits in F's push, and 7.6 to 7.8 for sda-ls, whose peak sits in E's push.
 """
 
 import statistics

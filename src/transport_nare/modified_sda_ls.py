@@ -75,7 +75,11 @@ def msda_step(st):
     update, so a rank overflow leaves the state as it was.  Each product is
     built just before its first reader, E's and F's push, and both are
     handed on to the H extend, their last reader, which frees each once its
-    stack holds a copy.
+    stack holds a copy.  Each push takes its update screened: E Q2 and F Q1
+    are E_k and F_k times orthonormal columns, so trailing weights of dup
+    whose sum times (max|d_k| + max|s_k|)^2 is at most trunc_rel * max|d_{k+1}|
+    are left out (``ImplicitIterate.screen``) and the push sees prefix
+    views of the product and of dup; the H extend takes both whole.
     """
     flops = st.flops
     flops.k = st.k + 1
@@ -90,10 +94,13 @@ def msda_step(st):
     sig_c = Sig / om2
     dup = Sig * sig_c
     flops.add("inner_core", 6.0 * Sig.size)
-    ZE = st.Eimp.apply(H.right)
-    st.Eimp.push_symmetric(ZE, dup)
-    ZF = st.Fimp.apply(H.left)
-    st.Fimp.push_symmetric(ZF, dup)
+    E, F = st.Eimp, st.Fimp
+    ZE = E.apply(H.right)
+    m = E.screen(dup)
+    E.push_symmetric(ZE[:, :m], dup[:m])
+    ZF = F.apply(H.left)
+    m = F.screen(dup)
+    F.push_symmetric(ZF[:, :m], dup[:m])
     update = Correction(ZF, np.diag(sig_c), ZE)
     del ZE, ZF
     st.H, st.increment = extend_triple(H, update, st.config, flops)

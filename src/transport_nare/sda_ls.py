@@ -51,7 +51,13 @@ class SolverConfig:
     """Knobs shared by all solvers.
 
     tol_residual   normalized-residual stopping tolerance
-    trunc_rel      relative singular-value drop threshold (0 disables)
+    trunc_rel      relative singular-value drop threshold (0 disables): H_k
+                   and G_k drop values below trunc_rel times their largest,
+                   E_k and F_k below trunc_rel * max(max|d_k|, largest),
+                   relative to the whole operator; each step leaves out
+                   the tail of an E/F update whose bound, with ||E_k||_2 <=
+                   max|d_k| + max|s_k|, is at most trunc_rel * max|d_{k+1}|
+                   (``ImplicitIterate.screen``)
     max_iter       doubling-iteration budget
     max_rank       cap on truncated factor ranks
     """
@@ -382,7 +388,12 @@ def sda_ls_step(st):
     Each product is built just before its first reader and released by its
     last: E^T Q2 after E's push, E P1 inside G's extend once its stack
     holds a copy, F Q1 and F^T P2 after F's push.  At most three of the
-    four are live at once, with E's push stacks.
+    four are live at once, with E's push stacks.  Each push takes its
+    update screened: the products are E_k (F_k) or its transpose times
+    orthonormal columns, so the trailing rows and columns of WE (WF) whose
+    absolute sum times (max|d_k| + max|s_k|)^2 is at most half of trunc_rel *
+    max|d_{k+1}| each are left out (``ImplicitIterate.screen``) and the
+    push sees prefix views; the extends take the products whole.
     """
     flops = st.flops
     flops.k = st.k + 1
@@ -394,13 +405,15 @@ def sda_ls_step(st):
     ZE2 = E.apply(H.right, transpose=True)
     st.H, st.increment = extend_triple(H, Correction(ZF1, SigC, ZE2), st.config, flops)
     ZE1 = E.apply(G.left)
-    E.push_update(ZE1, WE, ZE2)
+    a, b = E.screen(WE)
+    E.push_update(ZE1[:, :a], WE[:a, :b], ZE2[:, :b])
     del ZE2
     ZF2 = F.apply(G.right, transpose=True)
     update = Correction(ZE1, GamC, ZF2)
     del ZE1     # G's extend reads it last and frees it
     st.G, _ = extend_triple(G, update, st.config, flops)
-    F.push_update(ZF1, WF, ZF2)
+    a, b = F.screen(WF)
+    F.push_update(ZF1[:, :a], WF[:a, :b], ZF2[:, :b])
     st.k += 1
 
 

@@ -118,7 +118,8 @@ def test_criterion_05_flop_halving():
             ls = rep_ls.flops.iteration_total(k, exclude=("residual",))
             mo = rep_m.flops.iteration_total(k, exclude=("residual",))
             ratio = mo / ls
-            assert 0.4 <= ratio <= 0.6, (k, ratio)
+            # read 0.4837, 0.4614, 0.4382, 0.4444, 0.4394 on levels 2 to 6
+            assert 0.4 <= ratio <= 0.6, (k, ratio, "read 0.438 to 0.484")
 
 
 def doubling_count(inst, X, gamma, tol=TOL):
@@ -212,9 +213,9 @@ def test_criterion_09_linear_scaling_wall_time():
             break
     assert ratio <= 2.5, ratio
     # the counted work is deterministic and tells linear from flat, which the
-    # wall-time ratio cannot at these sizes (measured 1.975 at equal ranks)
+    # wall-time ratio cannot at these sizes (measured 1.936)
     flop_ratio = flops[4096] / flops[2048]
-    assert 1.8 <= flop_ratio <= 2.2, flop_ratio
+    assert 1.8 <= flop_ratio <= 2.2, (flop_ratio, "read 1.936")
 
 
 def test_criterion_10_smw_roundtrips():

@@ -11,8 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from transport_nare.modified_sda_ls import msda_init, msda_step
-from transport_nare.sda_ls import LowRankState, sda_ls_step
+from transport_nare.modified_sda_ls import msda_init, msda_solve, msda_step
+from transport_nare.sda_ls import LowRankState, SolverConfig, sda_ls_step
 from transport_nare.structured_linalg import (
     RESIDUAL_BLOCK,
     BaseOperators,
@@ -174,3 +174,17 @@ def test_msda_residual_forms_one_unbalanced_factor(peak_during):
     factor = N * r * F8
     block = RESIDUAL_BLOCK * F8
     assert peak <= u_hat + factor + block + RESIDUAL_SLACK
+
+
+# Measured: 2,966,291 B (2,973,239 B as a process's first solve) above the
+# heap at the call; the bound (3 MiB) leaves 172,489 B.  The peak is F's push
+# at level 8 (E and F rank 10), with the H extend and the residual within 4%
+# of it.  Truncating E and F against their corrections' largest values and
+# pushing every update column, as before, took the solve to 3,495,913 B.
+CAPPED_MSDA_BOUND = 3 * 1024 * 1024
+
+
+def test_msda_capped_solve_peak(peak_during):
+    inst = make_instance(N, 0.9, 0.1)
+    peak = peak_during(lambda: msda_solve(inst, SolverConfig(max_iter=8)))
+    assert peak <= CAPPED_MSDA_BOUND

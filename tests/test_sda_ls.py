@@ -442,6 +442,35 @@ def test_step_pushes_factored_corrections():
             assert np.abs(got - dense[name]).max() <= 1e-12 * scale, (st.k, name)
 
 
+@pytest.mark.parametrize("init,step,balanced", [
+    (LowRankState, sda_ls_step, False), (msda_init, msda_step, True)],
+    ids=["sda_ls", "msda"])
+def test_steps_at_trunc_rel_zero_push_whole_updates(monkeypatch, init, step, balanced):
+    # at trunc_rel = 0 the screen keeps every row and column and the keep
+    # rule's reference max|d_{k+1}| is inert, so each step gives the bits of
+    # one that pushes its products whole under the rule relative to the
+    # largest value alone (ranks reach n = 32 here, so zero values occur)
+    inst = make_instance(32, 0.5, 0.5)
+    start = balance(inst) if balanced else inst
+    cfg = SolverConfig(trunc_rel=0.0)
+
+    def run():
+        st = init(start, config=cfg)
+        for _ in range(8):
+            step(st)
+        triples = [X for X in (st.H, st.G) if X is not None]
+        return ([a for X in triples for a in (X.left, X.core, X.right)]
+                + [a for E in (st.Eimp, st.Fimp) for a in (E.d, E.U, E.s, E.V)])
+
+    screened = run()
+    monkeypatch.setattr(ImplicitIterate, "screen",
+                        lambda self, core: core.size if core.ndim == 1 else core.shape)
+    monkeypatch.setattr(structured_linalg, "_kept", lambda mag, trunc_rel, ref: (
+        (mag > 0.0) & (mag >= trunc_rel * mag.max(initial=0.0))))
+    whole = run()
+    assert all(np.array_equal(a, b) for a, b in zip(screened, whole))
+
+
 def test_factored_resolvent_identity():
     # (I - H G)^-1 through the small cross-Gram system vs the dense inverse
     inst = make_instance(16, 0.9, 0.1)

@@ -518,6 +518,109 @@ def test_push_update_and_push_symmetric_agree():
     assert sym.V is sym.U and gen.V is not gen.U
 
 
+#: trunc_rel of the screened-push checks: far above roundoff, so what the
+#: screen and the keep rule drop sets the error
+SCREEN_TRUNC = 1e-6
+
+
+def screened_push(imp, symmetric, seed, l=6, m=8):
+    """Screen and push an update shaped like a doubling step's, E_k (E_k^T)
+    times orthonormal columns around a core whose weights fall 1e-2 per row
+    and column; returns the dense E_k^2 + update, max|d_{k+1}|, and the
+    core's kept and full row and column counts (one count if diagonal)."""
+    n = imp.n
+    rng = np.random.default_rng(seed)
+    Ek = imp.apply(np.eye(n))
+    d_next = np.abs(imp.d).max() ** 2
+    Q1 = np.linalg.qr(rng.standard_normal((n, l)))[0]
+    Q2 = np.linalg.qr(rng.standard_normal((n, m)))[0]
+    decay = 10.0 ** (-2.0 * np.arange(max(l, m)))
+    if symmetric:
+        core = rng.uniform(0.5, 1.0, m) * decay[:m]
+        z = imp.apply(Q2)
+        keep = imp.screen(core)
+        want = Ek @ Ek + (z * core) @ z.T
+        imp.push_symmetric(z[:, :keep], core[:keep])
+        return want, d_next, (keep,), (m,)
+    core = rng.uniform(-1.0, 1.0, (l, m)) * decay[:l, None] * decay[None, :m]
+    zl, zr = imp.apply(Q1), imp.apply(Q2, transpose=True)
+    a, b = imp.screen(core)
+    want = Ek @ Ek + zl @ core @ zr.T
+    imp.push_update(zl[:, :a], core[:a, :b], zr[:, :b])
+    return want, d_next, (a, b), (l, m)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("symmetric", [False, True], ids=["push_update", "push_symmetric"])
+def test_screened_push_matches_dense(symmetric, seed):
+    # the screen leaves out at most tau = trunc_rel max|d_{k+1}| of the
+    # update and the keep rule drops values below trunc_rel max(max|d_{k+1}|,
+    # the largest), so E_{k+1} is within 2 trunc_rel (max|d_{k+1}| +
+    # ||correction||) of the dense result in the 2-norm (c = 2)
+    imp, _ = make_iterate(2, symmetric=symmetric)
+    imp.trunc_rel = SCREEN_TRUNC
+    r = imp.rank
+    want, d_next, kept, full = screened_push(imp, symmetric, seed)
+    assert kept[-1] < full[-1], kept
+    correction = np.linalg.norm(want - np.diag(imp.d), 2)
+    err = np.linalg.norm(imp.apply(np.eye(imp.n)) - want, 2)
+    assert err <= 2.0 * SCREEN_TRUNC * (d_next + correction), err
+    # measured 0.11 to 0.25 of the bound; the keep rule dropped values too,
+    # where trunc_rel = 0 keeps min(n, 2 r + the kept columns)
+    assert imp.rank < min(imp.n, 2 * r + kept[-1])
+    if symmetric:
+        assert imp.V is imp.U
+        assert np.abs(imp.U.T @ imp.U - np.eye(imp.rank)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["push_update", "push_symmetric"])
+def test_screened_push_of_a_rank_zero_correction(symmetric):
+    # E_k = diag(d_k) alone: the norm bound max|d_k| + max|s_k| takes no max
+    # of an empty core, and the screened push still matches the dense result
+    imp, _ = make_iterate(1, symmetric=symmetric)
+    imp.trunc_rel = SCREEN_TRUNC
+    imp.U = imp.V = np.zeros((imp.n, 0))
+    imp.s = np.zeros(0)
+    want, d_next, _, _ = screened_push(imp, symmetric, seed=3)
+    correction = np.linalg.norm(want - np.diag(imp.d), 2)
+    err = np.linalg.norm(imp.apply(np.eye(imp.n)) - want, 2)
+    assert err <= 2.0 * SCREEN_TRUNC * (d_next + correction), err
+
+
+@pytest.mark.parametrize("trunc_rel", [0.0, 1e-15])
+@pytest.mark.parametrize("symmetric", [False, True], ids=["push_update", "push_symmetric"])
+def test_screened_push_of_a_zero_iterate(symmetric, trunc_rel):
+    # ||E_k|| bounded by 0: every update E_k Z is 0.  The screen keeps all of
+    # it at trunc_rel = 0 and none of it above; either push gives E = 0
+    n = 8
+    imp = ImplicitIterate(BaseOperators(make_instance(n, 0.5, 0.5), 7.0), "E",
+                          trunc_rel=trunc_rel)
+    imp.d, imp.s = np.zeros(n), np.zeros(0)
+    imp.U = imp.V = np.zeros((n, 0))
+    kept = 3 if trunc_rel == 0.0 else 0
+    assert imp.screen(np.ones(3)) == kept
+    assert imp.screen(np.ones((2, 3))) == ((2, 3) if trunc_rel == 0.0 else (0, 0))
+    z = imp.apply(np.eye(n)[:, :3])
+    if symmetric:
+        imp.push_symmetric(z[:, :kept], np.ones(kept))
+    else:
+        imp.push_update(z[:, :kept], np.ones((kept, kept)), z[:, :kept])
+    assert imp.rank == 0
+    assert not imp.apply(np.eye(n)).any()
+
+
+def test_keep_rule_reference_is_inert_at_trunc_rel_zero():
+    # at trunc_rel = 0 every nonzero value is kept, whatever the reference
+    mag = np.array([3.0, 1e-300, 0.0, 2e-17])
+    for ref in (0.0, 1.0, 1e300):
+        assert np.array_equal(structured_linalg._kept(mag, 0.0, ref), mag > 0.0)
+    # above it the larger of ref and the largest value sets the threshold:
+    # 2e-17 alone is kept against itself and dropped against ref = 1
+    assert structured_linalg._kept(mag, 1e-15, 0.0).tolist() == [True, False, False, False]
+    assert structured_linalg._kept(np.array([2e-17]), 1e-15, 0.0).tolist() == [True]
+    assert structured_linalg._kept(np.array([2e-17]), 1e-15, 1.0).tolist() == [False]
+
+
 @pytest.mark.parametrize("symmetric,per_level", [(False, 2), (True, 1)],
                          ids=["push_update", "push_symmetric"])
 def test_push_stack_qr_count(monkeypatch, symmetric, per_level):

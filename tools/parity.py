@@ -7,7 +7,9 @@
 the ``transport_nare`` on the import path, and records each run's report
 (iterations, termination, ranks, residuals, per-level step flops and, apart,
 per-level residual flops), its whole-solve tracemalloc peak and X on 64 rows
-sampled with seed 7.  On the converged configurations (those with a residual
+sampled with seed 7.  One traced warm-up solve, the set's first, goes before
+the set and is not recorded: allocations made once per process would
+otherwise fall in the first run's peak.  On the converged configurations (those with a residual
 tolerance) it also records X's relative Frobenius distance to the vector-form
 reference of ``perfbench/reference.py`` on those rows, and its largest
 relative entry error there.  ``compare`` prints every mismatch of the fields
@@ -46,6 +48,16 @@ def run(out):
     from transport_nare.modified_sda_ls import msda_solve
     from transport_nare.sda_ls import SolverConfig, sda_ls_solve
     from transport_nare.transport_problem import make_instance
+
+    def traced(solve, inst, config):
+        tracemalloc.start()
+        X, rep = solve(inst, config)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return X, rep, peak
+
+    (n, fields), (c, alpha) = CONFIGS[0], CELLS[0]
+    traced(sda_ls_solve, make_instance(n, c, alpha), SolverConfig(**fields))
     meta, xs = {}, []
     for n, fields in CONFIGS:
         rows = np.sort(np.random.default_rng(SEED).choice(n, min(n, ROWS), replace=False))
@@ -54,10 +66,7 @@ def run(out):
             ref = (reference.solve_reference(inst.delta, inst.d, inst.q).rows(rows)
                    if "tol_residual" in fields else None)
             for solve in (sda_ls_solve, msda_solve):
-                tracemalloc.start()
-                X, rep = solve(inst, SolverConfig(**fields))
-                peak = tracemalloc.get_traced_memory()[1]
-                tracemalloc.stop()
+                X, rep, peak = traced(solve, inst, SolverConfig(**fields))
                 key = "%s n=%d c=%g alpha=%g %s" % (
                     rep.algorithm, n, c, alpha, json.dumps(fields))
                 x = (X.left[rows] * X.core) @ X.right.T
