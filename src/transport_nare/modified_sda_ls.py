@@ -31,7 +31,6 @@ from .sda_ls import (
     LowRankState,
     SolverConfig,
     SolveReport,
-    check_rank_cap,
     extend_triple,
     run_doubling,
     sda_ls_step,
@@ -71,20 +70,21 @@ def msda_step(st):
     With G_k = H_k^T the inner correction collapses to the diagonal
     Sig/(1 - Sig^2), and because E_k and F_k are each symmetric the four large
     products of the general step pair up: only E Q2 and F Q1 are needed, and
-    one ``extend_triple`` call updates H.  It checks the rank cap before any
-    update, so a rank overflow leaves the state as it was.  Each product is
-    built just before its first reader, E's and F's push, and both are
-    handed on to the H extend, their last reader, which frees each once its
-    stack holds a copy.  Each push takes its update screened: E Q2 and F Q1
-    are E_k and F_k times orthonormal columns, so trailing weights of dup
-    whose sum times (max|d_k| + max|s_k|)^2 is at most trunc_rel * max|d_{k+1}|
-    are left out (``ImplicitIterate.screen``) and the push sees prefix
-    views of the product and of dup; the H extend takes both whole.
+    one ``extend_triple`` call updates H.  It checks the rank cap
+    (``st.check_rank_cap``) before any update, so a rank overflow leaves
+    the state as it was.  Each product is built just before its
+    first reader, E's and F's push, and both are handed on to the H extend,
+    their last reader, which frees each once its stack holds a copy.  Each
+    push takes its update screened: E Q2 and F Q1 are E_k and F_k times
+    orthonormal columns, so trailing weights of dup whose sum times
+    (max|d_k| + max|s_k|)^2 is at most trunc_rel * max|d_{k+1}| are left
+    out (``ImplicitIterate.screen``) and the push sees prefix views of the
+    product and of dup; the H extend takes both whole.
     """
+    st.check_rank_cap()
     flops = st.flops
     flops.k = st.k + 1
     H = st.H
-    check_rank_cap(H, H.rank, st.config, flops)
     Sig = H.core
     om2 = 1.0 - Sig ** 2
     if np.any(np.abs(om2) < CORE_SINGULAR_TOL):
@@ -103,7 +103,7 @@ def msda_step(st):
     F.push_symmetric(ZF[:, :m], dup[:m])
     update = Correction(ZF, np.diag(sig_c), ZE)
     del ZE, ZF
-    st.H, st.increment = extend_triple(H, update, st.config, flops)
+    st.H, st.increment = extend_triple(H, update, st.config.trunc_rel, flops)
     st.k += 1
     return st
 

@@ -59,7 +59,7 @@ class SolverConfig:
                    max|d_k| + max|s_k|, is at most trunc_rel * max|d_{k+1}|
                    (``ImplicitIterate.screen``)
     max_iter       doubling-iteration budget
-    max_rank       cap on truncated factor ranks
+    max_rank       cap on the H_k, G_k ranks (``LowRankState.check_rank_cap``)
     """
 
     tol_residual: float = 1e-12
@@ -240,6 +240,7 @@ class LowRankState:
     from ``BaseOperators``, which is not kept.  The balanced iteration, where
     G_k = H_k^T, sets ``G`` to None.  ``increment`` is
     ||H_k - H_{k-1}||_F / ||H_k||_F of the last H update (1 at level 0).
+    ``check_rank_cap`` is the one check of ``max_rank``.
     """
 
     def __init__(self, inst, config=None, flops=None):
@@ -250,8 +251,8 @@ class LowRankState:
         self.gamma = gamma_select(inst)
         base = BaseOperators(inst, self.gamma)
         trunc_rel = self.config.trunc_rel
-        self.Eimp = ImplicitIterate(base, "E", flops=self.flops, trunc_rel=trunc_rel)
-        self.Fimp = ImplicitIterate(base, "F", flops=self.flops, trunc_rel=trunc_rel)
+        self.Eimp = ImplicitIterate(base.E, flops=self.flops, trunc_rel=trunc_rel)
+        self.Fimp = ImplicitIterate(base.F, flops=self.flops, trunc_rel=trunc_rel)
         self.H, self.G = LowRankBilinear(*base.H), LowRankBilinear(*base.G)
         self.k = 0
         self.increment = 1.0
@@ -263,18 +264,17 @@ class LowRankState:
     def levels(self):
         return {"operator_rank_history": (self.Eimp.rank, self.Fimp.rank)}
 
-
-def check_rank_cap(X, width, config, flops):
-    """Raise RankOverflowError unless X plus a correction ``width`` columns
-    wide fits ``config.max_rank``.
-
-    Counts min(n, m + width), the most columns the extended basis can have.
-    """
-    m, n = X.rank, X.n
-    grown = min(n, m + width)
-    if grown > config.max_rank:
-        raise RankOverflowError("step %d would grow rank %d to %d past max_rank=%d"
-                                % (flops.k, m, grown, config.max_rank))
+    def check_rank_cap(self):
+        """Raise RankOverflowError unless step k + 1 keeps each triple within
+        ``max_rank``: a rank-m triple's correction is E_k or F_k times its own
+        factor, m wide, so its basis grows to at most min(n, 2m) columns.
+        Both steps call it before they change anything."""
+        for m in self.ranks:
+            grown = min(self.inst.n, 2 * m)
+            if grown > self.config.max_rank:
+                raise RankOverflowError(
+                    "step %d would grow rank %d to %d past max_rank=%d"
+                    % (self.k + 1, m, grown, self.config.max_rank))
 
 
 class Correction:
@@ -292,34 +292,31 @@ class Correction:
         self.left, self.core, self.right = left, core, right
 
 
-def extend_triple(X, Z, config, flops):
+def extend_triple(X, Z, trunc_rel, flops):
     """Truncated orthonormal triple of X + Z1 C Z2^T, X = Q1 diag(core) Q2^T.
 
     Z is the ``Correction`` (Z1, C, Z2).  Factors the stacks [Q1, Z1] = Qf1
     R1 and [Q2, Z2] = Qf2 R2 where they are written
     (``orthonormalize_against``), so the sum is Qf1 M Qf2^T with the small
     core M = R1[:, m:] C R2[:, m:]^T + R1[:, :m] diag(core) R2[:, :m]^T,
-    SVD-truncates M at ``config.trunc_rel`` and applies the new factors Qf1
-    U1 and Qf2 U2 through the block reflectors: no n-wide basis is formed,
-    and the truncated SVD alone sets the rank.  X and Z are consumed: Q1 and
-    Z1 are released (set to None) once the first stack holds copies, before
-    the second is allocated, Q2 and Z2 once the second does, and R1, R2, M
-    and the left factorization as soon as they are read (peak memory), so
-    the old and new triples are never live together, and a Z1 that its
+    SVD-truncates M at ``trunc_rel`` and applies the new factors Qf1 U1 and
+    Qf2 U2 through the block reflectors: no n-wide basis is formed, and the
+    truncated SVD alone sets the rank.  Like ``ImplicitIterate``'s push it
+    checks no policy: the rank cap is the state's.  X and Z are consumed: Q1
+    and Z1 are released (set to None) once the first stack holds copies,
+    before the second is allocated, Q2 and Z2 once the second does, and R1,
+    R2, M and the left factorization as soon as they are read (peak memory),
+    so the old and new triples are never live together, and a Z1 that its
     caller holds no other reference to is gone before the second stack is
     allocated; neither X nor Z is to be read again, even if a later error
-    raises.  Every doubling step
-    goes through here; the inits do not, their rank-one triples come from
-    ``BaseOperators`` whole.  The rank cap (``check_rank_cap``) is checked
-    before X is touched or any QR allocates, so an overflow leaves X and Z
-    whole.  Returns the new triple and its relative increment
-    ||Z1 C Z2^T||_F / ||s||_2, the norm of the added term (the first term
-    of M) over that of the result: an O(w^3) by-product on which
-    ``run_doubling`` gates its residuals.  Lives in this module, not
-    ``structured_linalg``, so that its kernel calls resolve through this
-    module's names, which perfbench's span tracer patches.
+    raises.  Every doubling step goes through here; the inits do not, their
+    rank-one triples come from ``BaseOperators`` whole.  Returns the new
+    triple and its relative increment ||Z1 C Z2^T||_F / ||s||_2, the norm of
+    the added term (the first term of M) over that of the result: an O(w^3)
+    by-product on which ``run_doubling`` gates its residuals.  Lives in this
+    module, not ``structured_linalg``, so that its kernel calls resolve
+    through this module's names, which perfbench's span tracer patches.
     """
-    check_rank_cap(X, Z.left.shape[1], config, flops)
     m, n, core, C = X.rank, X.n, X.core, Z.core
     F1 = orthonormalize_against(X.left, Z.left, flops=flops)
     X.left = Z.left = None
@@ -330,7 +327,7 @@ def extend_triple(X, Z, config, flops):
     added = np.linalg.norm(M)
     M += (R1[:, :m] * core[None, :]) @ R2[:, :m].T
     del R1, R2
-    U1, s, U2 = truncated_svd(M, config.trunc_rel, flops=flops)
+    U1, s, U2 = truncated_svd(M, trunc_rel, flops=flops)
     k = M.shape[0]
     del M
     flops.add("factor_assembly", 2.0 * k ** 3 + 4.0 * n * k * s.size)
@@ -376,9 +373,9 @@ def step_cores(st):
 def sda_ls_step(st):
     """One doubling step on the truncated factors.
 
-    Checks both rank caps first, so a rank overflow raises before the state
-    changes.  Then it takes the cores of ``step_cores`` and hands each
-    update its correction as (left, core, right), in this order:
+    Checks the rank cap first (``st.check_rank_cap``), so an overflow raises
+    before the state changes.  Then it takes the cores of ``step_cores`` and
+    hands each update its correction as (left, core, right), in this order:
 
         H   (F Q1, SigC, E^T Q2)   ``extend_triple``, consumes the old H
         E   (E P1, WE, E^T Q2)     ``push_update``
@@ -395,15 +392,15 @@ def sda_ls_step(st):
     max|d_{k+1}| each are left out (``ImplicitIterate.screen``) and the
     push sees prefix views; the extends take the products whole.
     """
+    st.check_rank_cap()
     flops = st.flops
     flops.k = st.k + 1
     E, F, H, G = st.Eimp, st.Fimp, st.H, st.G
-    check_rank_cap(H, H.rank, st.config, flops)
-    check_rank_cap(G, G.rank, st.config, flops)
+    trunc_rel = st.config.trunc_rel
     SigC, GamC, WE, WF = step_cores(st)
     ZF1 = F.apply(H.left)
     ZE2 = E.apply(H.right, transpose=True)
-    st.H, st.increment = extend_triple(H, Correction(ZF1, SigC, ZE2), st.config, flops)
+    st.H, st.increment = extend_triple(H, Correction(ZF1, SigC, ZE2), trunc_rel, flops)
     ZE1 = E.apply(G.left)
     a, b = E.screen(WE)
     E.push_update(ZE1[:, :a], WE[:a, :b], ZE2[:, :b])
@@ -411,7 +408,7 @@ def sda_ls_step(st):
     ZF2 = F.apply(G.right, transpose=True)
     update = Correction(ZE1, GamC, ZF2)
     del ZE1     # G's extend reads it last and frees it
-    st.G, _ = extend_triple(G, update, st.config, flops)
+    st.G, _ = extend_triple(G, update, trunc_rel, flops)
     a, b = F.screen(WF)
     F.push_update(ZF1[:, :a], WF[:a, :b], ZF2[:, :b])
     st.k += 1

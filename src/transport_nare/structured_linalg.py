@@ -282,12 +282,13 @@ class BaseOperators:
         E0 = I - 2 gamma D^-1 - g x y^T,     F0 = I - 2 gamma L^-1 - g p q^T,
         H0 = g p y^T,                        G0 = g x q^T.
 
-    E0 and F0 are stored as ``ImplicitIterate`` stores a level, (d, U, s, V)
-    for diag(d) + U diag(s) V^T, and H0 and G0 as triples (U, s, V), every
-    column a unit vector and each core g times the product of the two norms.
-    On a balanced instance (u is v) y is x and q is p, so E0 and F0 come out
-    with V is U, and G0 is H0^T to the bit.  Raises NearCriticalError if
-    kappa is below ``SMW_DENOM_TOL``.
+    ``E`` and ``F`` hold E0 and F0 as an ``ImplicitIterate`` level, (d, U, s,
+    V) for diag(d) + U diag(s) V^T, and ``H`` and ``G`` hold H0 and G0 as
+    triples (U, s, V), every column a unit vector and each core g times the
+    product of the two norms.  On a balanced instance (u is v) y is x and q
+    is p, so E0 and F0 come out with V is U, and G0 is H0^T to the bit.
+    Raises NearCriticalError if kappa is below ``SMW_DENOM_TOL``.  ``apply``
+    is ``ImplicitIterate.apply`` on E0 or F0.
     """
 
     def __init__(self, inst, gamma):
@@ -305,17 +306,13 @@ class BaseOperators:
         P, n_p = _unit(p)
         Y, n_y = (X, n_x) if u is v else _unit(u / dg)
         Q, n_q = (P, n_p) if u is v else _unit(v / lg)
-        self._ops = {
-            "E": (1.0 - 2.0 * gamma / dg, X, np.array([-g * (n_x * n_y)]), Y),
-            "F": (1.0 - 2.0 * gamma / lg, P, np.array([-g * (n_p * n_q)]), Q)}
+        self.E = 1.0 - 2.0 * gamma / dg, X, np.array([-g * (n_x * n_y)]), Y
+        self.F = 1.0 - 2.0 * gamma / lg, P, np.array([-g * (n_p * n_q)]), Q
         self.H = P, np.array([g * (n_p * n_y)]), Y
         self.G = X, np.array([g * (n_x * n_q)]), Q
 
     def apply(self, name, block, transpose=False):
-        d, U, s, V = self._ops[name]
-        if transpose:
-            U, V = V, U
-        return d[:, None] * block + U @ (s[:, None] * (V.T @ block))
+        return ImplicitIterate(getattr(self, name)).apply(block, transpose)
 
 
 def _unit(x):
@@ -396,11 +393,11 @@ class ImplicitIterate:
 
     Level k holds d_k = a^(2^k) and a triple (U, s, V) with E_k = diag(d_k) +
     U diag(s) V^T; a symmetric iterate keeps V is U, orthonormal, and a
-    signed s.  Level 0 is E0 (or F0) as ``BaseOperators`` stores it, rank
-    one with unit columns and a signed core, symmetric on a balanced
-    instance.  With D = diag(d), S = diag(s) and N = V^T U, each level's
-    squaring plus its update zl cz zr^T (a core between two factors) is one
-    identity,
+    signed s.  It starts from level 0 as ``BaseOperators`` holds it
+    (``ImplicitIterate(base.E)``): rank one, unit columns, a signed core,
+    symmetric on a balanced instance.  With D = diag(d), S = diag(s) and N =
+    V^T U, each level's squaring plus its update zl cz zr^T (a core between
+    two factors) is one identity,
 
         (D + U S V^T)^2 + zl cz zr^T - D^2 = [D U, U, zl] K [D V, V, zr]^T,
         K = [[0, S, 0], [S, S N S, 0], [0, 0, cz]],   (2r + l) x (2r + m),
@@ -421,12 +418,12 @@ class ImplicitIterate:
     for an update before its stacks are built.
     """
 
-    def __init__(self, base, name, flops=None, trunc_rel=0.0):
-        self.n = base.n
+    def __init__(self, level0, flops=None, trunc_rel=0.0):
+        self.d, self.U, self.s, self.V = level0
+        self.n = self.d.size
         self.level = 0
         self.flops = flops
         self.trunc_rel = trunc_rel
-        self.d, self.U, self.s, self.V = base._ops[name]
 
     @property
     def rank(self):

@@ -159,7 +159,7 @@ def test_step_rank_cap_precedes_growth():
     with pytest.raises(RankOverflowError):
         msda_step(st)          # would need 8
     assert st.k == 2 and st.ranks == (4,)
-    # extend_triple checks the cap before it consumes the triple
+    # the state checks the cap before extend_triple consumes the triple
     assert st.H is before and before.left is left and before.right is right
     assert st.Eimp.level == 2 and st.Fimp.level == 2
 

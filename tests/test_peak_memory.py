@@ -88,7 +88,7 @@ def test_push_frees_the_old_factors_before_the_new_ones(peak_during, symmetric):
     inst = make_instance(N, 0.9, 0.1)
     if symmetric:
         inst = balance(inst)
-    imp = ImplicitIterate(BaseOperators(inst, gamma_select(inst)), "E",
+    imp = ImplicitIterate(BaseOperators(inst, gamma_select(inst)).E,
                           trunc_rel=1e-15)
     rng = np.random.default_rng(5)
     sides = 1 if symmetric else 2

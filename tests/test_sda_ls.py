@@ -205,7 +205,7 @@ def test_step_zero_cores_squares_silently():
     assert np.linalg.norm(st.H.dense()) == 0.0
     assert st.Eimp.level == 1 and st.Fimp.level == 1
     # the correction vanished: the outer iterate is the squared base operator
-    M = ImplicitIterate(BaseOperators(st.inst, st.gamma), "E").apply(np.eye(16))
+    M = ImplicitIterate(BaseOperators(st.inst, st.gamma).E).apply(np.eye(16))
     X = np.random.default_rng(3).standard_normal((16, 2))
     np.testing.assert_allclose(st.Eimp.apply(X), M @ (M @ X), rtol=0,
                                atol=1e-14 * np.abs(M @ (M @ X)).max())
@@ -251,8 +251,8 @@ def test_step_rank_cap_on_g_leaves_h_untouched():
         sda_ls_step(st)
     assert st.k == 2 and st.ranks == (3, 4)
     assert st.H is before[0] and st.G is before[1]
-    # extend_triple consumes its triple: both caps are checked before H is
-    # handed over, so H keeps its factors
+    # extend_triple consumes its triple: the state checks both caps before
+    # H is handed over, so H keeps its factors
     for X, (left, core, right) in zip(before, factors):
         assert X.left is left and X.core is core and X.right is right
     assert st.Eimp.level == 2 and st.Fimp.level == 2
@@ -277,7 +277,7 @@ def test_extend_triple_matches_dense_property(n, m, w, inside, data):
     Z1 = Q1 @ draw((m, w)) if inside and m else draw((n, w))
     Z2, C = draw((n, w)), draw((w, w))
     X, inc = extend_triple(LowRankBilinear(Q1, core, Q2), Correction(Z1, C, Z2),
-                           SolverConfig(trunc_rel=0.0), FlopModel())
+                           0.0, FlopModel())
     left, s, right = X.left, X.core, X.right
     base, upd = Q1 @ np.diag(core) @ Q2.T, Z1 @ C @ Z2.T
     # relative to the size of the summed terms: the result itself may cancel
@@ -313,7 +313,7 @@ def test_extend_triple_keeps_small_columns(Z1, C, Z2):
     Z1, C, Z2 = (np.asarray(M, dtype=float) for M in (Z1, C, Z2))
     none = np.zeros((Z1.shape[0], 0))
     X, _ = extend_triple(LowRankBilinear(none, np.zeros(0), none), Correction(Z1, C, Z2),
-                         SolverConfig(trunc_rel=0.0), FlopModel())
+                         0.0, FlopModel())
     upd = Z1 @ C @ Z2.T
     err = np.linalg.norm(X.dense() - upd)
     assert err <= 1e-12 * np.linalg.norm(upd), err / np.linalg.norm(upd)
@@ -331,7 +331,7 @@ def test_extend_triple_drops_subnormal_remainder():
     Z2 = np.full((n, 2), 5e-324)
     Z2[0, 0] = 1.0
     X, _ = extend_triple(LowRankBilinear(Q1, np.ones(3), Q2), Correction(Z1, C, Z2),
-                         SolverConfig(trunc_rel=0.0), FlopModel())
+                         0.0, FlopModel())
     base, upd = Q1 @ Q2.T, Z1 @ C @ Z2.T
     err = np.linalg.norm(X.dense() - (base + upd))
     assert err <= 1e-12 * (np.linalg.norm(base) + np.linalg.norm(upd))
@@ -355,44 +355,60 @@ def test_saturated_factors_stay_orthonormal(n):
         assert set(st.ranks) == {n}, (step.__name__, st.ranks)
 
 
-def test_extend_triple_cap_counts_at_most_n():
-    # at full rank the bases cannot grow, so a cap of n is never passed
+def test_rank_cap_counts_at_most_n():
+    # at full rank the bases cannot grow, so a cap of n is never passed:
+    # both steps saturate at rank n and keep stepping
     n = 4
-    Z1, Z2 = np.ones((n, 2)), np.arange(2.0 * n).reshape(n, 2)
-    X, _ = extend_triple(
-        LowRankBilinear(np.eye(n), np.ones(n), np.eye(n)), Correction(Z1, np.eye(2), Z2),
-        SolverConfig(trunc_rel=0.0, max_rank=n), FlopModel())
-    assert X.rank == n
-    assert np.allclose(X.dense(), np.eye(n) + Z1 @ Z2.T, rtol=0.0, atol=1e-13)
+    cfg = SolverConfig(trunc_rel=0.0, max_rank=n)
+    inst = make_instance(n, 0.5, 0.5)
+    for st, step in ((LowRankState(inst, config=cfg), sda_ls_step),
+                     (msda_init(balance(inst), config=cfg), msda_step)):
+        for _ in range(6):
+            step(st)
+        assert st.k == 6 and set(st.ranks) == {n}, (step.__name__, st.ranks)
 
 
 def test_extend_triple_consumes_its_triple():
     # each old factor, and each factor of the correction, is released once
-    # its stack holds a copy; an overflow raises before either is touched
-    cfg, fm = SolverConfig(max_rank=4), FlopModel()
+    # its stack holds a copy
     left, right = np.eye(6, 2), np.eye(6, 2)[::-1]
     X = LowRankBilinear(left, np.ones(2), right)
-    Z = Correction(np.ones((6, 3)), np.eye(3), np.ones((6, 3)))
-    z_left, z_right = Z.left, Z.right
-    with pytest.raises(RankOverflowError):
-        extend_triple(X, Z, cfg, fm)
-    assert X.left is left and X.right is right
-    assert Z.left is z_left and Z.right is z_right
     Z = Correction(np.ones((6, 1)), np.eye(1), np.ones((6, 1)))
-    Y, _ = extend_triple(X, Z, cfg, fm)
+    Y, _ = extend_triple(X, Z, 0.0, FlopModel())
     assert X.left is None and X.right is None
     assert Z.left is None and Z.right is None
     expect = left @ right.T + np.ones((6, 6))
     assert np.allclose(Y.dense(), expect, rtol=0.0, atol=1e-14)
 
 
-def test_extend_triple_cap_raises_before_qr():
-    fm = FlopModel()
+@pytest.mark.parametrize("init,step", [(LowRankState, sda_ls_step),
+                                       (msda_init, msda_step)],
+                         ids=["sda-ls", "modified-sda-ls"])
+def test_rank_overflow_changes_nothing(monkeypatch, init, step):
+    # the state checks its cap before the step touches anything: no stack
+    # is factored, no flop or apply is counted at the level, and every
+    # iterate keeps its factor arrays
+
+    def held(st):
+        triples = [X for X in (st.H, st.G) if X is not None]
+        return ([st.H, st.G, st.Eimp, st.Fimp]
+                + [a for X in triples for a in (X.left, X.core, X.right)]
+                + [a for X in (st.Eimp, st.Fimp) for a in (X.d, X.U, X.s, X.V)])
+
+    inst = make_instance(16, 0.5, 0.5)
+    st = init(balance(inst) if init is msda_init else inst,
+              config=SolverConfig(max_rank=4))
+    step(st)                   # 1 -> 2
+    step(st)                   # 2 -> 4
+    before = held(st)
+    calls = []
+    monkeypatch.setattr(structured_linalg, "_StackQR", lambda a: calls.append(a.shape))
     with pytest.raises(RankOverflowError):
-        extend_triple(LowRankBilinear(np.eye(6, 3), np.ones(3), np.eye(6, 3)),
-                      Correction(np.ones((6, 2)), np.eye(2), np.ones((6, 2))),
-                      SolverConfig(max_rank=4), fm)
-    assert not fm.flops
+        step(st)               # would need 8
+    assert not calls and st.k == 2
+    assert not st.flops.snapshot(3)
+    assert not st.flops.iteration_events(3, "implicit_block_apply")
+    assert all(a is b for a, b in zip(held(st), before))
 
 
 # The exact flop labels of one doubling level: a kernel that stops counting,
@@ -423,10 +439,10 @@ def test_step_pushes_factored_corrections():
     # step_cores and the same state
     st = LowRankState(make_instance(16, 0.9, 0.1))
     base = BaseOperators(st.inst, st.gamma)
-    ref = {name: ImplicitIterate(base, name, trunc_rel=st.config.trunc_rel)
+    ref = {name: ImplicitIterate(getattr(base, name), trunc_rel=st.config.trunc_rel)
            for name in ("E", "F")}
     eye = np.eye(16)
-    dense = {name: ImplicitIterate(base, name).apply(eye) for name in ("E", "F")}
+    dense = {name: ImplicitIterate(getattr(base, name)).apply(eye) for name in ("E", "F")}
     for _ in range(6):
         _, _, WE, WF = step_cores(st)
         ZE1, ZE2 = st.Eimp.apply(st.G.left), st.Eimp.apply(st.H.right, transpose=True)

@@ -39,7 +39,7 @@ X_SCALAR = 3.0 - 2.0 * np.sqrt(2.0)
 
 def base_dense(base, name):
     """Dense image of E0 or F0, read through a level-0 iterate."""
-    return ImplicitIterate(base, name).apply(np.eye(base.n))
+    return ImplicitIterate(getattr(base, name)).apply(np.eye(base.n))
 
 
 def dense_shifted(inst, gamma):
@@ -316,7 +316,7 @@ def test_base_operators_match_dense(balanced, gamma):
                                rtol=1e-12, atol=1e-12)
     # level 0 is symmetric exactly when the instance is balanced (u is v)
     for name in "EF":
-        imp = ImplicitIterate(base, name)
+        imp = ImplicitIterate(getattr(base, name))
         assert (imp.V is imp.U) == balanced
 
 
@@ -336,7 +336,7 @@ def make_iterate(levels, symmetric=False, balanced=False, n=16, seed=7, flops=No
     if symmetric or balanced:
         inst = balance(inst)
     base = BaseOperators(inst, gamma_select(inst))
-    imp = ImplicitIterate(base, "E", flops=flops)
+    imp = ImplicitIterate(base.E, flops=flops)
     rng = np.random.default_rng(seed)
     M = base_dense(base, "E")
     for _ in range(levels):
@@ -353,19 +353,26 @@ def make_iterate(levels, symmetric=False, balanced=False, n=16, seed=7, flops=No
 
 
 def test_implicit_level_zero_delegates():
+    # a level-0 iterate and BaseOperators.apply, which delegates to it, both
+    # apply the operator formed densely from the stored tuple (unbalanced,
+    # so V is not U and the transpose differs)
     base = BaseOperators(make_instance(8, 0.5, 0.5), 7.0)
-    imp = ImplicitIterate(base, "F")
     X = np.random.default_rng(0).standard_normal((8, 3))
-    np.testing.assert_allclose(imp.apply(X), base.apply("F", X),
-                               rtol=1e-14, atol=1e-15)
-    np.testing.assert_allclose(imp.apply(X, transpose=True),
-                               base.apply("F", X, transpose=True),
-                               rtol=1e-14, atol=1e-15)
+    for name in "EF":
+        d, U, s, V = getattr(base, name)
+        assert V is not U
+        M = np.diag(d) + U @ np.diag(s) @ V.T
+        imp = ImplicitIterate(getattr(base, name))
+        for transpose, want in ((False, M @ X), (True, M.T @ X)):
+            for got in (imp.apply(X, transpose=transpose),
+                        base.apply(name, X, transpose=transpose)):
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-14 * np.abs(want).max())
 
 
 def test_implicit_zero_updates_is_repeated_squaring():
     base = BaseOperators(make_instance(8, 0.5, 0.5), 7.0)
-    imp = ImplicitIterate(base, "E")
+    imp = ImplicitIterate(base.E)
     for _ in range(2):
         imp.push_update(np.zeros((8, 1)), np.eye(1), np.zeros((8, 1)))
     M = base_dense(base, "E")
@@ -423,7 +430,7 @@ def test_push_update_matches_dense_property(n, r, l, m, data):
     zl = data.draw(hnp.arrays(float, (n, l), elements=_entries))
     cz = data.draw(hnp.arrays(float, (l, m), elements=_entries))
     zr = data.draw(hnp.arrays(float, (n, m), elements=_entries))
-    imp = ImplicitIterate(BaseOperators(make_instance(n, 0.5, 0.5), 7.0), "E")
+    imp = ImplicitIterate(BaseOperators(make_instance(n, 0.5, 0.5), 7.0).E)
     imp.d, imp.U, imp.s, imp.V = d, U, np.ones(r), V
     E = np.diag(d) + U @ V.T
     want = E @ E + zl @ cz @ zr.T
@@ -453,7 +460,7 @@ def test_push_symmetric_matches_dense_property(n, r, m, kind, data):
         z = U @ data.draw(hnp.arrays(float, (U.shape[1], m), elements=_entries))
     else:
         z = np.zeros((n, m))
-    imp = ImplicitIterate(BaseOperators(make_instance(n, 0.5, 0.5), 7.0), "E")
+    imp = ImplicitIterate(BaseOperators(make_instance(n, 0.5, 0.5), 7.0).E)
     imp.d, imp.U, imp.s, imp.V = d, U, s, U
     E = np.diag(d) + (U * s[None, :]) @ U.T
     Z = (z * dup[None, :]) @ z.T
@@ -487,12 +494,12 @@ def test_push_symmetric_rejects_a_nonsymmetric_base():
     z = np.random.default_rng(3).standard_normal((8, 2))
     dup = np.array([0.5, 0.2])
     inst = make_instance(8, 0.5, 0.5)
-    imp = ImplicitIterate(BaseOperators(inst, gamma_select(inst)), "E")
+    imp = ImplicitIterate(BaseOperators(inst, gamma_select(inst)).E)
     with pytest.raises(ValueError):
         imp.push_symmetric(z, dup)
     inst = balance(inst)
     base = BaseOperators(inst, gamma_select(inst))
-    imp = ImplicitIterate(base, "E")
+    imp = ImplicitIterate(base.E)
     imp.push_symmetric(z, dup)
     M = base_dense(base, "E")
     want = M @ M + (z * dup[None, :]) @ z.T
@@ -505,7 +512,7 @@ def test_push_update_and_push_symmetric_agree():
     n = 16
     inst = balance(make_instance(n, 0.9, 0.1))
     base = BaseOperators(inst, gamma_select(inst))
-    gen, sym = ImplicitIterate(base, "E"), ImplicitIterate(base, "E")
+    gen, sym = ImplicitIterate(base.E), ImplicitIterate(base.E)
     rng = np.random.default_rng(5)
     X = rng.standard_normal((n, 3))
     for _ in range(6):
@@ -593,7 +600,7 @@ def test_screened_push_of_a_zero_iterate(symmetric, trunc_rel):
     # ||E_k|| bounded by 0: every update E_k Z is 0.  The screen keeps all of
     # it at trunc_rel = 0 and none of it above; either push gives E = 0
     n = 8
-    imp = ImplicitIterate(BaseOperators(make_instance(n, 0.5, 0.5), 7.0), "E",
+    imp = ImplicitIterate(BaseOperators(make_instance(n, 0.5, 0.5), 7.0).E,
                           trunc_rel=trunc_rel)
     imp.d, imp.s = np.zeros(n), np.zeros(0)
     imp.U = imp.V = np.zeros((n, 0))
@@ -637,7 +644,7 @@ def test_push_stack_qr_count(monkeypatch, symmetric, per_level):
 
 
 def test_implicit_update_shape_check():
-    imp = ImplicitIterate(BaseOperators(make_instance(8, 0.5, 0.5), 7.0), "E")
+    imp = ImplicitIterate(BaseOperators(make_instance(8, 0.5, 0.5), 7.0).E)
     with pytest.raises(ValueError):
         imp.push_update(np.ones((8, 2)), np.eye(2), np.ones((8, 3)))
     with pytest.raises(ValueError):

@@ -5,9 +5,9 @@
 
 ``run`` solves both low-rank solvers on three cells at six configurations with
 the ``transport_nare`` on the import path, and records each run's report
-(iterations, termination, ranks, residuals, per-level step flops and, apart,
-per-level residual flops), its whole-solve tracemalloc peak and X on 64 rows
-sampled with seed 7.  One traced warm-up solve, the set's first, goes before
+(iterations, termination, ranks, residuals, per-level H increments, per-level
+step flops and, apart, per-level residual flops), its whole-solve tracemalloc
+peak and X on 64 rows sampled with seed 7.  One traced warm-up solve, the set's first, goes before
 the set and is not recorded: allocations made once per process would
 otherwise fall in the first run's peak.  On the converged configurations (those with a residual
 tolerance) it also records X's relative Frobenius distance to the vector-form
@@ -41,7 +41,7 @@ CONFIGS = ((512, {"tol_residual": 1e-9}), (4096, {"max_iter": 8}), (64, {}),
            (64, {"trunc_rel": 0.0}))
 ROWS, SEED = 64, 7
 EXACT = ("iterations", "termination", "max_rank", "residual_levels", "ranks",
-         "operator_ranks", "flops")
+         "operator_ranks", "increments", "flops")
 
 
 def run(out):
@@ -77,6 +77,7 @@ def run(out):
                     "residuals": rep.residual_history,
                     "ranks": rep.rank_history,
                     "operator_ranks": rep.extras["operator_rank_history"],
+                    "increments": rep.extras["increments"],
                     "flops": [rep.flops.iteration_total(k, exclude=("residual",))
                               for k in range(rep.iterations + 1)],
                     "residual_flops": [rep.flops.snapshot(k).get("residual", 0.0)
