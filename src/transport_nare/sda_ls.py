@@ -50,8 +50,8 @@ __all__ = [
 class SolverConfig:
     """Knobs shared by all solvers.
 
-    tol_residual   normalized-residual stopping tolerance
-    trunc_rel      relative singular-value drop threshold (0 disables): H_k
+    tol_residual   normalized-residual stopping tolerance, positive and finite
+    trunc_rel      singular-value drop threshold in [0, 1] (0 disables): H_k
                    and G_k drop values below trunc_rel times their largest,
                    E_k and F_k below trunc_rel * max(max|d_k|, largest),
                    relative to the whole operator; each step leaves out
@@ -68,10 +68,10 @@ class SolverConfig:
     max_rank: int = 200
 
     def __post_init__(self):
-        if self.tol_residual <= 0:
-            raise ValueError("tol_residual must be positive")
-        if self.trunc_rel < 0:
-            raise ValueError("trunc_rel must be nonnegative")
+        if not 0 < self.tol_residual < np.inf:
+            raise ValueError("tol_residual must be positive and finite")
+        if not 0 <= self.trunc_rel <= 1:
+            raise ValueError("trunc_rel must lie in [0, 1]")
         if self.max_iter < 1 or self.max_rank < 1:
             raise ValueError("max_iter and max_rank must be >= 1")
 

@@ -35,6 +35,9 @@ __all__ = [
 #: critical parameter pair.
 SMW_DENOM_TOL = 1e-14
 
+#: ``LowRankBilinear.validate``'s tolerance for every invariant it checks.
+VALIDATE_TOL = 1e-12
+
 
 class NearCriticalError(RuntimeError):
     """A structured solve hit a (near-)singular Sherman-Morrison denominator."""
@@ -105,13 +108,13 @@ class LowRankBilinear:
         rr = self.right.T @ self.right - np.eye(r)
         return max(np.abs(rl).max(initial=0.0), np.abs(rr).max(initial=0.0))
 
-    def validate(self, tol=1e-12):
+    def validate(self):
         """Check the solver-iterate invariants (orthonormal factors, sorted core)."""
-        if self.orthonormality_defect() > tol:
+        if self.orthonormality_defect() > VALIDATE_TOL:
             raise ValueError("factor blocks are not column-orthonormal")
-        if np.any(self.core < -tol):
+        if np.any(self.core < -VALIDATE_TOL):
             raise ValueError("core entries must be nonnegative")
-        if np.any(np.diff(self.core) > tol):
+        if np.any(np.diff(self.core) > VALIDATE_TOL):
             raise ValueError("core entries must be nonincreasing")
         return self
 
@@ -132,9 +135,9 @@ class LowRankBilinear:
 class FlopModel:
     """Per-iteration, per-kernel counted work for one solve.
 
-    Counters are keyed by (iteration, kernel label).  ``event`` tracks discrete
-    happenings (block applications of the implicit operators) that acceptance
-    checks assert on exactly.
+    Counters are keyed by (iteration, kernel label).  ``event`` counts one
+    discrete happening per call (a block application of an implicit operator),
+    which acceptance checks assert on exactly.
     """
 
     def __init__(self):
@@ -146,9 +149,9 @@ class FlopModel:
         key = (self.k, label)
         self.flops[key] = self.flops.get(key, 0.0) + float(amount)
 
-    def event(self, label, count=1):
+    def event(self, label):
         key = (self.k, label)
-        self.events[key] = self.events.get(key, 0) + int(count)
+        self.events[key] = self.events.get(key, 0) + 1
 
     def snapshot(self, k):
         return {label: f for (kk, label), f in sorted(self.flops.items()) if kk == k}

@@ -126,6 +126,18 @@ def test_solver_error_is_nonconvergence(tmp_path, command):
         "error: step 4 would grow rank 6 to 12 past max_rank=8"]
 
 
+def test_non_finite_option_is_usage_error(tmp_path):
+    # a NaN threshold would truncate every value away; the config refuses it
+    src = os.path.dirname(os.path.dirname(cli_bench.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "transport_nare.cli_bench", "solve",
+         "--n", "64", "--c", "0.9", "--alpha", "0.1", "--trunc-rel", "nan"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: trunc_rel must lie in [0, 1]"]
+
+
 @pytest.mark.parametrize("n, c, alpha, code", [
     (8, 0.5, 0.5, 0), (32, 0.9, 0.1, 0), (256, 0.9, 0.1, 2)],
     ids=["8-0", "32-0", "256-2"])

@@ -25,7 +25,6 @@ from transport_nare.sda_ls import (
 )
 from transport_nare.structured_linalg import (
     LowRankBilinear,
-    RankOverflowError,
     ShiftedSolver,
     gamma_select,
     residual_norm,
@@ -147,21 +146,6 @@ def test_step_detects_singular_core():
     st.H.core = np.array([1.0])
     with pytest.raises(CoreSingularError):
         msda_step(st)
-
-
-def test_step_rank_cap_precedes_growth():
-    cfg = SolverConfig(max_rank=4)
-    st = msda_init(balance(make_instance(16, 0.5, 0.5)), config=cfg)
-    msda_step(st)              # 1 -> 2
-    msda_step(st)              # 2 -> 4
-    before = st.H
-    left, right = before.left, before.right
-    with pytest.raises(RankOverflowError):
-        msda_step(st)          # would need 8
-    assert st.k == 2 and st.ranks == (4,)
-    # the state checks the cap before extend_triple consumes the triple
-    assert st.H is before and before.left is left and before.right is right
-    assert st.Eimp.level == 2 and st.Fimp.level == 2
 
 
 def test_step_operators_stay_symmetric():

@@ -69,7 +69,12 @@ def test_config_defaults():
 @pytest.mark.parametrize("kwargs", [
     {"tol_residual": 0.0},
     {"tol_residual": -1e-12},
+    {"tol_residual": float("inf")},
+    {"tol_residual": float("nan")},
     {"trunc_rel": -1e-15},
+    {"trunc_rel": 1.5},
+    {"trunc_rel": float("inf")},
+    {"trunc_rel": float("nan")},
     {"max_iter": 0},
     {"max_rank": 0},
 ])
@@ -222,20 +227,6 @@ def test_step_factor_invariants_hold():
         m, l = st.ranks
         assert m <= 2 * prev[0] and l <= 2 * prev[1]
         prev = st.ranks
-
-
-def test_step_rank_cap_precedes_growth():
-    inst = make_instance(16, 0.5, 0.5)
-    cfg = SolverConfig(max_rank=4)
-    st = LowRankState(inst, config=cfg)
-    # the steps take no config: the cap is the one the state was built with
-    assert st.config is cfg
-    sda_ls_step(st)            # 1 -> 2
-    sda_ls_step(st)            # 2 -> 4
-    with pytest.raises(RankOverflowError):
-        sda_ls_step(st)        # would need 8
-    assert st.k == 2 and st.ranks == (4, 4)
-    assert st.Eimp.level == 2 and st.Fimp.level == 2
 
 
 def test_step_rank_cap_on_g_leaves_h_untouched():
@@ -396,16 +387,20 @@ def test_rank_overflow_changes_nothing(monkeypatch, init, step):
                 + [a for X in (st.Eimp, st.Fimp) for a in (X.d, X.U, X.s, X.V)])
 
     inst = make_instance(16, 0.5, 0.5)
-    st = init(balance(inst) if init is msda_init else inst,
-              config=SolverConfig(max_rank=4))
+    cfg = SolverConfig(max_rank=4)
+    st = init(balance(inst) if init is msda_init else inst, config=cfg)
+    # the steps take no config: the cap is the one the state was built with
+    assert st.config is cfg
     step(st)                   # 1 -> 2
     step(st)                   # 2 -> 4
-    before = held(st)
+    before, ranks = held(st), st.ranks
     calls = []
     monkeypatch.setattr(structured_linalg, "_StackQR", lambda a: calls.append(a.shape))
     with pytest.raises(RankOverflowError):
         step(st)               # would need 8
     assert not calls and st.k == 2
+    assert st.ranks == ranks and set(ranks) == {4}
+    assert st.Eimp.level == 2 and st.Fimp.level == 2
     assert not st.flops.snapshot(3)
     assert not st.flops.iteration_events(3, "implicit_block_apply")
     assert all(a is b for a, b in zip(held(st), before))

@@ -114,7 +114,8 @@ def test_flop_model_events():
     fm.event("implicit_block_apply")
     fm.event("implicit_block_apply")
     fm.k = 1
-    fm.event("implicit_block_apply", 3)
+    for _ in range(3):
+        fm.event("implicit_block_apply")
     assert fm.iteration_events(0, "implicit_block_apply") == 2
     assert fm.iteration_events(1, "implicit_block_apply") == 3
     assert fm.iteration_events(2, "implicit_block_apply") == 0

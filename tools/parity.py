@@ -1,7 +1,7 @@
 """Parity of two builds of transport_nare on a fixed set of 36 solves.
 
     PYTHONPATH=src python tools/parity.py run OUT.npz
-    python tools/parity.py compare A.npz B.npz
+    python tools/parity.py compare A1.npz[,A2.npz...] B1.npz[,B2.npz...]
 
 ``run`` solves both low-rank solvers on three cells at six configurations with
 the ``transport_nare`` on the import path, and records each run's report
@@ -12,16 +12,23 @@ the set and is not recorded: allocations made once per process would
 otherwise fall in the first run's peak.  On the converged configurations (those with a residual
 tolerance) it also records X's relative Frobenius distance to the vector-form
 reference of ``perfbench/reference.py`` on those rows, and its largest
-relative entry error there.  ``compare`` prints every mismatch of the fields
-that must be equal (a list field as its first differing index, both values
-there and the count of differing entries), both builds' reference errors and
-final residuals, each run's traced peak and residual flops in both builds,
-the worst relative distance of X (and of the residuals) and how many runs
-give a bit-identical X and a bit-identical residual history, and exits 1 if
-it printed a MISMATCH line.  The exact ``flops`` field excludes the
+relative entry error there.  ``compare`` takes one or more recordings of
+each build, comma-separated, and prints every mismatch of the fields that
+must be equal against the first recording of A, in any recording of either
+build (a list field as its first differing index, both values there and the
+count of differing entries).  From the first recording of each build it
+prints both builds' reference errors and final residuals, each run's
+residual flops, the worst relative distance of X (and of the residuals) and
+how many runs give a bit-identical X and a bit-identical residual history.
+Each run's PEAK line gives the median traced peak of each build and the
+range of A's, and says whether B's median lies below, inside or above that
+range, and a last line counts the three: a traced peak moves by a few kB
+between processes running the same code, so an unchanged peak reads as
+medians spread on both sides of a few-recording range.  It exits 1
+if it printed a MISMATCH line.  The exact ``flops`` field excludes the
 residual's, so a change to the residual alone shows in the RESIDUAL lines,
 not as a mismatch.  Same bits at a lower peak reads as no MISMATCH line,
-every run bit-identical and PEAK lines that fall.
+every run bit-identical and PEAK lines below A's range.
 """
 
 import json
@@ -111,26 +118,33 @@ def mismatch(a, b):
 
 
 def compare(a, b):
-    (ma, xa), (mb, xb) = load(a), load(b)
-    if list(ma) != list(mb):
-        sys.exit("the two files hold different run sets")
+    paths_a, paths_b = a.split(","), b.split(",")
+    recorded = {path: load(path)[0] for path in paths_a + paths_b}
+    (ma, xa), (mb, xb) = load(paths_a[0]), load(paths_b[0])
+    if any(list(m) != list(ma) for m in recorded.values()):
+        sys.exit("the files hold different run sets")
     worst_x = worst_res = identical = same_res = mismatches = 0
+    peak_sides = dict.fromkeys(("below", "inside", "above"), 0)
     for key, x1, x2 in zip(ma, xa, xb):
         ra, rb = ma[key], mb[key]
-        for field in EXACT:
-            if ra[field] != rb[field]:
-                mismatches += 1
-                print("MISMATCH %s %s: %s"
-                      % (key, field, mismatch(ra[field], rb[field])))
+        for path, m in recorded.items():
+            for field in EXACT:
+                if m[key][field] != ra[field]:
+                    mismatches += 1
+                    print("MISMATCH %s %s (%s): %s"
+                          % (key, field, path, mismatch(ra[field], m[key][field])))
         if "ref_distance" in ra and "ref_distance" in rb:
             print("REFERENCE %s: distance %.3g -> %.3g, max entry error %.3g -> %.3g, "
                   "final residual %.4g -> %.4g"
                   % (key, ra["ref_distance"], rb["ref_distance"], ra["ref_max_entry"],
                      rb["ref_max_entry"], ra["residuals"][-1], rb["residuals"][-1]))
-        if "peak_mb" in ra and "peak_mb" in rb:
-            print("PEAK %s: %.4f -> %.4f MB (%+.1f%%)" % (
-                key, ra["peak_mb"], rb["peak_mb"],
-                100.0 * (rb["peak_mb"] / ra["peak_mb"] - 1.0)))
+        peaks_a = [recorded[path][key]["peak_mb"] for path in paths_a]
+        pa, pb = np.median(peaks_a), np.median([recorded[path][key]["peak_mb"]
+                                                for path in paths_b])
+        side = "below" if pb < min(peaks_a) else "above" if pb > max(peaks_a) else "inside"
+        peak_sides[side] += 1
+        print("PEAK %s: median %.4f -> %.4f MB (%+.1f kB), A range [%.4f, %.4f], %s"
+              % (key, pa, pb, 1e3 * (pb - pa), min(peaks_a), max(peaks_a), side))
         if "residual_flops" in ra and "residual_flops" in rb:
             fa, fb = sum(ra["residual_flops"]), sum(rb["residual_flops"])
             print("RESIDUAL %s: %.0f -> %.0f flops (%+.1f%%)"
@@ -144,6 +158,8 @@ def compare(a, b):
     print("%d runs, X bit-identical on %d, residual history on %d; worst relative "
           "X distance %.3g, worst relative residual difference %.3g"
           % (len(ma), identical, same_res, worst_x, worst_res))
+    print("B's median peak lies below A's range on %(below)d runs, inside it on "
+          "%(inside)d, above it on %(above)d" % peak_sides)
     if mismatches:
         sys.exit(1)
 
