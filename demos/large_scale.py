@@ -22,7 +22,8 @@ solves that level 0's closed form is checked against (no solve calls them:
 given in MB and in factor widths: peak / (8 n (rank H + rank E/F)), the
 largest ranks of the run, so O(n) storage reads as a width that stays flat
 when n doubles: about 4.1 to 4.4 widths for modified-sda-ls, whose peak
-sits in F's push, and 7.6 to 7.8 for sda-ls, whose peak sits in E's push.
+sits in F's push at n = 4096 and in the residual at 2048, and 6.7 to 6.8 for
+sda-ls, whose peak sits in E's push, which holds only its own two products.
 """
 
 import statistics

@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .structured_linalg import residual_norm
+from .structured_linalg import Correction, residual_norm
 # not called here: perfbench's span tracer patches these names in this module
 from .structured_linalg import orthonormalize_against, truncated_svd  # noqa: F401
 from .transport_problem import balance, unbalance_scale, unbalance_solution
 from .sda_ls import (
-    Correction,
     LowRankState,
     SolverConfig,
     SolveReport,

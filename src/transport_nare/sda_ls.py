@@ -24,6 +24,7 @@ import numpy as np
 
 from .structured_linalg import (
     BaseOperators,
+    Correction,
     FlopModel,
     ImplicitIterate,
     LowRankBilinear,
@@ -39,7 +40,6 @@ __all__ = [
     "SolveReport",
     "LowRankState",
     "run_doubling",
-    "Correction",
     "extend_triple",
     "sda_ls_step",
     "sda_ls_solve",
@@ -277,21 +277,6 @@ class LowRankState:
                     % (self.k + 1, m, grown, self.config.max_rank))
 
 
-class Correction:
-    """A rank correction ``left @ core @ right.T`` handed to ``extend_triple``.
-
-    ``core`` is a full l x m matrix.  The correction is consumed as the
-    triple it extends is: each factor is released (set to None) once its
-    stack holds a copy, so a factor the caller keeps no other reference to
-    is freed there, before the next stack is allocated.
-    """
-
-    __slots__ = ("left", "core", "right")
-
-    def __init__(self, left, core, right):
-        self.left, self.core, self.right = left, core, right
-
-
 def extend_triple(X, Z, trunc_rel, flops):
     """Truncated orthonormal triple of X + Z1 C Z2^T, X = Q1 diag(core) Q2^T.
 
@@ -375,22 +360,27 @@ def sda_ls_step(st):
 
     Checks the rank cap first (``st.check_rank_cap``), so an overflow raises
     before the state changes.  Then it takes the cores of ``step_cores`` and
-    hands each update its correction as (left, core, right), in this order:
+    hands each update its ``Correction`` (left, core, right), in this order:
 
-        H   (F Q1, SigC, E^T Q2)   ``extend_triple``, consumes the old H
         E   (E P1, WE, E^T Q2)     ``push_update``
+        H   (F Q1, SigC, E^T Q2)   ``extend_triple``, consumes the old H
         G   (E P1, GamC, F^T P2)   ``extend_triple``, consumes the old G
         F   (F Q1, WF, F^T P2)     ``push_update``
 
-    Each product is built just before its first reader and released by its
-    last: E^T Q2 after E's push, E P1 inside G's extend once its stack
-    holds a copy, F Q1 and F^T P2 after F's push.  At most three of the
-    four are live at once, with E's push stacks.  Each push takes its
-    update screened: the products are E_k (F_k) or its transpose times
-    orthonormal columns, so the trailing rows and columns of WE (WF) whose
-    absolute sum times (max|d_k| + max|s_k|)^2 is at most half of trunc_rel *
-    max|d_{k+1}| each are left out (``ImplicitIterate.screen``) and the
-    push sees prefix views; the extends take the products whole.
+    The readers form a cycle, each product read by two neighbours, so each
+    update holds its own two products and at most one more.  Every update
+    reads level-k quantities only: each product is built from the old E, F,
+    H or G before that operand changes, E's products before E's push and
+    F's before F's.  Each product is built just before its first reader and
+    released by its last: E^T Q2 inside H's extend, E P1 inside G's, F Q1
+    and F^T P2 inside F's push, each once the reader's stack holds a copy.
+    So E's push holds E P1 and E^T Q2 only, the extends three products each
+    and F's push its two.  Each push takes its update screened: the
+    products are E_k (F_k) or its transpose times orthonormal columns, so
+    the trailing rows and columns of WE (WF) whose absolute sum times
+    (max|d_k| + max|s_k|)^2 is at most half of trunc_rel * max|d_{k+1}|
+    each are left out (``ImplicitIterate.screen``) and the push sees prefix
+    views; the extends take the products whole.
     """
     st.check_rank_cap()
     flops = st.flops
@@ -398,19 +388,22 @@ def sda_ls_step(st):
     E, F, H, G = st.Eimp, st.Fimp, st.H, st.G
     trunc_rel = st.config.trunc_rel
     SigC, GamC, WE, WF = step_cores(st)
-    ZF1 = F.apply(H.left)
-    ZE2 = E.apply(H.right, transpose=True)
-    st.H, st.increment = extend_triple(H, Correction(ZF1, SigC, ZE2), trunc_rel, flops)
     ZE1 = E.apply(G.left)
+    ZE2 = E.apply(H.right, transpose=True)
     a, b = E.screen(WE)
-    E.push_update(ZE1[:, :a], WE[:a, :b], ZE2[:, :b])
-    del ZE2
+    E.push_update(Correction(ZE1[:, :a], WE[:a, :b], ZE2[:, :b]))
+    ZF1 = F.apply(H.left)
+    update = Correction(ZF1, SigC, ZE2)
+    del ZE2     # H's extend reads it last and frees it
+    st.H, st.increment = extend_triple(H, update, trunc_rel, flops)
     ZF2 = F.apply(G.right, transpose=True)
     update = Correction(ZE1, GamC, ZF2)
     del ZE1     # G's extend reads it last and frees it
     st.G, _ = extend_triple(G, update, trunc_rel, flops)
     a, b = F.screen(WF)
-    F.push_update(ZF1[:, :a], WF[:a, :b], ZF2[:, :b])
+    update = Correction(ZF1[:, :a], WF[:a, :b], ZF2[:, :b])
+    del ZF1, ZF2    # F's push reads them last and frees them
+    F.push_update(update)
     st.k += 1
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "NearCriticalError",
     "RankOverflowError",
     "LowRankBilinear",
+    "Correction",
     "ShiftedSolver",
     "BaseOperators",
     "ImplicitIterate",
@@ -37,6 +38,12 @@ SMW_DENOM_TOL = 1e-14
 
 #: ``LowRankBilinear.validate``'s tolerance for every invariant it checks.
 VALIDATE_TOL = 1e-12
+
+#: Entries per row block of ``LowRankBilinear.min_entry`` (2 MB of doubles).
+#: On a rank-46 triple at n = 4096 (one BLAS thread) it held 3.6 MB and took
+#: 0.061 s; blocks of 2^22 entries, the previous one held while the next
+#: was formed, held 68.6 MB and took 0.082 s.
+MIN_ENTRY_BLOCK = 2 ** 18
 
 
 class NearCriticalError(RuntimeError):
@@ -90,14 +97,17 @@ class LowRankBilinear:
         return float(self.left[i] @ (self.core * self.right[j]))
 
     def min_entry(self):
-        """Exact elementwise minimum, formed blockwise to stay O(n * rank) in memory."""
+        """Exact elementwise minimum, formed over row blocks of about
+        ``MIN_ENTRY_BLOCK`` entries, each dropped before the next is formed,
+        so it holds the scaled right factor and one block: O(n * rank)."""
         n = self.n
         best = np.inf
-        step = max(1, 2 ** 22 // max(1, n))
+        step = max(1, MIN_ENTRY_BLOCK // max(1, n))
         scaled = self.core[:, None] * self.right.T
         for lo in range(0, n, step):
             block = self.left[lo:lo + step] @ scaled
             best = min(best, float(block.min()))
+            del block
         return best
 
     def orthonormality_defect(self):
@@ -117,6 +127,23 @@ class LowRankBilinear:
         if np.any(np.diff(self.core) > VALIDATE_TOL):
             raise ValueError("core entries must be nonincreasing")
         return self
+
+
+class Correction:
+    """A rank correction ``left @ core @ right.T`` handed to ``extend_triple``
+    or ``ImplicitIterate.push_update``.
+
+    ``core`` is a full l x m matrix.  The correction is consumed by the
+    kernel it is handed to: each factor is released (set to None) once its
+    stack holds a copy, so a factor the caller keeps no other reference to
+    is freed there, before the next stack is allocated, and one the caller
+    still references stays alive.
+    """
+
+    __slots__ = ("left", "core", "right")
+
+    def __init__(self, left, core, right):
+        self.left, self.core, self.right = left, core, right
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +426,11 @@ class ImplicitIterate:
     signed s.  It starts from level 0 as ``BaseOperators`` holds it
     (``ImplicitIterate(base.E)``): rank one, unit columns, a signed core,
     symmetric on a balanced instance.  With D = diag(d), S = diag(s) and N =
-    V^T U, each level's squaring plus its update zl cz zr^T (a core between
-    two factors) is one identity,
+    V^T U, each level's squaring plus its update Z1 C Z2^T (a ``Correction``)
+    is one identity,
 
-        (D + U S V^T)^2 + zl cz zr^T - D^2 = [D U, U, zl] K [D V, V, zr]^T,
-        K = [[0, S, 0], [S, S N S, 0], [0, 0, cz]],   (2r + l) x (2r + m),
+        (D + U S V^T)^2 + Z1 C Z2^T - D^2 = [D U, U, Z1] K [D V, V, Z2]^T,
+        K = [[0, S, 0], [S, S N S, 0], [0, 0, C]],   (2r + l) x (2r + m),
 
     and in the symmetric case N = I and one stack serves both sides.  Each
     stack is written into a Fortran-ordered array and factored there by
@@ -461,13 +488,15 @@ class ImplicitIterate:
             return _lead(mass, tau)
         return _lead(mass.sum(axis=1), tau / 2), _lead(mass.sum(axis=0), tau / 2)
 
-    def push_update(self, zl, cz, zr):
-        """Advance one level: new operator = old @ old + zl @ cz @ zr.T, by
-        two stacks; a symmetric iterate comes out in general form.  Kept
-        values are at least trunc_rel * max(max|d_{k+1}|, the largest);
-        a caller whose zl and zr are E_k and E_k^T times orthonormal columns
-        may first cut cz to its ``screen``."""
-        self._push(zl, cz, zr, sym=False)
+    def push_update(self, update):
+        """Advance one level: new operator = old @ old + update.left @
+        update.core @ update.right.T, by two stacks; a symmetric iterate
+        comes out in general form.  Kept values are at least trunc_rel *
+        max(max|d_{k+1}|, the largest); a caller whose factors are E_k and
+        E_k^T times orthonormal columns may first cut the core to its
+        ``screen``.  Consumes the ``Correction`` as ``extend_triple``
+        does: each factor is released once its stack holds a copy."""
+        self._push(update, sym=False)
 
     def push_symmetric(self, z, dup):
         """Advance a symmetric iterate one level: old @ old + z diag(dup) z^T.
@@ -476,30 +505,37 @@ class ImplicitIterate:
         largest magnitude); a caller whose z is E_k times orthonormal
         columns may first cut dup to its ``screen``.  Raises ValueError
         unless the iterate is symmetric (V is U), which at level 0 it is on
-        a balanced instance only.
+        a balanced instance only.  z is left to the caller.
         """
         if self.V is not self.U:
             raise ValueError("push_symmetric needs a symmetric iterate; "
                              "level 0 is one on a balanced instance only")
-        self._push(z, np.diag(dup), z, sym=True)
+        self._push(Correction(z, np.diag(dup), z), sym=True)
 
-    def _push(self, zl, cz, zr, sym):
-        """Advance one level: new operator = old @ old + zl @ cz @ zr.T.
+    def _push(self, update, sym):
+        """Advance one level: new operator = old @ old + Z1 C Z2^T, where
+        ``update`` is the ``Correction`` (Z1, C, Z2).
 
-        ``sym`` (V is U, zr is zl) shares one stack, and its R, between both
+        ``sym`` (V is U, Z2 is Z1) shares one stack, and its R, between both
         sides.  The small core's values are kept by ``_kept`` against the
         reference max|d_{k+1}|: a value below trunc_rel * max(max|d_{k+1}|,
         the largest value) is dropped, so E_{k+1} is truncated relative to
         the operator it stores; at trunc_rel = 0 only exact zeros go.  The
         update is taken whole: screening it (``screen``) is the caller's,
-        which knows its factors.  The old U and V are dropped once both
-        stacks (which hold copies) are factored, so they are not live with
-        the new factors (peak memory); a non-finite stack raises before
-        that.  The left stack is dropped once the new U is applied from it,
-        before the new V is formed.
+        which knows its factors.  Every n-wide block goes at its last read
+        (peak memory): the old U and Z1 once the left stack, which holds
+        copies, is factored, before the right stack is allocated; the old V
+        and Z2 once the right one is; the left stack once the new U is
+        applied from it, before the new V is formed.  A non-finite stack
+        raises ValueError.  Raised by the left stack, it leaves the iterate
+        and the update as they were; raised by the right one, it leaves the
+        iterate and the update consumed, not to be read again, as
+        ``extend_triple`` leaves its X and Z.
         """
         n, r = self.n, self.rank
-        if zl.shape[0] != n or zr.shape[0] != n or cz.shape != (zl.shape[1], zr.shape[1]):
+        cz = update.core
+        if (update.left.shape[0] != n or update.right.shape[0] != n
+                or cz.shape != (update.left.shape[1], update.right.shape[1])):
             raise ValueError("update factors n x l and n x m need an l x m core")
         d, s = self.d, self.s
         wl, wr = 2 * r + cz.shape[0], 2 * r + cz.shape[1]
@@ -507,6 +543,7 @@ class ImplicitIterate:
             # a side without columns: E_k = D_k and the update is empty (a
             # screened-out one too), so E_{k+1} = D_k^2 and nothing is stacked
             self.U = self.V = np.zeros((n, 0))
+            update.left = update.right = None
             self.s = np.zeros(0)
             self.d = d * d
             self.level += 1
@@ -525,9 +562,10 @@ class ImplicitIterate:
         K[r:2 * r, r:2 * r] = (np.diag(s * s) if sym
                                else s[:, None] * (self.V.T @ self.U) * s)
         K[2 * r:, 2 * r:] = cz
-        left = stack(self.U, zl)
-        right = left if sym else stack(self.V, zr)
-        self.U = self.V = None
+        left = stack(self.U, update.left)
+        self.U = update.left = None
+        right = left if sym else stack(self.V, update.right)
+        self.V = update.right = None
         R = left.r()
         M = R @ K
         if not sym:

@@ -15,7 +15,6 @@ from transport_nare.dense_sda import dense_sda_init, dense_sda_solve, dense_sda_
 from transport_nare.modified_sda_ls import msda_init, msda_solve, msda_step
 from transport_nare.sda_ls import (
     GATE_INCREMENT,
-    Correction,
     LowRankState,
     SolverConfig,
     extend_triple,
@@ -26,6 +25,7 @@ from transport_nare.sda_ls import (
 )
 from transport_nare.structured_linalg import (
     BaseOperators,
+    Correction,
     FlopModel,
     ImplicitIterate,
     LowRankBilinear,
@@ -443,8 +443,8 @@ def test_step_pushes_factored_corrections():
         ZE1, ZE2 = st.Eimp.apply(st.G.left), st.Eimp.apply(st.H.right, transpose=True)
         ZF1, ZF2 = st.Fimp.apply(st.H.left), st.Fimp.apply(st.G.right, transpose=True)
         sda_ls_step(st)
-        ref["E"].push_update(ZE1 @ WE, np.eye(WE.shape[1]), ZE2)
-        ref["F"].push_update(ZF1 @ WF, np.eye(WF.shape[1]), ZF2)
+        ref["E"].push_update(Correction(ZE1 @ WE, np.eye(WE.shape[1]), ZE2))
+        ref["F"].push_update(Correction(ZF1 @ WF, np.eye(WF.shape[1]), ZF2))
         dense["E"] = dense["E"] @ dense["E"] + ZE1 @ WE @ ZE2.T
         dense["F"] = dense["F"] @ dense["F"] + ZF1 @ WF @ ZF2.T
         for imp, name in ((st.Eimp, "E"), (st.Fimp, "F")):

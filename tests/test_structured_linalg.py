@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from transport_nare import structured_linalg
 from transport_nare.structured_linalg import (
     BaseOperators,
+    Correction,
     FlopModel,
     ImplicitIterate,
     LowRankBilinear,
@@ -348,7 +349,7 @@ def make_iterate(levels, symmetric=False, balanced=False, n=16, seed=7, flops=No
             M = M @ M + (u * dup[None, :]) @ u.T
         else:
             v = 0.3 * rng.standard_normal((n, 2)) / np.sqrt(n)
-            imp.push_update(u, np.eye(2), v)
+            imp.push_update(Correction(u, np.eye(2), v))
             M = M @ M + u @ v.T
     return imp, M
 
@@ -375,7 +376,7 @@ def test_implicit_zero_updates_is_repeated_squaring():
     base = BaseOperators(make_instance(8, 0.5, 0.5), 7.0)
     imp = ImplicitIterate(base.E)
     for _ in range(2):
-        imp.push_update(np.zeros((8, 1)), np.eye(1), np.zeros((8, 1)))
+        imp.push_update(Correction(np.zeros((8, 1)), np.eye(1), np.zeros((8, 1))))
     M = base_dense(base, "E")
     M4 = np.linalg.matrix_power(M, 4)
     X = np.random.default_rng(1).standard_normal((8, 2))
@@ -435,7 +436,7 @@ def test_push_update_matches_dense_property(n, r, l, m, data):
     imp.d, imp.U, imp.s, imp.V = d, U, np.ones(r), V
     E = np.diag(d) + U @ V.T
     want = E @ E + zl @ cz @ zr.T
-    imp.push_update(zl, cz, zr)
+    imp.push_update(Correction(zl, cz, zr))
     # relative to the size of the summed terms, D and U V^T apart: E itself,
     # and so E @ E, may cancel
     scale = max((np.linalg.norm(d) + np.linalg.norm(U) * np.linalg.norm(V)) ** 2
@@ -481,7 +482,7 @@ def test_push_symmetric_needs_a_symmetric_iterate():
     # push_symmetric then refuses
     sym, M = make_iterate(1, symmetric=True)
     zl, zr = np.full((16, 1), 0.1), np.linspace(-0.1, 0.1, 16)[:, None]
-    sym.push_update(zl, np.eye(1), zr)
+    sym.push_update(Correction(zl, np.eye(1), zr))
     assert sym.V is not sym.U
     want = M @ M + zl @ zr.T
     assert np.linalg.norm(sym.apply(np.eye(16)) - want) <= 1e-12 * np.linalg.norm(want)
@@ -519,7 +520,7 @@ def test_push_update_and_push_symmetric_agree():
     for _ in range(6):
         z = 0.3 * rng.standard_normal((n, 2)) / np.sqrt(n)
         dup = rng.uniform(0.1, 1.0, 2)
-        gen.push_update(z, np.diag(dup), z)
+        gen.push_update(Correction(z, np.diag(dup), z))
         sym.push_symmetric(z, dup)
         scale = np.abs(sym.apply(X)).max()
         assert np.abs(gen.apply(X) - sym.apply(X)).max() <= 1e-12 * scale
@@ -554,7 +555,7 @@ def screened_push(imp, symmetric, seed, l=6, m=8):
     zl, zr = imp.apply(Q1), imp.apply(Q2, transpose=True)
     a, b = imp.screen(core)
     want = Ek @ Ek + zl @ core @ zr.T
-    imp.push_update(zl[:, :a], core[:a, :b], zr[:, :b])
+    imp.push_update(Correction(zl[:, :a], core[:a, :b], zr[:, :b]))
     return want, d_next, (a, b), (l, m)
 
 
@@ -612,7 +613,7 @@ def test_screened_push_of_a_zero_iterate(symmetric, trunc_rel):
     if symmetric:
         imp.push_symmetric(z[:, :kept], np.ones(kept))
     else:
-        imp.push_update(z[:, :kept], np.ones((kept, kept)), z[:, :kept])
+        imp.push_update(Correction(z[:, :kept], np.ones((kept, kept)), z[:, :kept]))
     assert imp.rank == 0
     assert not imp.apply(np.eye(n)).any()
 
@@ -647,11 +648,11 @@ def test_push_stack_qr_count(monkeypatch, symmetric, per_level):
 def test_implicit_update_shape_check():
     imp = ImplicitIterate(BaseOperators(make_instance(8, 0.5, 0.5), 7.0).E)
     with pytest.raises(ValueError):
-        imp.push_update(np.ones((8, 2)), np.eye(2), np.ones((8, 3)))
+        imp.push_update(Correction(np.ones((8, 2)), np.eye(2), np.ones((8, 3))))
     with pytest.raises(ValueError):
-        imp.push_update(np.ones((7, 2)), np.eye(2), np.ones((8, 2)))
+        imp.push_update(Correction(np.ones((7, 2)), np.eye(2), np.ones((8, 2))))
     with pytest.raises(ValueError):
-        imp.push_update(np.ones((8, 2)), np.ones((3, 2)), np.ones((8, 3)))
+        imp.push_update(Correction(np.ones((8, 2)), np.ones((3, 2)), np.ones((8, 3))))
 
 
 # ---------------------------------------------------------------------------

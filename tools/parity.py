@@ -7,7 +7,8 @@
 the ``transport_nare`` on the import path, and records each run's report
 (iterations, termination, ranks, residuals, per-level H increments, per-level
 step flops and, apart, per-level residual flops), its whole-solve tracemalloc
-peak and X on 64 rows sampled with seed 7.  One traced warm-up solve, the set's first, goes before
+peak, the kernel that set it (``PeakKernel``) and X on 64 rows sampled with
+seed 7.  One traced warm-up solve, the set's first, goes before
 the set and is not recorded: allocations made once per process would
 otherwise fall in the first run's peak.  On the converged configurations (those with a residual
 tolerance) it also records X's relative Frobenius distance to the vector-form
@@ -21,8 +22,9 @@ prints both builds' reference errors and final residuals, each run's
 residual flops, the worst relative distance of X (and of the residuals) and
 how many runs give a bit-identical X and a bit-identical residual history.
 Each run's PEAK line gives the median traced peak of each build and the
-range of A's, and says whether B's median lies below, inside or above that
-range, and a last line counts the three: a traced peak moves by a few kB
+range of A's, says whether B's median lies below, inside or above that
+range and names the kernel that set each build's peak (the most common over
+its recordings), and a last line counts the three: a traced peak moves by a few kB
 between processes running the same code, so an unchanged peak reads as
 medians spread on both sides of a few-recording range.  It exits 1
 if it printed a MISMATCH line.  The exact ``flops`` field excludes the
@@ -31,9 +33,11 @@ not as a mismatch.  Same bits at a lower peak reads as no MISMATCH line,
 every run bit-identical and PEAK lines below A's range.
 """
 
+import importlib
 import json
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -51,17 +55,84 @@ EXACT = ("iterations", "termination", "max_rank", "residual_levels", "ranks",
          "operator_ranks", "increments", "flops")
 
 
+class PeakKernel:
+    """The traced peak of a block and the kernel whose segment holds it.
+
+    Inside the block, the entry and exit of each kernel below read and reset
+    tracemalloc's peak, so the solve is cut into segments, each owned by the
+    innermost kernel running in it ("step" between the kernels of a
+    doubling step, "init" outside any step): a push, an extend, the
+    residual or an operator apply.  The whole-solve peak is the largest
+    segment peak, so it is what one read at the end would give.  Both
+    solvers push E before F and extend H before G in every step, so a
+    push's or an extend's call count within its step names its operand.
+    The block starts and stops tracing itself: it does not nest in another
+    trace.
+    """
+
+    PATCHED = (("structured_linalg", "ImplicitIterate", "_push", ("E's push", "F's push")),
+               ("sda_ls", None, "extend_triple", ("H extend", "G extend")),
+               ("modified_sda_ls", None, "extend_triple", ("H extend",)),
+               ("sda_ls", None, "residual_norm", ("the residual",)),
+               ("modified_sda_ls", None, "residual_norm", ("the residual",)),
+               ("structured_linalg", "ImplicitIterate", "apply", ("an apply",)),
+               ("sda_ls", None, "sda_ls_step", None),
+               ("modified_sda_ls", None, "msda_step", None))
+
+    def __init__(self):
+        self.peak, self.kernel, self.owner, self.calls = 0, None, ["init"], {}
+
+    def cut(self):
+        """Close the running segment: keep its peak if it is the largest."""
+        peak = tracemalloc.get_traced_memory()[1]
+        if peak > self.peak:
+            self.peak, self.kernel = peak, self.owner[-1]
+        tracemalloc.reset_peak()
+
+    def wrap(self, fn, names):
+        def kernel(*args, **kwargs):
+            self.cut()
+            if names is None:        # a step: its kernels count from one
+                self.calls, owner = {}, "step"
+            else:
+                count = self.calls[names] = self.calls.get(names, 0) + 1
+                owner = names[min(count, len(names)) - 1]
+            self.owner.append(owner)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.cut()
+                self.owner.pop()
+        return kernel
+
+    def __enter__(self):
+        self.saved = []
+        for module, cls, attr, names in self.PATCHED:
+            owner = importlib.import_module("transport_nare." + module)
+            owner = getattr(owner, cls) if cls else owner
+            self.saved.append((owner, attr, getattr(owner, attr)))
+            setattr(owner, attr, self.wrap(getattr(owner, attr), names))
+        tracemalloc.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.cut()
+        tracemalloc.stop()
+        for owner, attr, fn in reversed(self.saved):
+            setattr(owner, attr, fn)
+
+
+def traced(solve, inst, config):
+    """Solve with the heap traced; (X, report, peak in bytes, its kernel)."""
+    with PeakKernel() as peak:
+        X, rep = solve(inst, config)
+    return X, rep, peak.peak, peak.kernel
+
+
 def run(out):
     from transport_nare.modified_sda_ls import msda_solve
     from transport_nare.sda_ls import SolverConfig, sda_ls_solve
     from transport_nare.transport_problem import make_instance
-
-    def traced(solve, inst, config):
-        tracemalloc.start()
-        X, rep = solve(inst, config)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        return X, rep, peak
 
     (n, fields), (c, alpha) = CONFIGS[0], CELLS[0]
     traced(sda_ls_solve, make_instance(n, c, alpha), SolverConfig(**fields))
@@ -73,7 +144,7 @@ def run(out):
             ref = (reference.solve_reference(inst.delta, inst.d, inst.q).rows(rows)
                    if "tol_residual" in fields else None)
             for solve in (sda_ls_solve, msda_solve):
-                X, rep, peak = traced(solve, inst, SolverConfig(**fields))
+                X, rep, peak, kernel = traced(solve, inst, SolverConfig(**fields))
                 key = "%s n=%d c=%g alpha=%g %s" % (
                     rep.algorithm, n, c, alpha, json.dumps(fields))
                 x = (X.left[rows] * X.core) @ X.right.T
@@ -89,7 +160,7 @@ def run(out):
                               for k in range(rep.iterations + 1)],
                     "residual_flops": [rep.flops.snapshot(k).get("residual", 0.0)
                                        for k in range(rep.iterations + 1)],
-                    "peak_mb": peak / 1e6}
+                    "peak_mb": peak / 1e6, "peak_kernel": kernel}
                 if ref is not None:
                     meta[key]["ref_distance"] = float(
                         np.linalg.norm(x - ref) / np.linalg.norm(ref))
@@ -143,8 +214,11 @@ def compare(a, b):
                                                 for path in paths_b])
         side = "below" if pb < min(peaks_a) else "above" if pb > max(peaks_a) else "inside"
         peak_sides[side] += 1
-        print("PEAK %s: median %.4f -> %.4f MB (%+.1f kB), A range [%.4f, %.4f], %s"
-              % (key, pa, pb, 1e3 * (pb - pa), min(peaks_a), max(peaks_a), side))
+        ka, kb = (Counter(recorded[path][key]["peak_kernel"] for path in paths)
+                  .most_common(1)[0][0] for paths in (paths_a, paths_b))
+        print("PEAK %s: median %.4f -> %.4f MB (%+.1f kB), A range [%.4f, %.4f], %s; "
+              "set in %s -> %s"
+              % (key, pa, pb, 1e3 * (pb - pa), min(peaks_a), max(peaks_a), side, ka, kb))
         if "residual_flops" in ra and "residual_flops" in rb:
             fa, fb = sum(ra["residual_flops"]), sum(rb["residual_flops"])
             print("RESIDUAL %s: %.0f -> %.0f flops (%+.1f%%)"
