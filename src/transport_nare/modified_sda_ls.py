@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .structured_linalg import Correction, residual_norm
+from .structured_linalg import Correction, FlopModel, residual_norm
 # not called here: perfbench's span tracer patches these names in this module
 from .structured_linalg import orthonormalize_against, truncated_svd  # noqa: F401
 from .transport_problem import balance, unbalance_scale, unbalance_solution
@@ -54,8 +54,12 @@ class CoreSingularError(RuntimeError):
     """A core singular value reached 1 and the inner correction blew up."""
 
 
-def msda_init(inst, config=None, flops=None):
-    """Level-0 state on a balanced instance, H0 rank one; ``G`` is None."""
+def msda_init(inst, config, flops):
+    """Level-0 state on a balanced instance, H0 rank one; ``G`` is None.
+
+    Its steps run under ``config`` and count into ``flops``, the solve's
+    ``FlopModel``.
+    """
     if inst.u is not inst.v:
         raise ValueError("msda operates on balanced instances; call balance() first")
     st = LowRankState(inst, config, flops)
@@ -171,9 +175,9 @@ def _asymmetry(M):
     return float(np.linalg.norm(M - M.T) / max(np.linalg.norm(M), 1e-300))
 
 
-def audit_symmetry(inst, k_max=4, config=None):
-    """Run the general solver on the balanced instance, measure how the G-side
-    tracks the transposed H-side for k_max steps.
+def audit_symmetry(inst, config, k_max=4):
+    """Run the general solver on the balanced instance under ``config``,
+    measure how the G-side tracks the transposed H-side for k_max steps.
 
     Only intended at moderate size (n <= AUDIT_MAX_N): H_k, G_k and the outer
     iterates are formed densely, and so is each level's pair of rank
@@ -185,7 +189,7 @@ def audit_symmetry(inst, k_max=4, config=None):
     n = binst.n
     if n > AUDIT_MAX_N:
         raise ValueError("symmetry audit is a diagnostic; n <= %d" % AUDIT_MAX_N)
-    st = LowRankState(binst, config)
+    st = LowRankState(binst, config, FlopModel())
     audit = SymmetryAudit(n=n, params=(binst.params.c, binst.params.alpha))
     eye = np.eye(n)
     for k in range(k_max + 1):

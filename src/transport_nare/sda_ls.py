@@ -58,8 +58,9 @@ class SolverConfig:
                    the tail of an E/F update whose bound, with ||E_k||_2 <=
                    max|d_k| + max|s_k|, is at most trunc_rel * max|d_{k+1}|
                    (``ImplicitIterate.screen``)
-    max_iter       doubling-iteration budget
-    max_rank       cap on the H_k, G_k ranks (``LowRankState.check_rank_cap``)
+    max_iter       doubling-iteration budget, an integer >= 1
+    max_rank       cap on the H_k, G_k ranks (``LowRankState.check_rank_cap``),
+                   an integer >= 1
     """
 
     tol_residual: float = 1e-12
@@ -72,8 +73,9 @@ class SolverConfig:
             raise ValueError("tol_residual must be positive and finite")
         if not 0 <= self.trunc_rel <= 1:
             raise ValueError("trunc_rel must lie in [0, 1]")
-        if self.max_iter < 1 or self.max_rank < 1:
-            raise ValueError("max_iter and max_rank must be >= 1")
+        if not all(1 <= v < np.inf and v == int(v)
+                   for v in (self.max_iter, self.max_rank)):
+            raise ValueError("max_iter and max_rank must be integers >= 1")
 
 
 @dataclass
@@ -233,20 +235,20 @@ def run_doubling(report, inst, init, step, residual, config):
 class LowRankState:
     """Mutable per-solve state of the low-rank iterations.
 
-    Owns the ``SolverConfig`` that every step runs under (the defaults when
-    none is given), the flop counters, the doubling shift ``gamma``, the
-    outer iterates E_k, F_k (``Eimp``, ``Fimp``) and the H_k and G_k factor
-    triples ``H`` and ``G`` (``LowRankBilinear``), all four built at level 0
-    from ``BaseOperators``, which is not kept.  The balanced iteration, where
-    G_k = H_k^T, sets ``G`` to None.  ``increment`` is
+    Owns the ``SolverConfig`` that every step runs under, the solve's
+    ``FlopModel``, into which every kernel of every step counts, the doubling
+    shift ``gamma``, the outer iterates E_k, F_k (``Eimp``, ``Fimp``) and the
+    H_k and G_k factor triples ``H`` and ``G`` (``LowRankBilinear``), all
+    four built at level 0 from ``BaseOperators``, which is not kept.  The
+    balanced iteration, where G_k = H_k^T, sets ``G`` to None.  ``increment`` is
     ||H_k - H_{k-1}||_F / ||H_k||_F of the last H update (1 at level 0).
     ``check_rank_cap`` is the one check of ``max_rank``.
     """
 
-    def __init__(self, inst, config=None, flops=None):
+    def __init__(self, inst, config, flops):
         self.inst = inst
-        self.config = config or SolverConfig()
-        self.flops = flops if flops is not None else FlopModel()
+        self.config = config
+        self.flops = flops
         self.flops.k = 0
         self.gamma = gamma_select(inst)
         base = BaseOperators(inst, self.gamma)

@@ -190,8 +190,8 @@ class FlopModel:
     def iteration_events(self, k, label):
         return self.events.get((k, label), 0)
 
-    def total(self, exclude=()):
-        return sum(f for (_, label), f in self.flops.items() if label not in exclude)
+    def total(self):
+        return sum(self.flops.values())
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -318,7 +318,8 @@ class BaseOperators:
     product of the two norms.  On a balanced instance (u is v) y is x and q
     is p, so E0 and F0 come out with V is U, and G0 is H0^T to the bit.
     Raises NearCriticalError if kappa is below ``SMW_DENOM_TOL``.  ``apply``
-    is ``ImplicitIterate.apply`` on E0 or F0.
+    is ``ImplicitIterate.apply`` on E0 or F0, counted into a throwaway
+    ``FlopModel``: no solve calls it, perfbench times it.
     """
 
     def __init__(self, inst, gamma):
@@ -342,7 +343,8 @@ class BaseOperators:
         self.G = X, np.array([g * (n_x * n_q)]), Q
 
     def apply(self, name, block, transpose=False):
-        return ImplicitIterate(getattr(self, name)).apply(block, transpose)
+        return ImplicitIterate(getattr(self, name), FlopModel(), 0.0).apply(
+            block, transpose)
 
 
 def _unit(x):
@@ -446,9 +448,12 @@ class ImplicitIterate:
     in E_8 of modified-sda-ls at (4096, 0.9, 0.1), where the correction's
     largest is 1.7e-4 and max|d_8| is 1.  ``screen`` is the matching rule
     for an update before its stacks are built.
+
+    ``flops`` is the solve's ``FlopModel``, into which every push and every
+    block apply counts, and ``trunc_rel`` the solve's ``SolverConfig`` value.
     """
 
-    def __init__(self, level0, flops=None, trunc_rel=0.0):
+    def __init__(self, level0, flops, trunc_rel):
         self.d, self.U, self.s, self.V = level0
         self.n = self.d.size
         self.level = 0
@@ -584,15 +589,14 @@ class ImplicitIterate:
         self.V = self.U if sym else right.q_times(Wr)
         self.d = d * d
         self.level += 1
-        if self.flops is not None:
-            # per stack of width w: its D X block, its QR and one reflector
-            # application; then V^T U (general case only) and R_l K R_r^T
-            ml, mr, k = min(n, wl), min(n, wr), self.s.size
-            stacks = n * (r + 2.0 * wl * wl + 2.0 * ml * k) + (0.0 if sym else n * (
-                r + 2.0 * wr * wr + 2.0 * mr * k + 2.0 * r * r))
-            self.flops.add("implicit_update", stacks + 2.0 * ml * wr * (wl + mr))
-            if sym:
-                self.flops.add("eig", 9.0 * ml ** 3)
+        # per stack of width w: its D X block, its QR and one reflector
+        # application; then V^T U (general case only) and R_l K R_r^T
+        ml, mr, k = min(n, wl), min(n, wr), self.s.size
+        stacks = n * (r + 2.0 * wl * wl + 2.0 * ml * k) + (0.0 if sym else n * (
+            r + 2.0 * wr * wr + 2.0 * mr * k + 2.0 * r * r))
+        self.flops.add("implicit_update", stacks + 2.0 * ml * wr * (wl + mr))
+        if sym:
+            self.flops.add("eig", 9.0 * ml ** 3)
 
     def apply(self, block, transpose=False):
         block = np.asarray(block, dtype=float)
@@ -600,9 +604,8 @@ class ImplicitIterate:
             block = block[:, None]
         if block.shape[0] != self.n:
             raise ValueError("block row dimension mismatch")
-        if self.flops is not None:
-            self.flops.event("implicit_block_apply")
-            self.flops.add("implicit_apply", (1.0 + 4.0 * self.rank) * block.size)
+        self.flops.event("implicit_block_apply")
+        self.flops.add("implicit_apply", (1.0 + 4.0 * self.rank) * block.size)
         left, right = (self.V, self.U) if transpose else (self.U, self.V)
         # the product is written in the block's own layout and d * block is
         # added in place: NumPy buffers an add across layouts (n = 4096,
@@ -617,7 +620,7 @@ class ImplicitIterate:
 # basis extension and truncated SVD
 # ---------------------------------------------------------------------------
 
-def orthonormalize_against(Q, Z, flops=None):
+def orthonormalize_against(Q, Z, flops):
     """Householder QR of the stack [Q, Z], factored where it is written.
 
     Q (n x m, orthonormal) and Z (n x w) are written into one Fortran-ordered
@@ -628,17 +631,17 @@ def orthonormalize_against(Q, Z, flops=None):
     lies in span(Q), or is only roundoff, gets a tiny row of R, Qf stays
     orthonormal to roundoff whatever the stack's rank, and the caller's
     truncated SVD of a small core built from R sets the rank.  Qf never has
-    more than n columns.
+    more than n columns.  Counts its QR into ``flops``, the solve's
+    ``FlopModel``.
     """
     n, m = Q.shape
     a = np.empty((n, m + Z.shape[1]), order="F")
     a[:, :m], a[:, m:] = Q, Z
-    if flops is not None:
-        flops.add("orthogonalize", 2.0 * n * a.shape[1] ** 2)
+    flops.add("orthogonalize", 2.0 * n * a.shape[1] ** 2)
     return _StackQR(a)
 
 
-def truncated_svd(M, trunc_rel, flops=None, ref=0.0):
+def truncated_svd(M, trunc_rel, flops, ref=0.0):
     """Truncated SVD of a small core matrix.
 
     Returns (U, s, V) with M ~= U @ diag(s) @ V.T, the factors as LAPACK
@@ -646,11 +649,10 @@ def truncated_svd(M, trunc_rel, flops=None, ref=0.0):
     below trunc_rel * max(ref, s[0]) are discarded (values exactly at the
     threshold are kept).  The H/G cores pass no ``ref``, so their values
     are dropped relative to s[0]; ``ImplicitIterate``'s push passes
-    max|d_{k+1}|.
+    max|d_{k+1}|.  Counts the SVD into ``flops``, the solve's ``FlopModel``.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    if flops is not None:
-        flops.add("svd", 12.0 * max(M.shape) ** 3)
+    flops.add("svd", 12.0 * max(M.shape) ** 3)
     if M.size == 0:
         return np.zeros((M.shape[0], 0)), np.zeros(0), np.zeros((M.shape[1], 0))
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
@@ -740,7 +742,7 @@ def residual_stacks(inst, X, scale=None):
     return U_hat, v_rows
 
 
-def residual_norm(inst, X, flops=None, scale=None):
+def residual_norm(inst, X, flops, scale=None):
     """Frobenius norm of X C X - X E - A X + B for a low-rank X.
 
     The residual is two diagonal actions on X plus one rank-one term
@@ -761,7 +763,8 @@ def residual_norm(inst, X, flops=None, scale=None):
 
     Returns (absolute_norm, normalized_norm); the normalization divides by
     ||B||_F = u^T u, which is n for the original u = e and sum(q) after
-    balancing.
+    balancing.  Counts its QR and product into ``flops``, the solve's
+    ``FlopModel``.
     """
     if X.n != inst.n:
         raise ValueError("solution dimension does not match the instance")
@@ -771,8 +774,7 @@ def residual_norm(inst, X, flops=None, scale=None):
     R = _StackQR(U_hat).r()
     del U_hat
     w = R.shape[1]
-    if flops is not None:
-        flops.add("residual", 4.0 * n * w ** 2)
+    flops.add("residual", 4.0 * n * w ** 2)
     step = max(1, RESIDUAL_BLOCK // w)
     sq = 0.0
     for lo in range(0, n, step):

@@ -60,7 +60,8 @@ _FORMAT_HEADER = "# transport-nare instance format 1"
 
 @dataclass(frozen=True)
 class TransportParams:
-    """Physical parameters (c, alpha) and the problem dimension n."""
+    """Physical parameters (c, alpha) and the problem dimension n, stored as
+    an int once its value is checked to be a positive integer."""
 
     c: float
     alpha: float
@@ -71,8 +72,9 @@ class TransportParams:
             raise ValueError("c must lie in (0, 1], got %r" % (self.c,))
         if not (0.0 <= self.alpha < 1.0):
             raise ValueError("alpha must lie in [0, 1), got %r" % (self.alpha,))
-        if int(self.n) != self.n or self.n < 1:
+        if not (1 <= self.n < np.inf and int(self.n) == self.n):
             raise ValueError("n must be a positive integer, got %r" % (self.n,))
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def near_singular(self):
@@ -276,7 +278,7 @@ def make_instance(n, c, alpha):
     """Convenience constructor: parameters plus Gauss-Legendre nodes (other
     quadratures go through ``build_instance``)."""
     params = TransportParams(c=c, alpha=alpha, n=n)
-    return build_instance(params, gauss_legendre(n))
+    return build_instance(params, gauss_legendre(params.n))
 
 
 def balance(inst):

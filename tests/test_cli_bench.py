@@ -10,7 +10,7 @@ import pytest
 
 from transport_nare import cli_bench
 from transport_nare.cli_bench import main
-from transport_nare.structured_linalg import residual_norm
+from transport_nare.structured_linalg import FlopModel, residual_norm
 from transport_nare.transport_problem import make_instance, read_instance
 
 X_SCALAR = 3.0 - 2.0 * np.sqrt(2.0)
@@ -161,7 +161,7 @@ def test_solve_msda_judged_on_original_scale(tmp_path, capsys, monkeypatch,
     report = json.load(open(next(tmp_path.glob("report_*.json"))))
     assert rc == code
     assert (rc == 0) == (report["termination"] == "converged")
-    orig = residual_norm(make_instance(n, c, alpha), returned[0])[1]
+    orig = residual_norm(make_instance(n, c, alpha), returned[0], FlopModel())[1]
     assert orig == report["final_residual"]
     if report["termination"] == "converged":
         assert orig <= 1e-12

@@ -24,6 +24,7 @@ from transport_nare.sda_ls import (
     step_cores,
 )
 from transport_nare.structured_linalg import (
+    FlopModel,
     LowRankBilinear,
     ShiftedSolver,
     gamma_select,
@@ -57,7 +58,7 @@ def operator_symmetry_probe(imp, n, seed=0):
 
 def test_init_requires_balanced():
     with pytest.raises(ValueError):
-        msda_init(make_instance(4, 0.5, 0.5))
+        msda_init(make_instance(4, 0.5, 0.5), SolverConfig(), FlopModel())
 
 
 def test_init_scalar_values():
@@ -67,7 +68,7 @@ def test_init_scalar_values():
     one = np.ones((1, 1))
     assert abs(sq * sol.solve("W", one)[0, 0] - sq * 6.0 / 35.0) <= 1e-15
     assert abs(sq * sol.solve("E", one)[0, 0] - sq / 6.0) <= 1e-15
-    st = msda_init(SCALAR_B)
+    st = msda_init(SCALAR_B, SolverConfig(), FlopModel())
     assert st.ranks == (1,)
     assert abs(st.H.core[0] - 6.0 / 35.0) <= 1e-15
     assert abs(abs(st.H.left[0, 0]) - 1.0) <= 1e-15
@@ -78,7 +79,7 @@ def test_init_scalar_values():
 def test_init_matches_dense_h0(n):
     binst = balance(make_instance(n, 0.9, 0.1))
     gamma = gamma_select(binst)
-    st = msda_init(binst)
+    st = msda_init(binst, SolverConfig(), FlopModel())
     A, B, C, E = assemble_dense(binst)
     eye = np.eye(n)
     Eg = E + gamma * eye
@@ -89,7 +90,7 @@ def test_init_matches_dense_h0(n):
 
 
 def test_init_rank_one():
-    st = msda_init(balance(make_instance(8, 0.7, 0.3)))
+    st = msda_init(balance(make_instance(8, 0.7, 0.3)), SolverConfig(), FlopModel())
     assert st.ranks == (1,)
 
 
@@ -98,7 +99,7 @@ def test_init_rank_one():
 # ---------------------------------------------------------------------------
 
 def test_step_scalar_frozen_value():
-    st = msda_init(SCALAR_B)
+    st = msda_init(SCALAR_B, SolverConfig(), FlopModel())
     msda_step(st)
     assert st.k == 1
     assert abs(st.H.entry(0, 0) - 204.0 / 1189.0) <= 1e-14
@@ -107,8 +108,8 @@ def test_step_scalar_frozen_value():
 def test_step_matches_general_solver_on_balanced():
     binst = balance(make_instance(32, 0.9, 0.1))
     cfg = SolverConfig(trunc_rel=0.0)
-    general = LowRankState(binst, config=cfg)
-    modified = msda_init(binst, config=cfg)
+    general = LowRankState(binst, cfg, FlopModel())
+    modified = msda_init(binst, cfg, FlopModel())
     for k in range(1, 6):
         sda_ls_step(general)
         msda_step(modified)
@@ -124,7 +125,7 @@ def test_iterates_match_dense_to_convergence(n):
     A, B, C, E = assemble_dense(binst)
     dense = dense_sda_init(A, B, C, E, gamma_select(binst))
     cfg = SolverConfig(trunc_rel=0.0)
-    st = msda_init(binst, config=cfg)
+    st = msda_init(binst, cfg, FlopModel())
     for _ in range(10):
         msda_step(st)
         dense_sda_step(dense)
@@ -133,7 +134,7 @@ def test_iterates_match_dense_to_convergence(n):
 
 
 def test_step_zero_core_squares_silently():
-    st = msda_init(balance(make_instance(16, 0.5, 0.5)))
+    st = msda_init(balance(make_instance(16, 0.5, 0.5)), SolverConfig(), FlopModel())
     st.H.core = np.zeros_like(st.H.core)
     msda_step(st)
     assert st.ranks == (0,)
@@ -142,7 +143,7 @@ def test_step_zero_core_squares_silently():
 
 
 def test_step_detects_singular_core():
-    st = msda_init(balance(make_instance(4, 0.5, 0.5)))
+    st = msda_init(balance(make_instance(4, 0.5, 0.5)), SolverConfig(), FlopModel())
     st.H.core = np.array([1.0])
     with pytest.raises(CoreSingularError):
         msda_step(st)
@@ -150,7 +151,7 @@ def test_step_detects_singular_core():
 
 def test_step_operators_stay_symmetric():
     binst = balance(make_instance(24, 0.9, 0.1))
-    st = msda_init(binst)
+    st = msda_init(binst, SolverConfig(), FlopModel())
     for _ in range(6):
         msda_step(st)
         st.H.validate()
@@ -159,7 +160,7 @@ def test_step_operators_stay_symmetric():
 
 
 def test_step_uses_two_large_products():
-    st = msda_init(balance(make_instance(16, 0.9, 0.1)))
+    st = msda_init(balance(make_instance(16, 0.9, 0.1)), SolverConfig(), FlopModel())
     msda_step(st)
     assert st.flops.iteration_events(1, "implicit_block_apply") == 2
     msda_step(st)
@@ -191,7 +192,7 @@ def test_solve_reports_original_scale_residual():
     X, rep = msda_solve(inst)
     # one residual: the original-scale one of the returned X
     assert rep.extras["residual_original"] == rep.final_residual
-    assert rep.final_residual == residual_norm(inst, X)[1]
+    assert rep.final_residual == residual_norm(inst, X, FlopModel())[1]
     assert rep.final_residual <= 1e-12
     assert X.min_entry() >= -1e-12
     assert rep.algorithm == "modified-sda-ls"
@@ -203,7 +204,7 @@ def test_solve_balanced_input():
     binst = balance(make_instance(16, 0.8, 0.2))
     X, rep = msda_solve(binst)
     assert rep.termination == "converged"
-    assert residual_norm(binst, X)[1] == rep.final_residual
+    assert residual_norm(binst, X, FlopModel())[1] == rep.final_residual
 
 
 def test_solve_iteration_count_tracks_general_solver():
@@ -219,18 +220,18 @@ def test_solve_history_is_original_scale():
     inst = make_instance(8, 0.5, 0.5)
     binst = balance(inst)
     X, rep = msda_solve(inst)
-    st = msda_init(binst)
-    own = [residual_norm(inst, unbalance_solution(st.H, inst))[1]]
-    balanced = [residual_norm(binst, st.H)[1]]
+    st = msda_init(binst, SolverConfig(), FlopModel())
+    own = [residual_norm(inst, unbalance_solution(st.H, inst), FlopModel())[1]]
+    balanced = [residual_norm(binst, st.H, FlopModel())[1]]
     while st.k < rep.iterations:
         msda_step(st)
-        own.append(residual_norm(inst, unbalance_solution(st.H, inst))[1])
-        balanced.append(residual_norm(binst, st.H)[1])
+        own.append(residual_norm(inst, unbalance_solution(st.H, inst), FlopModel())[1])
+        balanced.append(residual_norm(binst, st.H, FlopModel())[1])
     assert rep.residual_history == [own[k] for k in rep.residual_levels]
     assert rep.residual_levels[-1] == rep.iterations
     assert rep.termination == "converged"
     assert own[-2] > 1e-12 >= balanced[-2]
-    assert residual_norm(inst, X)[1] == own[-1]
+    assert residual_norm(inst, X, FlopModel())[1] == own[-1]
 
 
 @pytest.mark.parametrize("c, alpha", [(0.9, 0.1), (0.5, 0.5)])
@@ -248,8 +249,8 @@ def test_folded_residual_matches_unbalanced_triple_to_the_bit(c, alpha, rank, ba
     left = np.linalg.qr(rng.standard_normal((n, rank)))[0]
     right = np.linalg.qr(rng.standard_normal((n, rank)))[0]
     Xb = LowRankBilinear(left, np.sort(rng.uniform(0.1, 2.0, rank))[::-1], right)
-    folded = residual_norm(inst, Xb, scale=unbalance_scale(inst))
-    assert folded == residual_norm(inst, unbalance_solution(Xb, inst))
+    folded = residual_norm(inst, Xb, FlopModel(), scale=unbalance_scale(inst))
+    assert folded == residual_norm(inst, unbalance_solution(Xb, inst), FlopModel())
 
 
 def test_unbalance_scale():
@@ -281,12 +282,12 @@ def test_audit_small_no_truncation():
 
 
 def test_audit_with_truncation():
-    audit = audit_symmetry(make_instance(64, 0.9, 0.1), k_max=5)
+    audit = audit_symmetry(make_instance(64, 0.9, 0.1), SolverConfig(), k_max=5)
     assert audit.max_gated() <= 1e-10
 
 
 def test_audit_row_contents_and_serialization():
-    audit = audit_symmetry(make_instance(8, 0.9, 0.1), k_max=2)
+    audit = audit_symmetry(make_instance(8, 0.9, 0.1), SolverConfig(), k_max=2)
     for row in audit.rows:
         for key in ("k", "rank_h", "rank_g", "dev_product", "dev_spectrum",
                     "dev_operator", "dev_rank_update"):
@@ -308,11 +309,11 @@ def test_audit_takes_step_cores_once_per_level(monkeypatch, k_max):
         calls.append(st.k)
         return step_cores(st)
     monkeypatch.setattr(modified_sda_ls, "step_cores", counted)
-    audit_symmetry(make_instance(16, 0.9, 0.1), k_max=k_max)
+    audit_symmetry(make_instance(16, 0.9, 0.1), SolverConfig(), k_max=k_max)
     assert calls == list(range(k_max + 1))
 
 
 def test_audit_size_limit():
     assert AUDIT_MAX_N == 256
     with pytest.raises(ValueError):
-        audit_symmetry(make_instance(257, 0.5, 0.5))
+        audit_symmetry(make_instance(257, 0.5, 0.5), SolverConfig())

@@ -27,6 +27,7 @@ from transport_nare.structured_linalg import (
     RESIDUAL_BLOCK,
     BaseOperators,
     Correction,
+    FlopModel,
     ImplicitIterate,
     LowRankBilinear,
     gamma_select,
@@ -82,7 +83,9 @@ def test_residual_norm_holds_u_hat_and_one_row_block(peak_during):
     X = random_triple(N, r, seed=3)
     u_hat = N * (2 * r + 1) * F8
     block = RESIDUAL_BLOCK * F8
-    assert peak_during(lambda: residual_norm(inst, X)) <= u_hat + block + RESIDUAL_SLACK
+    flops = FlopModel()
+    peak = peak_during(lambda: residual_norm(inst, X, flops))
+    assert peak <= u_hat + block + RESIDUAL_SLACK
 
 
 # Measured: 15,832 B (push_update, rank 11 -> 20) and 72,360 B
@@ -100,7 +103,7 @@ def test_push_frees_the_old_factors_before_the_new_ones(peak_during, symmetric):
     if symmetric:
         inst = balance(inst)
     imp = ImplicitIterate(BaseOperators(inst, gamma_select(inst)).E,
-                          trunc_rel=1e-15)
+                          FlopModel(), 1e-15)
     rng = np.random.default_rng(5)
     sides = 1 if symmetric else 2
 
@@ -132,7 +135,7 @@ def test_push_update_consumes_its_correction(monkeypatch):
     # still references stays alive and unchanged
     n, l = 64, 3
     inst = make_instance(n, 0.9, 0.1)
-    imp = ImplicitIterate(BaseOperators(inst, gamma_select(inst)).E)
+    imp = ImplicitIterate(BaseOperators(inst, gamma_select(inst)).E, FlopModel(), 0.0)
     rng = np.random.default_rng(2)
     zl, zr = rng.standard_normal((n, l)), rng.standard_normal((n, l))
     kept = zr.copy()
@@ -155,32 +158,41 @@ def test_push_update_consumes_its_correction(monkeypatch):
 
 def mid_run(init, step, inst, k=10):
     """The state after k doublings, k = 10 being about a third of a converged
-    run at N."""
-    st = init(inst)
+    run at N, under the default config."""
+    st = init(inst, SolverConfig(), FlopModel())
     for _ in range(k):
         step(st)
     return st
 
 
-# Measured on (N, 0.9, 0.1) after 10 doublings, H rank 16 -> 18 and E, F rank
-# 14: 2,576,616 B above the heap at the call, against 2,490,368 B for E Q2,
-# F Q1 and F's push stack; the slack leaves 44,824 B.  Extending H before
-# the pushes, with both products held through its two stacks, took the step
-# to 2,708,048 B.
+# Measured on (N, 0.9, 0.1) after 10 doublings, H rank 16 -> 18, E and F
+# rank 11 and each push screened to 6 columns: 2,115,600 B above the heap at
+# the call, set in H's extend, against 2,097,152 B for its two stacks less
+# the H factors and products they replace; the slack leaves 112,624 B.
+# Extending H before the pushes, with both products held through its two
+# stacks, took the step to 2,708,048 B.
 STEP_SLACK = 128 * 1024
 
 
 def test_msda_step_frees_each_product_at_its_last_read(peak_during):
     st = mid_run(msda_init, msda_step, balance(make_instance(N, 0.9, 0.1)))
-    m, e_rank, f_rank = st.H.rank, st.Eimp.rank, st.Fimp.rank
+    m, r, f = st.H.rank, st.Eimp.rank, st.Fimp.rank
+    sig = st.H.core
+    dup = sig * (sig / (1.0 - sig ** 2))
+    a, c = st.Eimp.screen(dup), st.Fimp.screen(dup)
     peak = peak_during(lambda: msda_step(st))
-    # E Q2 and F Q1 live through both pushes; F's push stack (2 r + m) is
-    # the widest the step allocates, wider than the extend's two stacks
-    # (4 m) less the H factors and products they replace; E's push is done
-    products = 2 * m
-    stack = max(2 * f_rank + m, 2 * m)
-    growth = max(0, st.Eimp.rank - e_rank)
-    assert peak <= N * F8 * (products + stack + growth) + STEP_SLACK
+    grown_e = max(0, st.Eimp.rank - r)
+    grown_f = max(0, st.Fimp.rank - f)
+    # E's push holds E Q2 (m) and its one stack (2 r + a); the new U is
+    # formed once the old U is gone
+    push_e = m + 2 * r + a + grown_e
+    # F's push holds E Q2 and F Q1 (2 m) and its stack (2 f + c)
+    push_f = 2 * m + 2 * f + c + grown_e + grown_f
+    # H's extend holds both products and its first stack (2 m), then
+    # releases the old Q1 and F Q1 before the second (2 m), and the old Q2
+    # and E Q2 after it
+    extend_h = 4 * m + grown_e + grown_f
+    assert peak <= N * F8 * max(push_e, push_f, extend_h) + STEP_SLACK
 
 
 # Measured on (N, 0.9, 0.1) after 10 doublings, H rank 15 -> 16, G 16 -> 18,
@@ -226,7 +238,7 @@ def test_msda_residual_forms_one_unbalanced_factor(peak_during):
     st = mid_run(msda_init, msda_step, balance(inst), k=11)
     r = st.H.rank
     peak = peak_during(
-        lambda: residual_norm(inst, st.H, scale=unbalance_scale(inst)))
+        lambda: residual_norm(inst, st.H, st.flops, scale=unbalance_scale(inst)))
     u_hat = N * (2 * r + 1) * F8
     factor = N * r * F8
     block = RESIDUAL_BLOCK * F8

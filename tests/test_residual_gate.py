@@ -33,7 +33,7 @@ from transport_nare.sda_ls import (
     sda_ls_step,
     stagnated,
 )
-from transport_nare.structured_linalg import gamma_select, residual_norm
+from transport_nare.structured_linalg import FlopModel, gamma_select, residual_norm
 from transport_nare.transport_problem import (
     assemble_dense,
     balance,
@@ -62,14 +62,16 @@ def solve(algo, inst, config):
 def parts(algo, inst, config):
     """Level-0 state, step, residual and returned X of one solver."""
     if algo == "sda-ls":
-        st = LowRankState(inst, config)
-        return st, sda_ls_step, lambda: residual_norm(inst, st.H)[1], lambda: st.H
+        st = LowRankState(inst, config, FlopModel())
+        return (st, sda_ls_step, lambda: residual_norm(inst, st.H, st.flops)[1],
+                lambda: st.H)
     if algo == "modified-sda-ls":
-        st = msda_init(balance(inst), config)
+        st = msda_init(balance(inst), config, FlopModel())
 
         def solution():
             return unbalance_solution(st.H, inst)
-        return st, msda_step, lambda: residual_norm(inst, solution())[1], solution
+        return (st, msda_step, lambda: residual_norm(inst, solution(), st.flops)[1],
+                solution)
     A, B, C, E = assemble_dense(inst)
     st = dense_sda_init(A, B, C, E, gamma_select(inst))
     return st, dense_sda_step, lambda: dense_residual(A, B, C, E, st.H), lambda: st.H

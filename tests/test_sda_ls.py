@@ -77,6 +77,12 @@ def test_config_defaults():
     {"trunc_rel": float("nan")},
     {"max_iter": 0},
     {"max_rank": 0},
+    {"max_iter": 2.5},
+    {"max_iter": float("nan")},
+    {"max_iter": float("inf")},
+    {"max_rank": 7.5},
+    {"max_rank": float("nan")},
+    {"max_rank": float("inf")},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -100,7 +106,7 @@ def test_stagnation_rule():
 # ---------------------------------------------------------------------------
 
 def test_init_scalar_factorization():
-    st = LowRankState(SCALAR)
+    st = LowRankState(SCALAR, SolverConfig(), FlopModel())
     assert st.ranks == (1, 1)
     assert abs(st.H.core[0] - 6.0 / 35.0) <= 1e-15
     assert abs(st.G.core[0] - 6.0 / 35.0) <= 1e-15
@@ -109,13 +115,13 @@ def test_init_scalar_factorization():
 
 
 def test_init_rank_one_inputs_stay_rank_one():
-    st = LowRankState(make_instance(8, 0.7, 0.3))
+    st = LowRankState(make_instance(8, 0.7, 0.3), SolverConfig(), FlopModel())
     assert st.ranks == (1, 1)
 
 
 def test_init_matches_dense_h0_g0():
     inst = make_instance(64, 0.9, 0.1)
-    st = LowRankState(inst)
+    st = LowRankState(inst, SolverConfig(), FlopModel())
     H0, G0 = dense_states(inst, 0)[0]
     assert np.linalg.norm(st.H.dense() - H0) <= 1e-12 * np.linalg.norm(H0)
     assert np.linalg.norm(st.G.dense() - G0) <= 1e-12 * np.linalg.norm(G0)
@@ -125,7 +131,7 @@ def test_init_matches_dense_h0_g0():
 
 def test_init_balanced_pairs_factors():
     binst = balance(make_instance(12, 0.9, 0.1))
-    st = LowRankState(binst)
+    st = LowRankState(binst, SolverConfig(), FlopModel())
     # on a balanced instance the closed form of level 0 shares its scaled
     # vectors between H0 and G0, so G0 is H0^T to the bit
     np.testing.assert_array_equal(st.H.left, st.G.right)
@@ -140,7 +146,7 @@ def test_init_matches_extended_precision(balanced):
     inst = make_instance(4096, 0.9, 0.1)
     if balanced:
         inst = balance(inst)
-    st = LowRankState(inst)
+    st = LowRankState(inst, SolverConfig(), FlopModel())
     ld = np.longdouble
     u, v, gamma = inst.u.astype(ld), inst.v.astype(ld), ld(st.gamma)
     dg, lg = inst.d.astype(ld) + gamma, inst.delta.astype(ld) + gamma
@@ -182,7 +188,7 @@ def test_solves_build_no_shifted_solver(monkeypatch, solve):
 # ---------------------------------------------------------------------------
 
 def test_step_scalar_frozen_value():
-    st = LowRankState(SCALAR)
+    st = LowRankState(SCALAR, SolverConfig(), FlopModel())
     sda_ls_step(st)
     assert st.k == 1
     assert abs(st.H.entry(0, 0) - 204.0 / 1189.0) <= 1e-14
@@ -193,7 +199,7 @@ def test_step_no_truncation_matches_dense(n, c, alpha):
     inst = make_instance(n, c, alpha)
     cfg = SolverConfig(trunc_rel=0.0)
     oracle = dense_states(inst, 6)
-    st = LowRankState(inst, config=cfg)
+    st = LowRankState(inst, cfg, FlopModel())
     for k in range(1, 7):
         sda_ls_step(st)
         Hd, Gd = oracle[k]
@@ -202,7 +208,7 @@ def test_step_no_truncation_matches_dense(n, c, alpha):
 
 
 def test_step_zero_cores_squares_silently():
-    st = LowRankState(make_instance(16, 0.5, 0.5))
+    st = LowRankState(make_instance(16, 0.5, 0.5), SolverConfig(), FlopModel())
     st.H.core = np.zeros_like(st.H.core)
     st.G.core = np.zeros_like(st.G.core)
     sda_ls_step(st)
@@ -210,7 +216,8 @@ def test_step_zero_cores_squares_silently():
     assert np.linalg.norm(st.H.dense()) == 0.0
     assert st.Eimp.level == 1 and st.Fimp.level == 1
     # the correction vanished: the outer iterate is the squared base operator
-    M = ImplicitIterate(BaseOperators(st.inst, st.gamma).E).apply(np.eye(16))
+    M = ImplicitIterate(BaseOperators(st.inst, st.gamma).E, FlopModel(), 0.0).apply(
+        np.eye(16))
     X = np.random.default_rng(3).standard_normal((16, 2))
     np.testing.assert_allclose(st.Eimp.apply(X), M @ (M @ X), rtol=0,
                                atol=1e-14 * np.abs(M @ (M @ X)).max())
@@ -218,7 +225,7 @@ def test_step_zero_cores_squares_silently():
 
 def test_step_factor_invariants_hold():
     inst = make_instance(16, 0.9, 0.1)
-    st = LowRankState(inst)
+    st = LowRankState(inst, SolverConfig(), FlopModel())
     prev = st.ranks
     for _ in range(8):
         sda_ls_step(st)
@@ -232,7 +239,7 @@ def test_step_factor_invariants_hold():
 def test_step_rank_cap_on_g_leaves_h_untouched():
     # H fits (3 + 3 <= 7) but G does not (4 + 4 > 7): neither side is stored
     cfg = SolverConfig(max_rank=7)
-    st = LowRankState(make_instance(16, 0.5, 0.5), config=cfg)
+    st = LowRankState(make_instance(16, 0.5, 0.5), cfg, FlopModel())
     sda_ls_step(st)
     sda_ls_step(st)
     st.H = LowRankBilinear(st.H.left[:, :3], st.H.core[:3], st.H.right[:, :3])
@@ -337,7 +344,7 @@ def test_saturated_factors_stay_orthonormal(n):
     inst = make_instance(n, 0.5, 0.5)
     for init, step, start in ((LowRankState, sda_ls_step, inst),
                               (msda_init, msda_step, balance(inst))):
-        st = init(start, config=cfg)
+        st = init(start, cfg, FlopModel())
         for _ in range(20):
             step(st)
             for X in (st.H, st.G):
@@ -352,8 +359,8 @@ def test_rank_cap_counts_at_most_n():
     n = 4
     cfg = SolverConfig(trunc_rel=0.0, max_rank=n)
     inst = make_instance(n, 0.5, 0.5)
-    for st, step in ((LowRankState(inst, config=cfg), sda_ls_step),
-                     (msda_init(balance(inst), config=cfg), msda_step)):
+    for st, step in ((LowRankState(inst, cfg, FlopModel()), sda_ls_step),
+                     (msda_init(balance(inst), cfg, FlopModel()), msda_step)):
         for _ in range(6):
             step(st)
         assert st.k == 6 and set(st.ranks) == {n}, (step.__name__, st.ranks)
@@ -388,7 +395,7 @@ def test_rank_overflow_changes_nothing(monkeypatch, init, step):
 
     inst = make_instance(16, 0.5, 0.5)
     cfg = SolverConfig(max_rank=4)
-    st = init(balance(inst) if init is msda_init else inst, config=cfg)
+    st = init(balance(inst) if init is msda_init else inst, cfg, FlopModel())
     # the steps take no config: the cap is the one the state was built with
     assert st.config is cfg
     step(st)                   # 1 -> 2
@@ -415,12 +422,12 @@ MSDA_LEVEL_LABELS = {"inner_core", "implicit_apply", "implicit_update", "eig",
 
 
 def test_step_counts_kernels_and_applies():
-    st = LowRankState(make_instance(16, 0.9, 0.1))
+    st = LowRankState(make_instance(16, 0.9, 0.1), SolverConfig(), FlopModel())
     fm = st.flops
     sda_ls_step(st)
     assert set(fm.snapshot(1)) == SDA_LS_LEVEL_LABELS, sorted(fm.snapshot(1))
     assert fm.iteration_events(1, "implicit_block_apply") == 4
-    mst = msda_init(balance(make_instance(16, 0.9, 0.1)))
+    mst = msda_init(balance(make_instance(16, 0.9, 0.1)), SolverConfig(), FlopModel())
     msda_step(mst)
     assert set(mst.flops.snapshot(1)) == MSDA_LEVEL_LABELS, sorted(mst.flops.snapshot(1))
     assert mst.flops.iteration_events(1, "implicit_block_apply") == 2
@@ -432,12 +439,13 @@ def test_step_pushes_factored_corrections():
     # both track the dense recursion E <- E^2 + (E P1) WE (E^T Q2)^T; the
     # step builds and frees its own products, so they are formed here from
     # step_cores and the same state
-    st = LowRankState(make_instance(16, 0.9, 0.1))
+    st = LowRankState(make_instance(16, 0.9, 0.1), SolverConfig(), FlopModel())
     base = BaseOperators(st.inst, st.gamma)
-    ref = {name: ImplicitIterate(getattr(base, name), trunc_rel=st.config.trunc_rel)
+    ref = {name: ImplicitIterate(getattr(base, name), FlopModel(), st.config.trunc_rel)
            for name in ("E", "F")}
     eye = np.eye(16)
-    dense = {name: ImplicitIterate(getattr(base, name)).apply(eye) for name in ("E", "F")}
+    dense = {name: ImplicitIterate(getattr(base, name), FlopModel(), 0.0).apply(eye)
+             for name in ("E", "F")}
     for _ in range(6):
         _, _, WE, WF = step_cores(st)
         ZE1, ZE2 = st.Eimp.apply(st.G.left), st.Eimp.apply(st.H.right, transpose=True)
@@ -466,7 +474,7 @@ def test_steps_at_trunc_rel_zero_push_whole_updates(monkeypatch, init, step, bal
     cfg = SolverConfig(trunc_rel=0.0)
 
     def run():
-        st = init(start, config=cfg)
+        st = init(start, cfg, FlopModel())
         for _ in range(8):
             step(st)
         triples = [X for X in (st.H, st.G) if X is not None]
@@ -485,7 +493,7 @@ def test_steps_at_trunc_rel_zero_push_whole_updates(monkeypatch, init, step, bal
 def test_factored_resolvent_identity():
     # (I - H G)^-1 through the small cross-Gram system vs the dense inverse
     inst = make_instance(16, 0.9, 0.1)
-    st = LowRankState(inst)
+    st = LowRankState(inst, SolverConfig(), FlopModel())
     for _ in range(4):
         sda_ls_step(st)
     n = inst.n
@@ -710,4 +718,4 @@ def test_solve_critical_pair_n1024(solve, bound, expect):
     assert rep.termination == "converged"
     assert rep.iterations <= bound
     assert rep.final_residual <= 1e-8
-    assert residual_norm(inst, X)[1] == expect(rep)
+    assert residual_norm(inst, X, FlopModel())[1] == expect(rep)

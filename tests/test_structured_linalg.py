@@ -40,7 +40,7 @@ X_SCALAR = 3.0 - 2.0 * np.sqrt(2.0)
 
 def base_dense(base, name):
     """Dense image of E0 or F0, read through a level-0 iterate."""
-    return ImplicitIterate(getattr(base, name)).apply(np.eye(base.n))
+    return ImplicitIterate(getattr(base, name), FlopModel(), 0.0).apply(np.eye(base.n))
 
 
 def dense_shifted(inst, gamma):
@@ -107,7 +107,6 @@ def test_flop_model_accumulates_by_iteration():
     assert fm.iteration_total(1) == 10.0
     assert fm.iteration_total(1, exclude=("residual",)) == 7.0
     assert fm.total() == 160.0
-    assert fm.total(exclude=("gemm",)) == 3.0
 
 
 def test_flop_model_events():
@@ -318,7 +317,7 @@ def test_base_operators_match_dense(balanced, gamma):
                                rtol=1e-12, atol=1e-12)
     # level 0 is symmetric exactly when the instance is balanced (u is v)
     for name in "EF":
-        imp = ImplicitIterate(getattr(base, name))
+        imp = ImplicitIterate(getattr(base, name), FlopModel(), 0.0)
         assert (imp.V is imp.U) == balanced
 
 
@@ -326,7 +325,7 @@ def test_base_operators_match_dense(balanced, gamma):
 # implicit doubling iterate
 # ---------------------------------------------------------------------------
 
-def make_iterate(levels, symmetric=False, balanced=False, n=16, seed=7, flops=None):
+def make_iterate(levels, symmetric=False, balanced=False, n=16, seed=7):
     """An iterate advanced by random updates, with its dense recursion.
 
     The updates are scaled so that M <- M^2 + (update) stays of order one over
@@ -338,7 +337,7 @@ def make_iterate(levels, symmetric=False, balanced=False, n=16, seed=7, flops=No
     if symmetric or balanced:
         inst = balance(inst)
     base = BaseOperators(inst, gamma_select(inst))
-    imp = ImplicitIterate(base.E, flops=flops)
+    imp = ImplicitIterate(base.E, FlopModel(), 0.0)
     rng = np.random.default_rng(seed)
     M = base_dense(base, "E")
     for _ in range(levels):
@@ -364,7 +363,7 @@ def test_implicit_level_zero_delegates():
         d, U, s, V = getattr(base, name)
         assert V is not U
         M = np.diag(d) + U @ np.diag(s) @ V.T
-        imp = ImplicitIterate(getattr(base, name))
+        imp = ImplicitIterate(getattr(base, name), FlopModel(), 0.0)
         for transpose, want in ((False, M @ X), (True, M.T @ X)):
             for got in (imp.apply(X, transpose=transpose),
                         base.apply(name, X, transpose=transpose)):
@@ -374,7 +373,7 @@ def test_implicit_level_zero_delegates():
 
 def test_implicit_zero_updates_is_repeated_squaring():
     base = BaseOperators(make_instance(8, 0.5, 0.5), 7.0)
-    imp = ImplicitIterate(base.E)
+    imp = ImplicitIterate(base.E, FlopModel(), 0.0)
     for _ in range(2):
         imp.push_update(Correction(np.zeros((8, 1)), np.eye(1), np.zeros((8, 1))))
     M = base_dense(base, "E")
@@ -408,8 +407,8 @@ def test_implicit_six_levels_match_dense_recursion(symmetric, balanced):
 def test_implicit_apply_cost_is_flat_in_level():
     # one block apply costs (1 + 4 r) flops per entry whatever the level:
     # no work grows like 2^k
-    fm = FlopModel()
-    imp, _ = make_iterate(6, flops=fm)
+    imp, _ = make_iterate(6)
+    fm = imp.flops
     imp.apply(np.ones((16, 3)))
     assert fm.snapshot(0)["implicit_apply"] == (1 + 4 * imp.rank) * 16 * 3
     assert imp.rank <= 16
@@ -432,7 +431,8 @@ def test_push_update_matches_dense_property(n, r, l, m, data):
     zl = data.draw(hnp.arrays(float, (n, l), elements=_entries))
     cz = data.draw(hnp.arrays(float, (l, m), elements=_entries))
     zr = data.draw(hnp.arrays(float, (n, m), elements=_entries))
-    imp = ImplicitIterate(BaseOperators(make_instance(n, 0.5, 0.5), 7.0).E)
+    imp = ImplicitIterate(BaseOperators(make_instance(n, 0.5, 0.5), 7.0).E,
+                          FlopModel(), 0.0)
     imp.d, imp.U, imp.s, imp.V = d, U, np.ones(r), V
     E = np.diag(d) + U @ V.T
     want = E @ E + zl @ cz @ zr.T
@@ -462,7 +462,8 @@ def test_push_symmetric_matches_dense_property(n, r, m, kind, data):
         z = U @ data.draw(hnp.arrays(float, (U.shape[1], m), elements=_entries))
     else:
         z = np.zeros((n, m))
-    imp = ImplicitIterate(BaseOperators(make_instance(n, 0.5, 0.5), 7.0).E)
+    imp = ImplicitIterate(BaseOperators(make_instance(n, 0.5, 0.5), 7.0).E,
+                          FlopModel(), 0.0)
     imp.d, imp.U, imp.s, imp.V = d, U, s, U
     E = np.diag(d) + (U * s[None, :]) @ U.T
     Z = (z * dup[None, :]) @ z.T
@@ -496,12 +497,12 @@ def test_push_symmetric_rejects_a_nonsymmetric_base():
     z = np.random.default_rng(3).standard_normal((8, 2))
     dup = np.array([0.5, 0.2])
     inst = make_instance(8, 0.5, 0.5)
-    imp = ImplicitIterate(BaseOperators(inst, gamma_select(inst)).E)
+    imp = ImplicitIterate(BaseOperators(inst, gamma_select(inst)).E, FlopModel(), 0.0)
     with pytest.raises(ValueError):
         imp.push_symmetric(z, dup)
     inst = balance(inst)
     base = BaseOperators(inst, gamma_select(inst))
-    imp = ImplicitIterate(base.E)
+    imp = ImplicitIterate(base.E, FlopModel(), 0.0)
     imp.push_symmetric(z, dup)
     M = base_dense(base, "E")
     want = M @ M + (z * dup[None, :]) @ z.T
@@ -514,7 +515,8 @@ def test_push_update_and_push_symmetric_agree():
     n = 16
     inst = balance(make_instance(n, 0.9, 0.1))
     base = BaseOperators(inst, gamma_select(inst))
-    gen, sym = ImplicitIterate(base.E), ImplicitIterate(base.E)
+    gen = ImplicitIterate(base.E, FlopModel(), 0.0)
+    sym = ImplicitIterate(base.E, FlopModel(), 0.0)
     rng = np.random.default_rng(5)
     X = rng.standard_normal((n, 3))
     for _ in range(6):
@@ -603,7 +605,7 @@ def test_screened_push_of_a_zero_iterate(symmetric, trunc_rel):
     # it at trunc_rel = 0 and none of it above; either push gives E = 0
     n = 8
     imp = ImplicitIterate(BaseOperators(make_instance(n, 0.5, 0.5), 7.0).E,
-                          trunc_rel=trunc_rel)
+                          FlopModel(), trunc_rel)
     imp.d, imp.s = np.zeros(n), np.zeros(0)
     imp.U = imp.V = np.zeros((n, 0))
     kept = 3 if trunc_rel == 0.0 else 0
@@ -646,7 +648,8 @@ def test_push_stack_qr_count(monkeypatch, symmetric, per_level):
 
 
 def test_implicit_update_shape_check():
-    imp = ImplicitIterate(BaseOperators(make_instance(8, 0.5, 0.5), 7.0).E)
+    imp = ImplicitIterate(BaseOperators(make_instance(8, 0.5, 0.5), 7.0).E,
+                          FlopModel(), 0.0)
     with pytest.raises(ValueError):
         imp.push_update(Correction(np.ones((8, 2)), np.eye(2), np.ones((8, 3))))
     with pytest.raises(ValueError):
@@ -772,7 +775,7 @@ def test_stack_qr_rejects_non_finite_stacks(bad, build):
         if build == "plain":
             _StackQR(fortran_stack([np.eye(5, 2), block]))
         else:
-            orthonormalize_against(np.eye(5, 2), block)
+            orthonormalize_against(np.eye(5, 2), block, FlopModel())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -814,7 +817,7 @@ def check_extension(Q, Z):
     """Factor [Q, Z] by orthonormalize_against; check Qf R = [Q, Z], each
     column of Z to its own size, and Qf^T Qf = I to 1e-14.  Returns Qf, R."""
     n, m = Q.shape
-    F = orthonormalize_against(Q, Z)
+    F = orthonormalize_against(Q, Z, FlopModel())
     k = min(n, m + Z.shape[1])
     Qf, R = F.q_times(np.eye(k)), F.r()
     assert Qf.shape == (n, k) and R.shape == (k, m + Z.shape[1])
@@ -838,7 +841,7 @@ def in_span_rank(R, m, scale):
     (R[:, m:]) taken back to unit size: what in-span content of Z adds."""
     Rs = R.copy()
     Rs[:, m:] /= scale
-    return truncated_svd(Rs, SolverConfig().trunc_rel)[1].size
+    return truncated_svd(Rs, SolverConfig().trunc_rel, FlopModel())[1].size
 
 
 def test_orthonormalize_in_span_content_gets_roundoff_rows():
@@ -881,8 +884,8 @@ def test_orthonormalize_basis_never_exceeds_n():
 def test_orthonormalize_deterministic():
     Q = random_basis(16, 4, 9)
     Z = np.random.default_rng(10).standard_normal((16, 5))
-    first = orthonormalize_against(Q, Z)
-    second = orthonormalize_against(Q, Z)
+    first = orthonormalize_against(Q, Z, FlopModel())
+    second = orthonormalize_against(Q, Z, FlopModel())
     np.testing.assert_array_equal(first.a, second.a)
     np.testing.assert_array_equal(first.t, second.t)
 
@@ -903,29 +906,29 @@ def test_orthonormalize_empty_inputs():
 
 def test_truncated_svd_reconstruction_and_order():
     M = np.random.default_rng(0).standard_normal((6, 4))
-    U, s, V = truncated_svd(M, 0.0)
+    U, s, V = truncated_svd(M, 0.0, FlopModel())
     assert np.all(s > 0) and np.all(np.diff(s) <= 0)
     np.testing.assert_allclose(U @ (s[:, None] * V.T), M, rtol=0, atol=1e-13)
 
 
 def test_truncated_svd_drops_exact_zeros():
     M = np.diag([3.0, 0.0, 0.0])
-    U, s, V = truncated_svd(M, 0.0)
+    U, s, V = truncated_svd(M, 0.0, FlopModel())
     assert s.tolist() == [3.0]
     assert U.shape == (3, 1)
 
 
 def test_truncated_svd_threshold_is_inclusive():
-    _, s, _ = truncated_svd(np.diag([1.0, 1e-6]), 1e-6)
+    _, s, _ = truncated_svd(np.diag([1.0, 1e-6]), 1e-6, FlopModel())
     assert s.size == 2
-    _, s, _ = truncated_svd(np.diag([1.0, 0.99e-6]), 1e-6)
+    _, s, _ = truncated_svd(np.diag([1.0, 0.99e-6]), 1e-6, FlopModel())
     assert s.tolist() == [1.0]
 
 
 def test_truncated_svd_empty():
-    U, s, V = truncated_svd(np.zeros((3, 0)), 0.0)
+    U, s, V = truncated_svd(np.zeros((3, 0)), 0.0, FlopModel())
     assert U.shape == (3, 0) and s.size == 0
-    U, s, V = truncated_svd(np.zeros((2, 2)), 0.0)
+    U, s, V = truncated_svd(np.zeros((2, 2)), 0.0, FlopModel())
     assert s.size == 0
 
 
@@ -949,14 +952,14 @@ def dense_residual_norm(inst, Xd):
 def test_residual_of_zero_solution():
     inst = make_instance(12, 0.8, 0.2)
     X = LowRankBilinear(np.zeros((12, 0)), np.zeros(0), np.zeros((12, 0)))
-    absnorm, rel = residual_norm(inst, X)
+    absnorm, rel = residual_norm(inst, X, FlopModel())
     assert abs(absnorm - 12.0) <= 1e-12
     assert abs(rel - 1.0) <= 1e-13
 
 
 def test_residual_scalar_solution():
     X = LowRankBilinear(np.ones((1, 1)), np.array([X_SCALAR]), np.ones((1, 1)))
-    _, rel = residual_norm(SCALAR, X)
+    _, rel = residual_norm(SCALAR, X, FlopModel())
     assert rel <= 1e-14
 
 
@@ -966,7 +969,7 @@ def test_residual_matches_dense(balanced):
     if balanced:
         inst = balance(inst)
     X = rank_r_candidate(16, 2, seed=3)
-    absnorm, rel = residual_norm(inst, X)
+    absnorm, rel = residual_norm(inst, X, FlopModel())
     expect = dense_residual_norm(inst, X.dense())
     assert abs(absnorm - expect) <= 1e-12 * max(1.0, expect)
 
@@ -975,7 +978,7 @@ def test_residual_matches_dense(balanced):
 def test_residual_matches_dense_sweep(n, r, seed):
     inst = make_instance(n, 0.7, 0.3)
     X = rank_r_candidate(n, r, seed)
-    absnorm, _ = residual_norm(inst, X)
+    absnorm, _ = residual_norm(inst, X, FlopModel())
     expect = dense_residual_norm(inst, X.dense())
     assert abs(absnorm - expect) <= 1e-11 * max(1.0, expect)
 
@@ -1004,7 +1007,7 @@ ONE_QR_BOUND = {64: 5e-3, 512: 5e-5}
 def test_residual_one_qr_matches_two_qr_on_solutions(solve, n, c, alpha):
     inst = make_instance(n, c, alpha)
     X, _ = solve(inst)
-    absnorm, _ = residual_norm(inst, X)
+    absnorm, _ = residual_norm(inst, X, FlopModel())
     expect = two_qr_residual_norm(inst, X)
     assert abs(absnorm - expect) <= ONE_QR_BOUND[n] * expect
 
@@ -1012,4 +1015,4 @@ def test_residual_one_qr_matches_two_qr_on_solutions(solve, n, c, alpha):
 def test_residual_dimension_mismatch():
     X = rank_r_candidate(8, 2, 0)
     with pytest.raises(ValueError):
-        residual_norm(make_instance(9, 0.5, 0.5), X)
+        residual_norm(make_instance(9, 0.5, 0.5), X, FlopModel())

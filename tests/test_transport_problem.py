@@ -210,10 +210,21 @@ def test_quadrature_validation_errors():
 @pytest.mark.parametrize("c,alpha,n", [
     (0.0, 0.5, 4), (-0.1, 0.5, 4), (1.2, 0.5, 4),
     (0.5, 1.0, 4), (0.5, -0.1, 4), (0.5, 0.5, 0),
+    (0.5, 0.5, 2.5), (0.5, 0.5, float("inf")), (0.5, 0.5, float("nan")),
 ])
 def test_params_rejects_out_of_range(c, alpha, n):
     with pytest.raises(ValueError):
         TransportParams(c=c, alpha=alpha, n=n)
+
+
+def test_integral_float_n_is_stored_as_int():
+    # an integral float passes the value check and is stored as an int, so
+    # it reaches the array constructors as one
+    assert type(TransportParams(c=0.5, alpha=0.5, n=8.0).n) is int
+    inst, ref = make_instance(8.0, 0.5, 0.5), make_instance(8, 0.5, 0.5)
+    assert inst.n == 8 and type(inst.params.n) is int
+    for name in ("d", "delta", "u", "v"):
+        assert np.array_equal(getattr(inst, name), getattr(ref, name))
 
 
 def test_params_near_singular_flag():
